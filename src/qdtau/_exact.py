@@ -20,7 +20,8 @@ class InconsistentSystemError(ValueError):
 
 
 def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+    return [[x if type(x) is Fraction else Fraction(x) for x in row]
+            for row in rows]
 
 
 def solve_exact(matrix, rhs):
@@ -35,7 +36,7 @@ def solve_exact(matrix, rhs):
     a = _as_fraction_rows(matrix)
     vector_rhs = m > 0 and isinstance(rhs[0], (list, tuple))
     if vector_rhs:
-        b = [[Fraction(x) for x in row] for row in rhs]
+        b = _as_fraction_rows(rhs)
     else:
         b = [[Fraction(x)] for x in rhs]
     width = len(b[0])

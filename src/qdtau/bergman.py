@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .cover_homology import blocks, transform_basis
 from .cycles import GeometryError
 from .periods import Differential, PeriodEngine
 
@@ -173,10 +174,8 @@ class BergmanEvaluator:
         """Evaluator for the symplectically transformed cycle basis
         (sigma acts as alpha' = D alpha + C beta, beta' = B alpha +
         A beta); reuses the engine's cached loop periods."""
-        a, b, c, d = _blocks(sigma)
-        bm = self.pe.cycles.beta_mat
-        am2 = d @ self.alpha_mat + c @ bm
-        bm2 = b @ self.alpha_mat + a @ bm
+        am2, bm2 = transform_basis(sigma, self.alpha_mat,
+                                   self.pe.cycles.beta_mat)
         return BergmanEvaluator(self.pe, alpha_mat=am2, beta_mat=bm2,
                                 probe_offset=self._probe_offset)
 
@@ -184,7 +183,7 @@ class BergmanEvaluator:
         """Predicted Bhat change under the basis move: coefficient
         function -2 pi i u(x)^T (C Om + D)^-1 C u(w) built from this
         evaluator's data."""
-        a, b, c, d = _blocks(sigma)
+        _, _, c, d = blocks(sigma)
         m = np.linalg.inv(c @ self.omega + d) @ c
 
         def shift(x, sx, w, sw):
@@ -196,8 +195,3 @@ class BergmanEvaluator:
 
         return shift
 
-
-def _blocks(sigma):
-    sigma = np.asarray(sigma)
-    m = sigma.shape[0] // 2
-    return sigma[:m, :m], sigma[:m, m:], sigma[m:, :m], sigma[m:, m:]

@@ -1,9 +1,11 @@
 """Command-line front end: JSON/CSV reports and the acceptance driver.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input
-error.  Reports are JSON with sorted keys so identical inputs and seeds
-produce identical bytes; exact rationals are serialized as "p/q"
-strings, complex numbers as [re, im] pairs.
+error, 3 could not compute (a geometry, quadrature or linear-algebra
+failure, reported as JSON with the error's class and message).
+Reports are JSON with sorted keys so identical inputs and seeds produce
+identical bytes; exact rationals are serialized as "p/q" strings,
+complex numbers as [re, im] pairs.
 """
 from __future__ import annotations
 
@@ -20,8 +22,9 @@ from . import picard, strata, tau
 from .bergman import BergmanEvaluator
 from .cover_homology import is_symplectic, random_symplectic
 from .curves import QDConfigG0, build_cover, hyperelliptic_model
-from .cycles import build_cycles_robust
+from .cycles import GeometryError, build_cycles_robust
 from .periods import PeriodEngine, holo_diff
+from .quadrature import QuadratureError
 
 SCHEMA = "qdtau-report/1"
 
@@ -592,6 +595,11 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (GeometryError, QuadratureError, np.linalg.LinAlgError) as exc:
+        report = {"schema": SCHEMA,
+                  "error": {"class": type(exc).__name__, "message": str(exc)}}
+        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -24,6 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._exact import solve_exact
+
 
 def _eye(k):
     return [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
@@ -144,24 +146,9 @@ def build_matrices(g: int, n: int) -> InvolutionMatrices:
     # (T^t)^[-1]: for this T, T T^t = diag(2,...,2, 1,...,1) so the
     # inverse transpose is T^t scaled blockwise; computed generically
     tt = _transpose(t)
-    tt_inv = _invert(tt)
+    tt_inv = solve_exact(tt, _eye(ghat))
     s = _block_diag(t, tt_inv)
     return InvolutionMatrices(g, n, m, t, s)
-
-
-def _invert(a):
-    n = len(a)
-    aug = [list(row) + list(e) for row, e in zip(a, _eye(n))]
-    for c in range(n):
-        piv = next(i for i in range(c, n) if aug[i][c] != 0)
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
 
 
 def eigenspace_dims(g: int, n: int):
@@ -207,15 +194,19 @@ class SymplecticPair:
             if s.size and not is_symplectic(s):
                 raise ValueError("block is not symplectic")
 
-    @staticmethod
-    def blocks(sigma):
-        m = sigma.shape[0] // 2
-        return (
-            sigma[:m, :m],
-            sigma[:m, m:],
-            sigma[m:, :m],
-            sigma[m:, m:],
-        )
+
+def blocks(sigma):
+    """The blocks (A, B, C, D) of sigma = [[A, B], [C, D]]."""
+    sigma = np.asarray(sigma)
+    m = sigma.shape[0] // 2
+    return sigma[:m, :m], sigma[:m, m:], sigma[m:, :m], sigma[m:, m:]
+
+
+def transform_basis(sigma, alpha_mat, beta_mat):
+    """Cycle rows of the basis moved by sigma: (alpha', beta') =
+    (D alpha + C beta, B alpha + A beta)."""
+    a, b, c, d = blocks(sigma)
+    return d @ alpha_mat + c @ beta_mat, b @ alpha_mat + a @ beta_mat
 
 
 def is_symplectic(sigma, tol=1e-12) -> bool:
@@ -239,7 +230,7 @@ def det_factor(pair: SymplecticPair, omega_plus, omega_minus):
             out.append(complex(1.0))
             continue
         om = np.atleast_2d(np.asarray(omega, dtype=complex))
-        _, _, c, d = SymplecticPair.blocks(sigma)
+        _, _, c, d = blocks(sigma)
         det = np.linalg.det(c @ om + d)
         if det == 0:
             raise ValueError("degenerate pairing: det(C Omega + D) = 0")

@@ -143,6 +143,46 @@ class PeriodEngine:
             [self.loop_period(diff, i) for i in range(len(self.cycles.loops))]
         )
 
+    def period_velocities(self, f, f_dot, b_dot):
+        """d/ds of every loop period of f(x) dx/yhat, for a polynomial f
+        (coefficients highest degree first) whose coefficients move
+        with velocity f_dot while branch point k moves with b_dot[k].
+
+        Moving b turns f dx/yhat into f b_dot / (2 (x-b) yhat) dx
+        (Rauch's variational formula).  With f = f(b) + (x-b) q and
+        R = (x-b) S, the exact form d(yhat/(x-b)) gives
+        S(b)/((x-b) yhat) = [S' - (S - S(b))/(x-b)] / yhat, so the
+        derivative is again a polynomial over yhat and takes the
+        cached spine route."""
+        num = np.asarray(f_dot, dtype=complex)
+        for b, bd in zip(self.curve.branch_points, b_dot):
+            if bd == 0:
+                continue
+            lin = np.array([1.0, -b])
+            q, fb = np.polydiv(f, lin)
+            s, _ = np.polydiv(self.curve.rhs_coeffs, lin)
+            sb = np.polyval(s, b)
+            w, _ = np.polydiv(np.polysub(s, [sb]), lin)
+            term = np.polyadd(q, (fb[-1] / sb) * np.polysub(np.polyder(s), w))
+            num = np.polyadd(num, 0.5 * bd * term)
+        diff = Differential(("poly", tuple(num)),
+                            lambda x, c=num: np.polyval(c, x))
+        return self.loop_periods(diff)
+
+    def period_matrix_velocity(self, b_dot):
+        """d/ds of the period matrix while branch point k moves with
+        b_dot[k]: Omega = A^-1 B gives dOmega = N (dB - dA Omega)."""
+        g = self.curve.genus
+        n, omega = self.normalized_basis()
+        zero = np.zeros(g)
+        raw = np.array([
+            self.period_velocities(np.eye(g)[g - 1 - j], zero, b_dot)
+            for j in range(g)
+        ])
+        d_a = raw @ self.cycles.alpha_mat.T
+        d_b = raw @ self.cycles.beta_mat.T
+        return n @ (d_b - d_a @ omega)
+
     def combo_period(self, diff: Differential, combo):
         vals = self.loop_periods(diff)
         return complex(np.asarray(combo, dtype=float) @ vals)

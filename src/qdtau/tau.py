@@ -22,8 +22,6 @@ the stadium contours, never the inter-endpoint spine shortcut.
 from __future__ import annotations
 
 import cmath
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +30,7 @@ from .curves import QDConfigG0, build_cover
 from .cycles import build_cycles_robust
 from .periods import PeriodEngine, v_diff
 from .bergman import BergmanEvaluator
+from .cover_homology import blocks, transform_basis
 
 # phi = PHI_PREF * (S_v - S_B) / v, coefficient form
 PHI_PREF = 2.0 / (1j * np.pi)
@@ -81,8 +80,8 @@ def phi_fn(bergman: BergmanEvaluator, config: QDConfigG0, branch: int):
 class TauConnection:
     """Periods of phi+- and v over one symplectic basis.
 
-    The kernel evaluator is built lazily: plain v-period work (the bulk
-    of any finite-difference sweep) never pays for the probe solve.
+    The kernel evaluator is built lazily: plain v-period work never
+    pays for the probe solve.
     `tag` keys the engine's contour cache; two connections sharing one
     engine (a basis change) must carry distinct tags.
     """
@@ -106,6 +105,27 @@ class TauConnection:
     def v_periods(self):
         vals = self.pe.loop_periods(v_diff(self.pe.cycles.curve))
         return self.alpha_mat @ vals, self.beta_mat @ vals
+
+    def v_velocities(self, b_dot, c_dot):
+        """d/ds of every loop period of v = sqrt(c) Z(x) dx/yhat,
+        Z = prod(x - z_i), while branch point k (zeros, then poles)
+        moves with velocity b_dot[k] and the scale with c_dot."""
+        zeros = self.config.zeros
+        sqrt_c = np.sqrt(self.config.scale)
+        z_poly = np.poly(np.array(zeros, dtype=complex))
+        f = sqrt_c * z_poly
+        f_dot = (c_dot / (2.0 * self.config.scale)) * f
+        for z, zd in zip(zeros, b_dot):
+            z_rest = np.polydiv(z_poly, [1.0, -z])[0]
+            f_dot = np.polysub(f_dot, sqrt_c * zd * z_rest)
+        return self.pe.period_velocities(f, f_dot, b_dot)
+
+    def dlog_tau(self, branch: int, dv) -> complex:
+        """dlog tau of the branch along a path on which the loop
+        periods of v move with velocity dv."""
+        pa, pb = self.phi_periods(branch)
+        return complex(np.sum(-pb * (self.alpha_mat @ dv)
+                              + pa * (self.beta_mat @ dv)))
 
     def phi_periods(self, branch: int):
         if branch not in self._phi:
@@ -134,59 +154,28 @@ def build_connection(config: QDConfigG0, pairing=None) -> TauConnection:
     return TauConnection(PeriodEngine(cycles), config)
 
 
-def _richardson(f, h):
-    def d(hh):
-        return (f(hh) - f(-hh)) / (2.0 * hh)
-
-    return (4.0 * d(h / 2) - d(h)) / 3.0
-
-
-def _side_engines(make_config, s, h, pairing, workers=None):
-    steps = (h, -h, h / 2, -h / 2)
-
-    def one(st):
-        curve = build_cover(make_config(s + st))
-        return st, PeriodEngine(build_cycles_robust(curve, pairing=pairing))
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return dict(ex.map(one, steps))
-    return dict(one(st) for st in steps)
+def _tangent(make_config, s, h=1e-5):
+    """(branch-point velocities, scale velocity) of the path at s, by a
+    central difference of its coordinates only; no engine is built."""
+    lo, hi = make_config(s - h), make_config(s + h)
+    b_dot = np.subtract(hi.branch_points(), lo.branch_points()) / (2.0 * h)
+    return b_dot, (hi.scale - lo.scale) / (2.0 * h)
 
 
-def _workers_from_env():
-    try:
-        return int(os.environ.get("QDTAU_THREADS", "0"))
-    except ValueError:
-        return 0
-
-
-def dlog_tau_along(make_config, s: float, branches=(1, -1), h=1e-5,
-                   pairing=None, center: TauConnection = None):
-    """Directional derivative of log tau+- along s -> make_config(s).
-
-    Central differences with one Richardson sweep on the v-periods;
-    phi-periods enter only at the center point.  Returns {branch: value}.
-    """
+def dlog_tau_along(make_config, s: float, branches=(1, -1), pairing=None,
+                   center: TauConnection = None):
+    """Directional derivative of log tau+- along s -> make_config(s),
+    from exact derivatives of the v-periods at s.  Returns
+    {branch: value}."""
     if center is None:
         center = build_connection(make_config(s), pairing=pairing)
-    sides = _side_engines(make_config, s, h, pairing, _workers_from_env())
-    vper = {}
-    for st, pe in sides.items():
-        vals = pe.loop_periods(v_diff(pe.cycles.curve))
-        vper[st] = (center.alpha_mat @ vals, center.beta_mat @ vals)
-    dva = _richardson(lambda st: vper[st][0], h)
-    dvb = _richardson(lambda st: vper[st][1], h)
-    out = {}
-    for branch in branches:
-        pa, pb = center.phi_periods(branch)
-        out[branch] = complex(np.sum(-pb * dva + pa * dvb))
-    return out
+    dv = center.v_velocities(*_tangent(make_config, s))
+    return {branch: center.dlog_tau(branch, dv) for branch in branches}
 
 
-def scaling_check(config: QDConfigG0, pairing=None, h=1e-5):
-    """Euler pairing vs. an honest finite-difference run along the
-    scaling path; returns {branch: (pairing, fd_value)}."""
+def scaling_check(config: QDConfigG0, pairing=None):
+    """Euler pairing vs. the derivative along the scaling path; returns
+    {branch: (pairing, path_value)}."""
     conn = build_connection(config, pairing=pairing)
 
     def scaled(s):
@@ -198,22 +187,18 @@ def scaling_check(config: QDConfigG0, pairing=None, h=1e-5):
             pairing=config.pairing,
         )
 
-    fd = dlog_tau_along(scaled, 0.0, h=h, pairing=pairing, center=conn)
-    return {b: (conn.euler_pairing(b), fd[b]) for b in (1, -1)}
+    path = dlog_tau_along(scaled, 0.0, pairing=pairing, center=conn)
+    return {b: (conn.euler_pairing(b), path[b]) for b in (1, -1)}
 
 
-def basis_change_residual(make_config, s: float, sigma, h=1e-5, pairing=None):
+def basis_change_residual(make_config, s: float, sigma, pairing=None):
     """How far the two branches deviate from their transformation laws
     under the symplectic basis change sigma along the given path:
     the even branch must not move, the odd branch must shift by
     48 dlog det(C Omega + D).  Returns (plus_residual, minus_residual)."""
     center = build_connection(make_config(s), pairing=pairing)
-    g = center.pe.cycles.genus
     sig = np.asarray(sigma, dtype=int)
-    a, b = sig[:g, :g], sig[:g, g:]
-    c, d = sig[g:, :g], sig[g:, g:]
-    am2 = d @ center.alpha_mat + c @ center.beta_mat
-    bm2 = b @ center.alpha_mat + a @ center.beta_mat
+    am2, bm2 = transform_basis(sig, center.alpha_mat, center.beta_mat)
     moved = TauConnection(
         center.pe,
         center.config,
@@ -222,37 +207,21 @@ def basis_change_residual(make_config, s: float, sigma, h=1e-5, pairing=None):
         beta_mat=bm2,
         tag=("sigma", sig.tobytes()),
     )
+    b_dot, c_dot = _tangent(make_config, s)
+    dv = center.v_velocities(b_dot, c_dot)
+    plus, minus = (moved.dlog_tau(b, dv) - center.dlog_tau(b, dv)
+                   for b in (1, -1))
 
-    sides = _side_engines(make_config, s, h, pairing, _workers_from_env())
-    base_am, base_bm = center.alpha_mat, center.beta_mat
-    vper = {}
-    omegas = {}
-    for st, pe in sides.items():
-        vals = pe.loop_periods(v_diff(pe.cycles.curve))
-        vper[st] = vals
-        omegas[st] = pe.normalized_basis(base_am, base_bm)[1]
-
-    def dtau(conn):
-        dva = _richardson(lambda st: conn.alpha_mat @ vper[st], h)
-        dvb = _richardson(lambda st: conn.beta_mat @ vper[st], h)
-        pa, pb = conn.phi_periods(-1)
-        minus = complex(np.sum(-pb * dva + pa * dvb))
-        pa, pb = conn.phi_periods(1)
-        plus = complex(np.sum(-pb * dva + pa * dvb))
-        return plus, minus
-
-    plus0, minus0 = dtau(center)
-    plus2, minus2 = dtau(moved)
-
-    omega0 = center.pe.normalized_basis(base_am, base_bm)[1]
-    d_omega = _richardson(lambda st: omegas[st], h)
+    _, _, c, d = blocks(sig)
+    omega0 = center.pe.period_matrix()
+    d_omega = center.pe.period_matrix_velocity(b_dot)
     # branch-free d/ds log det(C Omega + D)
     dlogdet = complex(np.trace(np.linalg.inv(c @ omega0 + d) @ c @ d_omega))
 
-    return abs(plus2 - plus0), abs((minus2 - minus0) - 48.0 * dlogdet)
+    return abs(plus), abs(minus - 48.0 * dlogdet)
 
 
-def flatness_defect(make_config, n_samples=16, h=1e-5, pairing=None,
+def flatness_defect(make_config, n_samples=16, pairing=None,
                     branches=(1, -1)):
     """Closed-loop integral of dlog tau around s in [0, 1); the
     connection is flat, so anything above quadrature noise is a defect.
@@ -260,7 +229,7 @@ def flatness_defect(make_config, n_samples=16, h=1e-5, pairing=None,
     totals = {b: 0.0 + 0.0j for b in branches}
     for k in range(n_samples):
         s = k / n_samples
-        vals = dlog_tau_along(make_config, s, branches=branches, h=h,
+        vals = dlog_tau_along(make_config, s, branches=branches,
                               pairing=pairing)
         for b in branches:
             totals[b] += vals[b] / n_samples
@@ -321,36 +290,21 @@ def degeneration_rows(family: DegenerationFamily, branches=(1, -1)):
     """Per-schedule-point diagnostics: the collapsing period t, the
     slopes dlog tau+-/dd, and the running boundary exponents
     t * (dlog tau/dd) / (dt/dd)."""
-
-    def one(d):
+    rows = []
+    for d in family.schedule:
         conn = build_connection(family.config(d), pairing=family.pairing)
         pe = conn.pe
         idx = family.collapsing_loop(pe.cycles)
         t_here = pe.loop_period(v_diff(pe.cycles.curve), idx)
-        h = 1e-3 * d
-        sides = _side_engines(family.config, d, h, family.pairing)
-        vper = {}
-        tper = {}
-        for st, spe in sides.items():
-            vals = spe.loop_periods(v_diff(spe.cycles.curve))
-            vper[st] = (conn.alpha_mat @ vals, conn.beta_mat @ vals)
-            tper[st] = vals[idx]
-        dva = _richardson(lambda st: vper[st][0], h)
-        dvb = _richardson(lambda st: vper[st][1], h)
-        dt = _richardson(lambda st: tper[st], h)
+        dv = conn.v_velocities(*_tangent(family.config, d, 1e-3 * d))
+        dt = dv[idx]
         row = {"d": d, "t": complex(t_here), "dt": complex(dt)}
         for branch in branches:
-            pa, pb = conn.phi_periods(branch)
-            slope = complex(np.sum(-pb * dva + pa * dvb))
+            slope = conn.dlog_tau(branch, dv)
             row[("dlog", branch)] = slope
             row[("gamma", branch)] = float((slope * t_here / dt).real)
-        return row
-
-    workers = _workers_from_env()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(one, family.schedule))
-    return [one(d) for d in family.schedule]
+        rows.append(row)
+    return rows
 
 
 def fit_exponent(ds, gammas, tail=8):

@@ -103,6 +103,23 @@ def test_periods_invalid_geometry(tmp_path):
     assert main(["periods", "--config", str(p)]) == 2
 
 
+def test_periods_uncomputable_geometry(tmp_path, capsys):
+    # valid input, but two poles 1e-13 apart defeat the cut builder
+    cfg = dict(REF_CONFIG)
+    cfg["poles"] = REF_CONFIG["poles"][:4] + [[1.0 + 1e-13, 0.0]]
+    del cfg["pairing"]
+    p = tmp_path / "close.json"
+    p.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["periods", "--config", str(p)]) == 3
+    rep = json.loads(capsys.readouterr().out)
+    assert set(rep) == {"schema", "error"}
+    assert rep["schema"] == "qdtau-report/1"
+    assert set(rep["error"]) == {"class", "message"}
+    assert rep["error"]["class"] == "GeometryError"
+    assert rep["error"]["message"]
+
+
 def test_bergman_probe(ref_config_path, tmp_path):
     code, rep = run(["bergman", "--config", ref_config_path,
                      "--probe", "0.3,0.9", "-1.2,0.4"],

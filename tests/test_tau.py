@@ -227,3 +227,99 @@ def test_collapsing_loop_requires_colliding_cut():
     conn = tau.build_connection(fam.config(0.1), pairing=fam.pairing)
     with pytest.raises(KeyError):
         bad.collapsing_loop(conn.pe.cycles)
+
+
+# Finite differences survive only here, as oracles for the exact period
+# derivatives: engines at s +- h and s +- h/2, one Richardson sweep.
+# Each side reads its periods in its own symplectic basis: a single loop
+# may lift with the opposite orientation at a nearby configuration
+# (genus3-all does so at s = 0), while the basis periods stay continuous.
+
+def _richardson_oracle(period_fn, make_config, s, h, pairing):
+    def at(st):
+        cfg = make_config(s + st)
+        return period_fn(tau.build_connection(cfg, pairing=pairing))
+
+    def central(hh):
+        return (at(hh) - at(-hh)) / (2.0 * hh)
+
+    return (4.0 * central(h / 2) - central(h)) / 3.0
+
+
+def _path_velocity(make_config, s, h=1e-3):
+    # every test path is affine in s, so the central difference is exact
+    lo, hi = make_config(s - h), make_config(s + h)
+    b_dot = np.subtract(hi.branch_points(), lo.branch_points()) / (2.0 * h)
+    return b_dot, (hi.scale - lo.scale) / (2.0 * h)
+
+
+def _v_basis_periods(conn):
+    return np.concatenate(conn.v_periods())
+
+
+def _genus3_path(s):
+    u = cmath.exp(0.7j)
+    return QDConfigG0(
+        zeros=[0.3 + 0.2j + 0.1 * s, -0.4 - 0.1j + 0.2j * s],
+        poles=[2.0 + 0.1 * s * u, -2.0 - 0.2 * s, -1.0 - 1.5j + 0.1j * s,
+               -1.0 + 1.5j + 0.15 * s * u, 1.0 + 1.5j - 0.1 * s,
+               1.0 - 1.5j + 0.05j * s],
+        scale=(0.7 - 0.3j) * (1.0 + 0.4 * s),
+    )
+
+
+_ZZ = tau.zero_zero_family()
+_ZP = tau.zero_pole_family()
+
+
+@pytest.mark.parametrize("make_config, s, h, pairing", [
+    (_pole_path, 0.0, 1e-5, REF_PAIRING),
+    (_genus3_path, 0.0, 1e-5, _ZZ.pairing),
+    (_ZP.config, 0.1, 1e-4, _ZP.pairing),
+    (_ZZ.config, 0.1, 1e-4, _ZZ.pairing),
+], ids=["ref-pole", "genus3-all", "zero-pole", "zero-zero"])
+def test_v_period_velocities_match_finite_differences(make_config, s, h,
+                                                      pairing):
+    conn = tau.build_connection(make_config(s), pairing=pairing)
+    dv = conn.v_velocities(*_path_velocity(make_config, s))
+    exact = np.concatenate([conn.alpha_mat @ dv, conn.beta_mat @ dv])
+    fd = _richardson_oracle(_v_basis_periods, make_config, s, h, pairing)
+    assert np.abs(exact - fd).max() < 1e-7 * np.abs(exact).max()
+
+
+def test_period_matrix_velocity_matches_finite_differences():
+    conn = tau.build_connection(_pole_path(0.0), pairing=REF_PAIRING)
+    b_dot, _ = _path_velocity(_pole_path, 0.0)
+    exact = conn.pe.period_matrix_velocity(b_dot)
+    fd = _richardson_oracle(lambda c: c.pe.period_matrix(), _pole_path, 0.0,
+                            1e-5, REF_PAIRING)
+    assert np.abs(exact - fd).max() < 1e-7 * np.abs(exact).max()
+
+
+# tight regression gates beside the stated ones above, set from the
+# accuracy the exact derivatives achieve
+
+def test_scaling_path_matches_pairing_tight():
+    for branch, (pair, path) in tau.scaling_check(
+            ref_config(), pairing=REF_PAIRING).items():
+        assert abs(pair - path) < 1e-9
+
+
+def test_flatness_closed_loop_tight():
+    def mk(s):
+        z1 = 0.1 * cmath.exp(2j * cmath.pi * s)
+        return QDConfigG0(zeros=[z1], poles=[1.0, -1.0, 2.0, -2.0, 0.5])
+
+    defect = tau.flatness_defect(mk, n_samples=16, pairing=REF_PAIRING)
+    assert max(defect[1], defect[-1]) < 1e-8
+
+
+@pytest.mark.parametrize("seed, count", [(11, 3), (17, 5)])
+def test_basis_change_random_sigmas_tight(seed, count):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        sig = random_symplectic(2, rng, steps=5)
+        rp, rm = tau.basis_change_residual(_pole_path, 0.0, sig,
+                                           pairing=REF_PAIRING)
+        assert rp < 1e-9
+        assert rm < 1e-9
