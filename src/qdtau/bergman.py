@@ -52,6 +52,8 @@ class BergmanEvaluator:
         self._p2 = np.poly(np.array(pts[1::2], dtype=complex))
         self._rp = np.polyder(self.curve.rhs_coeffs)
         self._rpp = np.polyder(self._rp)
+        self._p1pp = np.polyder(self._p1, 2)
+        self._p2pp = np.polyder(self._p2, 2)
         self._probe_offset = probe_offset
         self._C = None
         self.correction_defect = None
@@ -149,9 +151,9 @@ class BergmanEvaluator:
         r = np.polyval(self.curve.rhs_coeffs, x)
         rp = np.polyval(self._rp, x)
         rpp = np.polyval(self._rpp, x)
-        h2 = np.polyval(self._p1, x) * np.polyval(
-            np.polyder(self._p2, 2), x
-        ) + np.polyval(np.polyder(self._p1, 2), x) * np.polyval(self._p2, x)
+        h2 = np.polyval(self._p1, x) * np.polyval(self._p2pp, x) + np.polyval(
+            self._p1pp, x
+        ) * np.polyval(self._p2, x)
         q = self.q_values(x)
         quad = np.einsum("...j,jk,...k->...", q, c, q)
         return (

@@ -211,20 +211,12 @@ def loop_loop_crossings(la: Loop, lb: Loop):
 
 
 def winding_number(pieces, z0, samples=64):
-    total = 0.0
-    prev = None
-    for p in pieces:
-        for k in range(samples + 1):
-            w = cmath.phase(p.point(k / samples) - z0)
-            if prev is not None:
-                dw = w - prev
-                while dw > math.pi:
-                    dw -= 2 * math.pi
-                while dw < -math.pi:
-                    dw += 2 * math.pi
-                total += dw
-            prev = w
-    return round(total / (2 * math.pi))
+    s = np.linspace(0.0, 1.0, samples + 1)
+    w = np.angle(np.concatenate([p.point(s) for p in pieces]) - z0)
+    dw = np.diff(w)
+    dw = np.where(dw > math.pi, dw - 2 * math.pi,
+                  np.where(dw < -math.pi, dw + 2 * math.pi, dw))
+    return round(float(np.sum(dw)) / (2 * math.pi))
 
 
 class CycleSystem:

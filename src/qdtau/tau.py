@@ -47,15 +47,15 @@ def sv_coeff(config: QDConfigG0):
     """Coefficient of the projective connection of the flat coordinate
     of v, via the logarithmic derivative L of the v coefficient:
     S_v = L' - L^2/2 with L = (1/2) d/dx log q."""
-    zs = [complex(z) for z in config.zeros]
-    ps = [complex(p) for p in config.poles]
+    zs = np.array(config.zeros, dtype=complex)
+    ps = np.array(config.poles, dtype=complex)
 
     def coeff(x):
-        x = np.asarray(x, dtype=complex)
-        L = 0.5 * sum(1.0 / (x - z) for z in zs)
-        L = L - 0.5 * sum(1.0 / (x - p) for p in ps)
-        Lp = -0.5 * sum(1.0 / (x - z) ** 2 for z in zs)
-        Lp = Lp + 0.5 * sum(1.0 / (x - p) ** 2 for p in ps)
+        x = np.asarray(x, dtype=complex)[..., None]
+        dz, dp = x - zs, x - ps
+        L = 0.5 * np.sum(1.0 / dz, axis=-1) - 0.5 * np.sum(1.0 / dp, axis=-1)
+        Lp = (0.5 * np.sum(1.0 / dp**2, axis=-1)
+              - 0.5 * np.sum(1.0 / dz**2, axis=-1))
         return Lp - 0.5 * L * L
 
     return coeff

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qdtau.quadrature import (
+    PANELS_PER_CALL,
     QuadratureError,
     adaptive_line,
     jacobi_rule,
@@ -144,5 +145,86 @@ def test_adaptive_line_closed_contour():
 
 def test_adaptive_line_raises_on_interior_pole():
     # pole placed away from panel midpoints so no symmetric cancellation
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError) as info:
         adaptive_line(lambda s: 1.0 / (s - 0.5301), 0.0, 1.0, tol=1e-11)
+    assert math.isfinite(info.value.achieved)
+
+
+def _panel(f, a, b, n):
+    x, w = legendre_rule(n)
+    mid, half = (a + b) / 2.0, (b - a) / 2.0
+    vals = np.asarray(f(mid + half * x), dtype=complex)
+    return half * complex(np.sum(w * vals)), abs(half) * float(
+        np.sum(np.abs(w) * np.abs(vals))
+    )
+
+
+def recursive_line(f, a=0.0, b=1.0, tol=1e-11, depth=32, _floor=None,
+                   _counts=None):
+    """Depth-first reference for adaptive_line: one call of f and one
+    recursion per panel, same rules and acceptance.  ``_counts``, when
+    given, collects the number of panels at each bisection level."""
+    if _counts is not None:
+        _counts.append(depth)
+    coarse, _ = _panel(f, a, b, 24)
+    fine, mass = _panel(f, a, b, 48)
+    if _floor is None:
+        _floor = 1e-13 * mass
+    err = abs(fine - coarse)
+    accept = max(tol, _floor, 1e-13 * mass)
+    if err <= accept or depth == 0:
+        if depth == 0 and err > accept:
+            raise QuadratureError("contour panel did not converge", err)
+        return fine
+    mid = (a + b) / 2.0
+    left = recursive_line(f, a, mid, tol / 1.9, depth - 1, _floor, _counts)
+    right = recursive_line(f, mid, b, tol / 1.9, depth - 1, _floor, _counts)
+    return left + right
+
+
+def _comb(s):
+    # 40 poles just off the line keep over 64 panels open in one level
+    return sum(1.0 / (s - c - 1e-5j) for c in np.linspace(0.01, 0.99, 40))
+
+
+PEAKED = {
+    "pole-1e-4": lambda s: 1.0 / (s - 0.5 - 1e-4j),
+    "two-poles": lambda s: 1.0 / (s - 0.3 - 1e-6j) + 1.0 / (s - 0.7 + 1e-7j),
+    "pole-at-end": lambda s: np.exp(3j * s) / (s - 1.0 - 1e-3j) ** 2,
+    "comb": _comb,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PEAKED))
+def test_adaptive_line_matches_recursive_oracle(name):
+    f = PEAKED[name]
+    counts = []
+    want = recursive_line(f, 0.0, 1.0, tol=1e-11, _counts=counts)
+    got = adaptive_line(f, 0.0, 1.0, tol=1e-11)
+    assert abs(got - want) <= 1e-14 * abs(want)
+    if name == "comb":
+        per_level = np.bincount(32 - np.array(counts))
+        assert per_level.max() > PANELS_PER_CALL
+
+
+def test_adaptive_line_calls_are_capped():
+    sizes = []
+
+    def f(s):
+        sizes.append(np.size(s))
+        return _comb(s)
+
+    adaptive_line(f, 0.0, 1.0, tol=1e-11)
+    assert max(sizes) == PANELS_PER_CALL * 72
+
+
+# quad_vec calls the integrand once per point; the comb would take seconds
+@pytest.mark.parametrize("name", ["pole-1e-4", "pole-at-end", "two-poles"])
+def test_adaptive_line_matches_quad_vec(name):
+    integrate = pytest.importorskip("scipy.integrate")
+    f = PEAKED[name]
+    want, err = integrate.quad_vec(f, 0.0, 1.0, epsabs=1e-13, epsrel=1e-13,
+                                   limit=100000)
+    got = adaptive_line(f, 0.0, 1.0, tol=1e-11)
+    # within the oracle's own error estimate plus the requested tolerance
+    assert abs(got - want) <= err + 1e-11

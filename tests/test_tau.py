@@ -3,9 +3,10 @@ import cmath
 import numpy as np
 import pytest
 
-from qdtau import tau
+from qdtau import periods, tau
 from qdtau.curves import QDConfigG0
 from qdtau.cover_homology import random_symplectic
+from test_quadrature import recursive_line
 
 REF_PAIRING = [(4, 2), (0, 5), (1, 3)]
 KAPPA_PLUS = -40.0 / 3.0
@@ -323,3 +324,18 @@ def test_basis_change_random_sigmas_tight(seed, count):
                                            pairing=REF_PAIRING)
         assert rp < 1e-9
         assert rm < 1e-9
+
+
+@pytest.mark.parametrize("config, pairing", [
+    (ref_config(), REF_PAIRING),
+    (_ZZ.config(0.1 * 0.5**8), _ZZ.pairing),
+], ids=["ref", "zero-zero-3.9e-4"])
+def test_phi_periods_match_recursive_quadrature(monkeypatch, config, pairing):
+    def phi(conn):
+        return np.concatenate([np.concatenate(conn.phi_periods(b))
+                               for b in (1, -1)])
+
+    got = phi(tau.build_connection(config, pairing=pairing))
+    monkeypatch.setattr(periods, "adaptive_line", recursive_line)
+    want = phi(tau.build_connection(config, pairing=pairing))
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
