@@ -11,6 +11,8 @@ Subpackages split along the natural seams of the problem:
 - ``bergman``        the Bergman bidifferential and projective connections
 - ``tau``            connection forms, Euler-characteristic pairings, and
                      boundary vanishing exponents of the two tau functions
+- ``checks``         the acceptance criteria, each defined once, shared by
+                     ``qdtau suite`` and the acceptance tests
 """
 
 __version__ = "0.1.0"
@@ -24,4 +26,5 @@ __all__ = [
     "periods",
     "bergman",
     "tau",
+    "checks",
 ]

@@ -1,8 +1,13 @@
 """Command-line front end: JSON/CSV reports and the acceptance driver.
 
+`qdtau suite` runs the acceptance criteria of `qdtau.checks` (the quick
+tier, criteria 1-5, or all eight with --full), and every per-command
+gate takes its tolerance from the same registry.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input
-error, 3 could not compute (a geometry, quadrature or linear-algebra
-failure, reported as JSON with the error's class and message).
+error (malformed files or arguments, unstable (g, n), probes on a
+singular point), 3 could not compute (a geometry, quadrature or
+linear-algebra failure, reported as JSON with the error's class and
+message).
 Reports are JSON with sorted keys so identical inputs and seeds produce
 identical bytes; exact rationals are serialized as "p/q" strings,
 complex numbers as [re, im] pairs.
@@ -10,7 +15,6 @@ complex numbers as [re, im] pairs.
 from __future__ import annotations
 
 import argparse
-import cmath
 import csv
 import json
 import math
@@ -18,12 +22,13 @@ import sys
 
 import numpy as np
 
-from . import picard, strata, tau
+from . import checks, picard, strata, tau
 from .bergman import BergmanEvaluator
-from .cover_homology import is_symplectic, random_symplectic
-from .curves import QDConfigG0, build_cover, hyperelliptic_model
+from .checks import TOLERANCES, gate
+from .cover_homology import is_symplectic
+from .curves import QDConfigG0, build_cover
 from .cycles import GeometryError, build_cycles_robust
-from .periods import PeriodEngine, holo_diff
+from .periods import PeriodEngine
 from .quadrature import QuadratureError
 
 SCHEMA = "qdtau-report/1"
@@ -54,19 +59,21 @@ def load_config(path: str) -> QDConfigG0:
         raise InputError(f"cannot read config: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON in {path}: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InputError(f"config must be a JSON object, not "
+                         f"{type(raw).__name__}")
     try:
         zeros = [_parse_complex(z) for z in raw["zeros"]]
         poles = [_parse_complex(p) for p in raw["poles"]]
-    except KeyError as exc:
-        raise InputError(f"config missing field {exc}") from None
-    scale = _parse_complex(raw.get("scale", 1.0))
-    tol = float(raw.get("tolerance", 1e-10))
-    pairing = raw.get("pairing")
-    if pairing is not None:
-        pairing = [tuple(int(i) for i in pr) for pr in pairing]
-    try:
+        scale = _parse_complex(raw.get("scale", 1.0))
+        tol = float(raw.get("tolerance", 1e-10))
+        pairing = raw.get("pairing")
+        if pairing is not None:
+            pairing = [tuple(int(i) for i in pr) for pr in pairing]
         return QDConfigG0(zeros=zeros, poles=poles, scale=scale,
                           tolerance=tol, pairing=pairing)
+    except KeyError as exc:
+        raise InputError(f"config missing field {exc}") from None
     except (ValueError, TypeError) as exc:
         raise InputError(f"invalid configuration: {exc}") from None
 
@@ -75,15 +82,6 @@ def _engine(config: QDConfigG0):
     curve = build_cover(config)
     cycles = build_cycles_robust(curve, pairing=config.pairing)
     return PeriodEngine(cycles, tol=config.tolerance)
-
-
-def _check(name, value, tolerance):
-    return {
-        "name": name,
-        "value": value,
-        "tolerance": tolerance,
-        "passed": bool(value <= tolerance),
-    }
 
 
 def emit(report: dict, out: str = None) -> int:
@@ -102,9 +100,12 @@ def emit(report: dict, out: str = None) -> int:
 
 def cmd_picard(args) -> int:
     g, n = args.genus, args.n
-    if g < 0 or n < 1 or (g, n) == (0, 1):
+    if n < 1:
         raise InputError(f"no stratum at genus {g} with {n} poles")
-    b = picard.basis(g, n)
+    try:
+        b = picard.basis(g, n)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     if args.action == "classes":
         delta0 = picard.class_delta0(b)
         dinf = picard.delta_inf_from_psi(b)
@@ -124,16 +125,8 @@ def cmd_picard(args) -> int:
         }
         return emit(report, args.out)
 
-    residuals = picard.verify_mumford_chain(b)
-    kp, km = strata.principal_kappa(g, n)
-    lam_s, prym_s, delta0_s = picard.solve_tau_relations(g, n, kp, km)
-    delta0 = picard.class_delta0(b)
-    dinf = picard.delta_inf_from_psi(b)
-    lam_t, prym_t = picard.hodge_prym_classes(b, delta0, dinf)
-    residuals["tau_relations_lambda"] = lam_s - lam_t
-    residuals["tau_relations_prym"] = prym_s - prym_t
-    residuals["tau_relations_delta0"] = delta0_s - delta0
-    checks = [
+    residuals = picard.verify(g, n)
+    exact = [
         {
             "name": name,
             "value": "0" if r.is_zero() else repr(r),
@@ -145,9 +138,8 @@ def cmd_picard(args) -> int:
     report = {
         "command": "picard verify",
         "inputs": {"genus": g, "n": n},
-        "results": {name: c["value"] for name, c in
-                    zip(residuals, checks)},
-        "checks": checks,
+        "results": {c["name"]: c["value"] for c in exact},
+        "checks": exact,
     }
     return emit(report, args.out)
 
@@ -202,9 +194,9 @@ def cmd_periods(args) -> int:
             "loops": len(pe.cycles.loops),
         },
         "checks": [
-            _check("omega_symmetric", sym, 1e-8),
-            _check("omega_imag_positive", 0.0 if eigs.min() > 0 else
-                   math.inf, 0.0),
+            gate("omega_symmetric", sym, TOLERANCES["omega_symmetric"]),
+            gate("omega_imag_positive", 0.0 if eigs.min() > 0 else math.inf,
+                 TOLERANCES["omega_imag_positive"]),
         ],
     }
     return emit(report, args.out)
@@ -216,12 +208,22 @@ def cmd_bergman(args) -> int:
     config = load_config(args.config)
 
     def probe_pt(s):
-        parts = s.strip().split(",")
-        if len(parts) != 2:
-            raise InputError(f"probe point must be 're,im', got {s!r}")
-        return complex(float(parts[0]), float(parts[1]))
+        try:
+            re, im = (float(t) for t in s.strip().split(","))
+        except ValueError:
+            raise InputError(f"probe point must be 're,im', got {s!r}") \
+                from None
+        x = complex(re, im)
+        if not (math.isfinite(re) and math.isfinite(im)) \
+                or x in config.branch_points():
+            raise InputError(f"probe point {s!r} is not a finite point "
+                             "off the branch points")
+        return x
 
     x, w = (probe_pt(s) for s in args.probe)
+    if x == w:
+        raise InputError("the kernel has a double pole where the two probe "
+                         "points coincide")
     be = BergmanEvaluator(_engine(config))
     kernel = complex(be.bhat_coeff(x, 1, w, 1))
     report = {
@@ -240,7 +242,8 @@ def cmd_bergman(args) -> int:
         },
         "diagnostics": {"correction_defect": float(be.correction_defect)},
         "checks": [
-            _check("alpha_normalization", float(be.correction_defect), 1e-8),
+            gate("alpha_normalization", be.correction_defect,
+                 TOLERANCES["correction_defect"]),
         ],
     }
     return emit(report, args.out)
@@ -248,19 +251,9 @@ def cmd_bergman(args) -> int:
 
 # ------------------------------------------------------------------- tau
 
-_FAMILIES = {"zero-pole": tau.zero_pole_family,
-             "zero-zero": tau.zero_zero_family}
-
-
-def _principal_kappa_of(config: QDConfigG0):
-    orders = (1,) * len(config.zeros) + (-1,) * len(config.poles)
-    kp, km = strata.kappa(strata.StratumSignature(0, orders))
-    return float(kp), float(km)
-
-
 def cmd_tau_scaling(args) -> int:
     config = load_config(args.config)
-    kp, km = _principal_kappa_of(config)
+    kp, km = (float(k) for k in strata.principal_kappa(0, config.n))
     result = tau.scaling_check(config, pairing=config.pairing)
     (ep, fp), (em, fm) = result[1], result[-1]
     report = {
@@ -279,10 +272,14 @@ def cmd_tau_scaling(args) -> int:
             "kappa_minus": km,
         },
         "checks": [
-            _check("kappa_plus_match", abs(ep - kp) / abs(kp), 1e-4),
-            _check("kappa_minus_match", abs(em - km) / abs(km), 1e-4),
-            _check("scaling_path_plus", abs(ep - fp), 1e-6),
-            _check("scaling_path_minus", abs(em - fm), 1e-6),
+            gate("kappa_plus_match", abs(ep - kp) / abs(kp),
+                 TOLERANCES["euler_kappa_plus"]),
+            gate("kappa_minus_match", abs(em - km) / abs(km),
+                 TOLERANCES["euler_kappa_minus"]),
+            gate("scaling_path_plus", abs(ep - fp),
+                 TOLERANCES["scaling_path"]),
+            gate("scaling_path_minus", abs(em - fm),
+                 TOLERANCES["scaling_path"]),
         ],
     }
     return emit(report, args.out)
@@ -303,9 +300,9 @@ def _write_degeneration_csv(path, rows):
 
 
 def cmd_tau_degenerate(args) -> int:
-    if args.kind not in _FAMILIES:
+    if args.kind not in tau.FAMILIES:
         raise InputError(f"unknown degeneration kind: {args.kind!r}")
-    fam = _FAMILIES[args.kind]()
+    fam = tau.FAMILIES[args.kind]()
     if args.config:
         base = load_config(args.config)
         mk0 = fam.config
@@ -319,7 +316,6 @@ def cmd_tau_degenerate(args) -> int:
         fam = tau.DegenerationFamily(fam.name, mk, fam.pairing, fam.collide,
                                      schedule=fam.schedule)
     gp_t, gm_t = (float(v) for v in strata.collision_exponents(args.kind))
-    fit_tol = 0.05 if args.kind == "zero-pole" else 0.1
     exps, rows = tau.degeneration_exponent(fam)
     if args.out:
         _write_degeneration_csv(args.out, rows)
@@ -335,8 +331,10 @@ def cmd_tau_degenerate(args) -> int:
             "samples": len(rows),
         },
         "checks": [
-            _check("gamma_plus", abs(exps[1] - gp_t), fit_tol),
-            _check("gamma_minus", abs(exps[-1] - gm_t), fit_tol),
+            gate("gamma_plus", abs(exps[1] - gp_t),
+                 TOLERANCES[f"gamma_plus_{args.kind}"]),
+            gate("gamma_minus", abs(exps[-1] - gm_t),
+                 TOLERANCES[f"gamma_minus_{args.kind}"]),
         ],
     }
     return emit(report)
@@ -350,24 +348,23 @@ def cmd_tau_basis_change(args) -> int:
         raise InputError(f"cannot read sigma: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from None
-    mat = raw["sigma"] if isinstance(raw, dict) else raw
-    sig = np.asarray(mat, dtype=int)
+    try:
+        sig = np.asarray(raw["sigma"] if isinstance(raw, dict) else raw,
+                         dtype=int)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InputError(f"sigma must be a 4x4 integer symplectic matrix: "
+                         f"{exc!r}") from None
     if sig.shape != (4, 4) or not is_symplectic(sig):
         raise InputError("sigma must be a 4x4 integer symplectic matrix")
-
-    def path(s):
-        return QDConfigG0(zeros=[0.0],
-                          poles=[1.0, -1.0, 2.0, -2.0, 0.5 + 0.2 * s])
-
-    rp, rm = tau.basis_change_residual(path, 0.0, sig,
-                                       pairing=[(4, 2), (0, 5), (1, 3)])
+    rp, rm = tau.basis_change_residual(checks.ref_pole_path, 0.0, sig,
+                                       pairing=checks.REF.pairing)
     report = {
         "command": "tau basis-change",
         "inputs": {"sigma": sig.tolist()},
         "results": {"plus_residual": rp, "minus_residual": rm},
         "checks": [
-            _check("plus_invariance", rp, 1e-4),
-            _check("minus_anomaly", rm, 1e-4),
+            gate("plus_invariance", rp, TOLERANCES["basis_change_residual"]),
+            gate("minus_anomaly", rm, TOLERANCES["basis_change_residual"]),
         ],
     }
     return emit(report, args.out)
@@ -375,137 +372,14 @@ def cmd_tau_basis_change(args) -> int:
 
 # ----------------------------------------------------------------- suite
 
-def _agm(a, b):
-    for _ in range(64):
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        if abs(a - b) < 1e-16:
-            break
-    return a
-
-
-def _suite_quick():
-    checks = []
-
-    for g, n in ((0, 5), (1, 2), (2, 1), (3, 2)):
-        b = picard.basis(g, n)
-        residuals = picard.verify_mumford_chain(b)
-        kp, km = strata.principal_kappa(g, n)
-        lam_s, prym_s, delta0_s = picard.solve_tau_relations(g, n, kp, km)
-        delta0 = picard.class_delta0(b)
-        dinf = picard.delta_inf_from_psi(b)
-        lam_t, prym_t = picard.hodge_prym_classes(b, delta0, dinf)
-        ok = (all(r.is_zero() for r in residuals.values())
-              and (lam_s - lam_t).is_zero()
-              and (prym_s - prym_t).is_zero()
-              and (delta0_s - delta0).is_zero())
-        checks.append({"name": f"picard_identities_g{g}_n{n}",
-                       "value": 0.0 if ok else math.inf,
-                       "tolerance": 0.0, "passed": ok})
-
-    kp, km = strata.principal_kappa(0, 5)
-    ok = (kp, km) == (strata.Fraction(-40, 3), strata.Fraction(56, 3))
-    for kind, tgt in (("zero-pole", (strata.Fraction(-8, 3),
-                                     strata.Fraction(40, 3))),
-                      ("zero-zero", (strata.Fraction(2, 3),
-                                     strata.Fraction(26, 3)))):
-        ok = ok and tuple(strata.collision_exponents(kind)) == tgt
-    checks.append({"name": "kappa_exponent_table",
-                   "value": 0.0 if ok else math.inf,
-                   "tolerance": 0.0, "passed": ok})
-
-    # elliptic AGM cross-check on y^2 = x(x-1)(x-2)
-    curve = hyperelliptic_model([0.0, 1.0, 2.0])
-    cycles = build_cycles_robust(curve)
-    pe = PeriodEngine(cycles)
-    per = pe.loop_period(holo_diff(0), cycles.loop_index("cut", 0))
-    agm_period = 2.0 * math.pi / _agm(math.sqrt(2.0), 1.0)
-    delta = abs(abs(per) - agm_period)
-    checks.append(_check("elliptic_agm_cross_check", delta, 1e-10))
-
-    ref = QDConfigG0(zeros=[0.0], poles=[1.0, -1.0, 2.0, -2.0, 0.5],
-                     pairing=[(4, 2), (0, 5), (1, 3)])
-    pe = _engine(ref)
-    _, omega = pe.normalized_basis()
-    checks.append(_check("omega_symmetric",
-                         float(np.abs(omega - omega.T).max()), 1e-8))
-    checks.append(_check(
-        "omega_imag_positive",
-        0.0 if np.linalg.eigvalsh(omega.imag).min() > 0 else math.inf, 0.0))
-
-    be = BergmanEvaluator(pe)
-    rng = np.random.default_rng(2024)
-    pts = np.asarray(be.curve.branch_points)
-    worst = 0.0
-    npair = 0
-    while npair < 25:
-        x, w = (complex(*rng.uniform(-2.5, 2.5, 2)) for _ in range(2))
-        if abs(x - w) < 0.2 or np.abs(pts - x).min() < 0.2 \
-                or np.abs(pts - w).min() < 0.2:
-            continue
-        npair += 1
-        val = be.bhat_coeff(x, 1, w, 1) + be.bhat_coeff(x, 1, w, -1)
-        target = 1.0 / (x - w) ** 2
-        worst = max(worst, abs(val - target) / abs(target))
-    checks.append(_check("bergman_pullback", worst, 1e-6))
-    checks.append(_check("correction_defect",
-                         float(be.correction_defect), 1e-8))
-
-    kp, km = _principal_kappa_of(ref)
-    res = tau.scaling_check(ref, pairing=ref.pairing)
-    (ep, fp), (em, fm) = res[1], res[-1]
-    checks.append(_check("euler_kappa_plus", abs(ep - kp) / abs(kp), 1e-4))
-    checks.append(_check("euler_kappa_minus", abs(em - km) / abs(km), 1e-4))
-    checks.append(_check("scaling_path", max(abs(ep - fp), abs(em - fm)),
-                         1e-6))
-    return checks
-
-
-def _suite_full():
-    checks = _suite_quick()
-
-    for kind, tol in (("zero-pole", 0.05), ("zero-zero", 0.1)):
-        fam = _FAMILIES[kind]()
-        gp_t, gm_t = (float(v) for v in strata.collision_exponents(kind))
-        exps, rows = tau.degeneration_exponent(fam)
-        checks.append(_check(f"gamma_plus_{kind}", abs(exps[1] - gp_t), tol))
-        checks.append(_check(f"gamma_minus_{kind}", abs(exps[-1] - gm_t),
-                             tol))
-        if kind == "zero-pole":
-            last = rows[-1]
-            ratio = abs(last["t"]) / last["d"] / math.pi
-            checks.append(_check("transversal_t_constant",
-                                 abs(ratio - 1.0), 0.01))
-
-    def path(s):
-        return QDConfigG0(zeros=[0.0],
-                          poles=[1.0, -1.0, 2.0, -2.0, 0.5 + 0.2 * s])
-
-    pairing = [(4, 2), (0, 5), (1, 3)]
-    rng = np.random.default_rng(17)
-    worst = 0.0
-    for _ in range(5):
-        sig = random_symplectic(2, rng, steps=5)
-        rp, rm = tau.basis_change_residual(path, 0.0, sig, pairing=pairing)
-        worst = max(worst, rp, rm)
-    checks.append(_check("basis_change_residual", worst, 1e-4))
-
-    def loop(s):
-        z1 = 0.1 * cmath.exp(2j * cmath.pi * s)
-        return QDConfigG0(zeros=[z1], poles=[1.0, -1.0, 2.0, -2.0, 0.5])
-
-    defect = tau.flatness_defect(loop, n_samples=16, pairing=pairing)
-    checks.append(_check("flatness_loop", max(defect[1], defect[-1]), 1e-4))
-    return checks
-
-
 def cmd_suite(args) -> int:
-    checks = _suite_full() if args.full else _suite_quick()
+    results = checks.run(full=args.full)
     report = {
         "command": "suite",
         "inputs": {"tier": "full" if args.full else "quick"},
-        "results": {"n_checks": len(checks),
-                    "n_passed": sum(c["passed"] for c in checks)},
-        "checks": checks,
+        "results": {"n_checks": len(results),
+                    "n_passed": sum(c["passed"] for c in results)},
+        "checks": results,
     }
     return emit(report, args.out)
 
@@ -557,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = tsub.add_parser("degenerate", help="boundary exponent fit")
     q.add_argument("--kind", required=True,
-                   choices=sorted(_FAMILIES))
+                   choices=sorted(tau.FAMILIES))
     q.add_argument("--config")
     q.add_argument("--out", help="CSV sample path")
     q.set_defaults(fn=cmd_tau_degenerate)

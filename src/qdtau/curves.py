@@ -43,6 +43,8 @@ class QDConfigG0:
             )
         if self.scale == 0:
             raise ValueError("scale must be nonzero")
+        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError("tolerance must be positive and finite")
         pts = self.zeros + self.poles
         if any(not np.isfinite([p.real, p.imag]).all() for p in pts):
             raise ValueError("all points must be finite")

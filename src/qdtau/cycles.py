@@ -225,16 +225,26 @@ class CycleSystem:
 
     alpha_mat and beta_mat have one row per basis cycle and one column
     per loop; every period of a basis cycle is the matching integer
-    combination of per-loop periods.
+    combination of per-loop periods.  pairs and gap_ends hold the
+    branch-point indices at the ends of each cut and gap spine,
+    leftover the ray's base point (None for an even model), inter the
+    raw loop intersection numbers and signs the per-loop orientation
+    that makes the chain cut, gap, cut, ... intersect at +1.
     """
 
-    def __init__(self, curve, evaluator, loops, alpha_mat, beta_mat, cut_segments):
+    def __init__(self, curve, evaluator, loops, alpha_mat, beta_mat,
+                 cut_segments, pairs, gap_ends, signs, inter, leftover):
         self.curve = curve
         self.evaluator = evaluator
         self.loops = loops
         self.alpha_mat = alpha_mat
         self.beta_mat = beta_mat
         self.cut_segments = cut_segments
+        self.pairs = pairs
+        self.gap_ends = gap_ends
+        self.signs = signs
+        self.inter = inter
+        self.leftover = leftover
         self.genus = alpha_mat.shape[0]
 
     def loop_index(self, kind, index):
@@ -246,7 +256,7 @@ class CycleSystem:
     def cut_loop_combo(self, cut_index):
         """Row vector selecting the (sign-normalized) loop around one cut."""
         combo = np.zeros(len(self.loops), dtype=int)
-        combo[self.loop_index("cut", cut_index)] = self._signs[
+        combo[self.loop_index("cut", cut_index)] = self.signs[
             self.loop_index("cut", cut_index)
         ]
         return combo
@@ -524,13 +534,8 @@ def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> Cycl
             f"{gram}"
         )
 
-    system = CycleSystem(curve, evaluator, loops, alpha_mat, beta_mat, cut_segments)
-    system._signs = signs
-    system._inter = inter
-    system._pairs = pairs
-    system._gap_ends = gap_ends
-    system._leftover = leftover
-    return system
+    return CycleSystem(curve, evaluator, loops, alpha_mat, beta_mat,
+                       cut_segments, pairs, gap_ends, signs, inter, leftover)
 
 
 def build_cycles_robust(curve: CoverCurve, pairing=None) -> CycleSystem:

@@ -69,9 +69,9 @@ class PeriodEngine:
         lp = self.cycles.loops[loop_idx]
         pts = self.curve.branch_points
         if lp.kind == "cut":
-            i, j = self.cycles._pairs[lp.index]
+            i, j = self.cycles.pairs[lp.index]
         else:
-            i, j = self.cycles._gap_ends[lp.index]
+            i, j = self.cycles.gap_ends[lp.index]
         a, b = pts[i], pts[j]
         return (a + b) / 2.0, (b - a) / 2.0, lp.kind == "cut", lp.index
 

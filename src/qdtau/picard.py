@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._exact import solve_exact
+from .strata import principal_kappa
 
 Rat = Fraction
 
@@ -307,6 +308,24 @@ def verify_mumford_chain(b: GeneratorBasis) -> dict:
             + Rat(3 * g - 3 - n, 2) * b.phi()
         ),
     }
+    return residuals
+
+
+def verify(g: int, n: int) -> dict:
+    """Every exact identity at (g, n): the Mumford chain of
+    `verify_mumford_chain` plus the three tau relations, i.e. the
+    classes `solve_tau_relations` recovers from the principal kappa
+    weights minus their closed forms.  Returns {identity-name: residual
+    DivisorClass}; every residual must be exactly zero."""
+    b = GeneratorBasis(g, n)
+    residuals = verify_mumford_chain(b)
+    kp, km = principal_kappa(g, n)
+    lam_s, prym_s, delta0_s = solve_tau_relations(g, n, kp, km)
+    delta0 = class_delta0(b)
+    lam, prym = hodge_prym_classes(b, delta0, delta_inf_from_psi(b))
+    residuals["tau_relations_lambda"] = lam_s - lam
+    residuals["tau_relations_prym"] = prym_s - prym
+    residuals["tau_relations_delta0"] = delta0_s - delta0
     return residuals
 
 

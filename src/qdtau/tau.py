@@ -249,7 +249,7 @@ class DegenerationFamily:
     )
 
     def collapsing_loop(self, cycles):
-        for k, pr in enumerate(cycles._pairs):
+        for k, pr in enumerate(cycles.pairs):
             if set(pr) == set(self.collide):
                 return cycles.loop_index("cut", k)
         raise KeyError("collapsing cut not found in the built pairing")
@@ -284,6 +284,9 @@ def zero_zero_family() -> DegenerationFamily:
         pairing=[(0, 1), (3, 4), (5, 6), (7, 2)],
         collide=frozenset({0, 1}),
     )
+
+
+FAMILIES = {"zero-pole": zero_pole_family, "zero-zero": zero_zero_family}
 
 
 def degeneration_rows(family: DegenerationFamily, branches=(1, -1)):

@@ -21,6 +21,13 @@ def ref_config_path(tmp_path):
     return str(p)
 
 
+def rejected(argv, capsys):
+    """The command exits 2 with an `error:` line on stderr."""
+    capsys.readouterr()
+    code = main(argv)
+    return code == 2 and capsys.readouterr().err.startswith("error: ")
+
+
 def run(args, out=None):
     argv = list(args)
     if out is not None:
@@ -70,8 +77,11 @@ def test_picard_classes(tmp_path):
     assert rep["results"]["delta_inf"]["phi"] == "-5"
 
 
-def test_picard_rejects_empty_moduli():
-    assert main(["picard", "verify", "--genus", "0", "--n", "1"]) == 2
+def test_picard_rejects_empty_moduli(capsys):
+    for action, g, n in (("verify", 0, 1), ("verify", 0, 3),
+                         ("verify", 1, 1), ("classes", 0, 2)):
+        assert rejected(["picard", action, "--genus", str(g),
+                         "--n", str(n)], capsys), (action, g, n)
 
 
 def test_periods_report(ref_config_path, tmp_path):
@@ -89,10 +99,16 @@ def test_periods_missing_config(tmp_path):
     assert main(["periods", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_periods_malformed_config(tmp_path):
+def test_periods_malformed_config(tmp_path, capsys):
+    bad = ["{not json", "[1, 2]",
+           json.dumps(dict(REF_CONFIG, zeros=[["a", "b"]])),
+           json.dumps(dict(REF_CONFIG, tolerance="abc")),
+           json.dumps(dict(REF_CONFIG, tolerance=-1)),
+           json.dumps(dict(REF_CONFIG, pairing=[["x", 1]]))]
     p = tmp_path / "bad.json"
-    p.write_text("{not json")
-    assert main(["periods", "--config", str(p)]) == 2
+    for text in bad:
+        p.write_text(text)
+        assert rejected(["periods", "--config", str(p)], capsys), text
 
 
 def test_periods_invalid_geometry(tmp_path):
@@ -128,6 +144,13 @@ def test_bergman_probe(ref_config_path, tmp_path):
     re, im = rep["results"]["bhat"]
     assert abs(complex(re, im)) > 0
     assert rep["diagnostics"]["correction_defect"] < 1e-8
+
+
+def test_bergman_rejects_singular_probes(ref_config_path, capsys):
+    for probe in (["a,b", "1,1"], ["0.3,0.9", "0.3,0.9"],
+                  ["1,0", "0.3,0.9"]):
+        assert rejected(["bergman", "--config", ref_config_path,
+                         "--probe", *probe], capsys), probe
 
 
 def test_tau_scaling(ref_config_path, tmp_path):
@@ -171,11 +194,13 @@ def test_tau_basis_change(tmp_path):
     assert rep["results"]["minus_residual"] < 1e-8
 
 
-def test_tau_basis_change_rejects_non_symplectic(tmp_path):
+def test_tau_basis_change_rejects_non_symplectic(tmp_path, capsys):
     sig = tmp_path / "sigma.json"
-    sig.write_text(json.dumps([[1, 0, 0, 0], [0, 1, 0, 0],
-                               [0, 0, 2, 0], [0, 0, 0, 1]]))
-    assert main(["tau", "basis-change", "--sigma", str(sig)]) == 2
+    for raw in ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]],
+                {"foo": 1}, [[1, 0, 0, 0], [0, 1, 0]]):
+        sig.write_text(json.dumps(raw))
+        assert rejected(["tau", "basis-change", "--sigma", str(sig)],
+                        capsys), raw
 
 
 def test_suite_quick_byte_stable(tmp_path):

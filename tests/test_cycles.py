@@ -176,5 +176,5 @@ def test_explicit_pairing_is_respected():
     cfg = QDConfigG0(**REF, pairing=[(4, 2), (0, 5), (1, 3)])
     curve = build_cover(cfg)
     cyc = build_cycles_robust(curve, pairing=cfg.pairing)
-    built_pairs = {tuple(sorted(p)) for p in cyc._pairs}
+    built_pairs = {tuple(sorted(p)) for p in cyc.pairs}
     assert built_pairs == {(2, 4), (0, 5), (1, 3)}
