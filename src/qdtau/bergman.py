@@ -22,7 +22,10 @@ The pullback identity Bhat(P,Q) + Bhat(P, mu Q) = dx dw/(x-w)^2 holds
 for any C, so everything downstream needs only the diagonal-opposite
 value t(x) = coefficient of Bhat(P, mu P): the projective connections
 of the two kernel splittings are 0 and -12 t(x), and that of Bhat
-itself is -6 t(x), exactly.
+itself is -6 t(x), exactly.  t is evaluated in partial fractions
+d = 1/(x - b) over the branch points (`BergmanEvaluator.t_from_sums`),
+never through the expanded polynomials R, P1 and P2, so the tau layer
+shares one broadcast of d between t and S_v.
 """
 
 from __future__ import annotations
@@ -32,6 +35,20 @@ import numpy as np
 from .cover_homology import blocks, transform_basis
 from .cycles import GeometryError
 from .periods import Differential, PeriodEngine
+
+
+def partial_fractions(x, points):
+    """d = 1/(x - b) for every b in ``points``, on a new first axis."""
+    x = np.asarray(x, dtype=complex)
+    return 1.0 / (x - points.reshape(points.shape + (1,) * x.ndim))
+
+
+def fraction_sums(d, rows):
+    """(L, L') over the given rows of the partial fractions d: L = sum
+    of d, the logarithmic derivative of prod(x - b) over those branch
+    points, and L' = -sum of d^2, its derivative."""
+    d = d[rows]
+    return d.sum(axis=0), -(d * d).sum(axis=0)
 
 
 class BergmanEvaluator:
@@ -47,15 +64,15 @@ class BergmanEvaluator:
         self.alpha_mat = engine.cycles.alpha_mat if alpha_mat is None else alpha_mat
         # balanced split R = P1 * P2; for an odd count P1 takes the
         # extra factor
-        pts = sorted(self.curve.branch_points, key=lambda b: (b.real, b.imag))
-        self._p1 = np.poly(np.array(pts[0::2], dtype=complex))
-        self._p2 = np.poly(np.array(pts[1::2], dtype=complex))
-        self._rp = np.polyder(self.curve.rhs_coeffs)
-        self._rpp = np.polyder(self._rp)
-        self._p1pp = np.polyder(self._p1, 2)
-        self._p2pp = np.polyder(self._p2, 2)
+        self.branch_points = np.array(self.curve.branch_points, dtype=complex)
+        pts = self.branch_points
+        order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
+        self.p1_rows, self.p2_rows = np.array(order[0::2]), np.array(order[1::2])
+        self._p1 = np.poly(pts[self.p1_rows])
+        self._p2 = np.poly(pts[self.p2_rows])
         self._probe_offset = probe_offset
         self._C = None
+        self._quad = None
         self.correction_defect = None
 
     # values of the alpha-normalized holomorphic numerators Q_j(x),
@@ -116,6 +133,14 @@ class BergmanEvaluator:
                 f"correction matrix asymmetry {self.correction_defect:.2e}"
             )
         self._C = 0.5 * (c + c.T)
+        # q^T C q = p^T (N^T C N) p over the powers p = (1, x, ...) as
+        # one polynomial, highest degree first
+        m = self.N.T @ self._C @ self.N
+        g = m.shape[0]
+        quad = np.zeros(2 * g - 1, dtype=complex)
+        for i in range(g):
+            quad[i:i + g] += m[i]
+        self._quad = quad[::-1]
         return self._C
 
     # kernel coefficients in the plane chart; sheets are +-1
@@ -145,23 +170,26 @@ class BergmanEvaluator:
         return base + complex(qx @ c[:, k])
 
     # diagonal-opposite coefficient and the projective connections
+    def t_from_sums(self, x, sums, inv_r):
+        """t(x) from the partial fractions of R = P1 P2: with
+        sums = ((L, L'), (L1, L1'), (L2, L2')) the fraction_sums of R,
+        P1 and P2 (all rows, p1_rows, p2_rows) and inv_r = 1/R,
+
+            t = L^2/16 + L'/8 - (L1^2 + L1' + L2^2 + L2')/8 - q^T C q / R,
+
+        which is -R'^2/(16 R^2) + R''/(8R) - (P1 P2'' + P1'' P2)/(8R)
+        - q^T C q / R without expanding R, P1 or P2."""
+        self.correction()
+        (L, Lp), (L1, L1p), (L2, L2p) = sums
+        return (L * L / 16.0 + Lp / 8.0
+                - (L1 * L1 + L1p + L2 * L2 + L2p) / 8.0
+                - np.polyval(self._quad, x) * inv_r)
+
     def t_coeff(self, x):
-        c = self.correction()
-        x = np.asarray(x, dtype=complex)
-        r = np.polyval(self.curve.rhs_coeffs, x)
-        rp = np.polyval(self._rp, x)
-        rpp = np.polyval(self._rpp, x)
-        h2 = np.polyval(self._p1, x) * np.polyval(self._p2pp, x) + np.polyval(
-            self._p1pp, x
-        ) * np.polyval(self._p2, x)
-        q = self.q_values(x)
-        quad = np.einsum("...j,jk,...k->...", q, c, q)
-        return (
-            -(rp**2) / (16.0 * r**2)
-            + rpp / (8.0 * r)
-            - h2 / (8.0 * r)
-            - quad / r
-        )
+        d = partial_fractions(x, self.branch_points)
+        sums = [fraction_sums(d, rows)
+                for rows in (slice(None), self.p1_rows, self.p2_rows)]
+        return self.t_from_sums(x, sums, np.prod(d, axis=0))
 
     def s_bhat(self, x):
         return -6.0 * self.t_coeff(x)

@@ -349,12 +349,17 @@ def cmd_tau_basis_change(args) -> int:
     except json.JSONDecodeError as exc:
         raise InputError(f"malformed JSON: {exc}") from None
     try:
-        sig = np.asarray(raw["sigma"] if isinstance(raw, dict) else raw,
-                         dtype=int)
+        vals = np.asarray(raw["sigma"] if isinstance(raw, dict) else raw,
+                          dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"sigma must be a 4x4 integer symplectic matrix: "
                          f"{exc!r}") from None
-    if sig.shape != (4, 4) or not is_symplectic(sig):
+    # parsed as floats so that 1.5 is refused instead of truncated
+    if (vals.shape != (4, 4) or not np.all(np.abs(vals) <= 2**31)
+            or not np.all(vals == np.round(vals))):
+        raise InputError("sigma must be a 4x4 integer symplectic matrix")
+    sig = vals.astype(int)
+    if not is_symplectic(sig):
         raise InputError("sigma must be a 4x4 integer symplectic matrix")
     rp, rm = tau.basis_change_residual(checks.ref_pole_path, 0.0, sig,
                                        pairing=checks.REF.pairing)

@@ -253,14 +253,6 @@ class CycleSystem:
                 return i
         raise KeyError((kind, index))
 
-    def cut_loop_combo(self, cut_index):
-        """Row vector selecting the (sign-normalized) loop around one cut."""
-        combo = np.zeros(len(self.loops), dtype=int)
-        combo[self.loop_index("cut", cut_index)] = self.signs[
-            self.loop_index("cut", cut_index)
-        ]
-        return combo
-
 
 def _point_seg_dist(p, a, b):
     d = b - a

@@ -10,7 +10,11 @@ points are non-integrable on the spine) is integrated along the actual
 stadium pieces with sheet tracking.
 
 Per-loop values are cached, so every cycle period, including those of
-a transformed basis, is an integer combination of cached numbers.
+a transformed basis, is an integer combination of cached numbers.  The
+sheet values on each loop's spine are cached per Gauss-Jacobi rule
+size too: every differential integrated over a loop climbs the same
+ladder of rules, so yhat is evaluated once per node, not once per
+differential.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ class PeriodEngine:
         self.tol = tol
         self._scale = max(abs(b) for b in self.curve.branch_points) + 1.0
         self._loop_cache = {}
+        self._spine_cache = {}
         self._contour_cache = {}
         self._sigmas = None
         self._norm = None
@@ -75,20 +80,30 @@ class PeriodEngine:
         a, b = pts[i], pts[j]
         return (a + b) / 2.0, (b - a) / 2.0, lp.kind == "cut", lp.index
 
-    def _spine_y(self, loop_idx, t):
-        mid, half, on_cut, idx = self._spine(loop_idx)
-        if on_cut:
-            return self.ev.y_oncut(idx, t, +1)
-        return self.ev.y(mid + t * half)
+    def _spine_nodes(self, loop_idx, t):
+        """(x, sqrt(1 - t^2), yhat) at the spine's rule nodes t, cached
+        per (loop, rule size): every differential integrated over the
+        loop climbs the same ladder of Gauss-Jacobi rules, and t, the
+        nodes of the one (-1/2, -1/2) rule of each size, is fixed by
+        its length."""
+        key = (loop_idx, len(t))
+        if key not in self._spine_cache:
+            mid, half, on_cut, idx = self._spine(loop_idx)
+            x = mid + t * half
+            if on_cut:
+                y = self.ev.y_oncut(idx, t, +1)
+            else:
+                y = self.ev.y(x)
+            self._spine_cache[key] = (x, np.sqrt((1.0 - t) * (1.0 + t)), y)
+        return self._spine_cache[key]
 
     def spine_half_period(self, diff: Differential, loop_idx: int):
         """Integral of f dx/yhat along the loop's spine (one pass)."""
-        mid, half, on_cut, idx = self._spine(loop_idx)
+        half = self._spine(loop_idx)[1]
 
         def g(t):
-            x = mid + t * half
-            y = self._spine_y(loop_idx, t)
-            return diff.fn(x) * half * np.sqrt((1.0 - t) * (1.0 + t)) / y
+            x, w, y = self._spine_nodes(loop_idx, t)
+            return diff.fn(x) * half * w / y
 
         val, _ = spine_integral(g, -0.5, -0.5, tol=self.tol)
         return val
@@ -196,7 +211,8 @@ class PeriodEngine:
         return self.cycles.beta_mat @ vals
 
     # contour route for integrands with non-integrable spine behavior;
-    # fn(x, sheet) is the full coefficient of dx
+    # fn(x, sheet) is the full coefficient of dx, or a (k, npts) stack
+    # of k coefficients whose k periods come back as an array
     def contour_loop_period(self, fn, loop_idx: int, tol=None):
         lp = self.cycles.loops[loop_idx]
         tol = self.tol * self._scale if tol is None else tol

@@ -12,7 +12,10 @@ Two regimes:
   every open panel of a bisection level goes to the integrand in the
   same few calls (at most PANELS_PER_CALL panels each), as in scipy's
   quad_vec, so the cost per integrand point is numpy's, not the Python
-  overhead of one call per panel.
+  overhead of one call per panel.  An integrand may return several
+  stacked components (a (k, npts) array); each is accepted by its own
+  rule and they share one panel tree, so k integrals of the same
+  expensive quantities cost one evaluation per node.
 """
 
 from __future__ import annotations
@@ -98,7 +101,8 @@ def legendre_rule(n: int):
 def _panels(f, lo, hi):
     """Coarse (24-point) and fine (48-point) Gauss-Legendre values and
     the fine rule's L1 mass on each panel [lo[i], hi[i]], evaluating f
-    on both rules of at most PANELS_PER_CALL panels per call."""
+    on both rules of at most PANELS_PER_CALL panels per call.  The
+    panel axis is last, after any component axes of f's values."""
     x24, w24 = legendre_rule(24)
     x48, w48 = legendre_rule(48)
     nodes = np.concatenate([x24, x48])
@@ -107,26 +111,33 @@ def _panels(f, lo, hi):
         a, b = lo[k:k + PANELS_PER_CALL], hi[k:k + PANELS_PER_CALL]
         mid, half = (a + b) / 2.0, (b - a) / 2.0
         x = mid[:, None] + half[:, None] * nodes
-        vals = np.asarray(f(x.ravel()), dtype=complex).reshape(x.shape)
-        coarse.append(half * np.sum(w24 * vals[:, :24], axis=1))
-        fine.append(half * np.sum(w48 * vals[:, 24:], axis=1))
-        mass.append(np.abs(half) * np.sum(np.abs(w48) * np.abs(vals[:, 24:]),
-                                          axis=1))
-    return np.concatenate(coarse), np.concatenate(fine), np.concatenate(mass)
+        vals = np.asarray(f(x.ravel()), dtype=complex)
+        vals = vals.reshape(vals.shape[:-1] + x.shape)
+        coarse.append(half * np.sum(w24 * vals[..., :24], axis=-1))
+        fine.append(half * np.sum(w48 * vals[..., 24:], axis=-1))
+        mass.append(np.abs(half) * np.sum(np.abs(w48) * np.abs(vals[..., 24:]),
+                                          axis=-1))
+    return (np.concatenate(coarse, axis=-1), np.concatenate(fine, axis=-1),
+            np.concatenate(mass, axis=-1))
 
 
 def adaptive_line(f, a: float = 0.0, b: float = 1.0, tol: float = 1e-11,
                   depth: int = 32):
     """Adaptive Gauss-Legendre integral of f over the real parameter
-    interval [a, b]; f takes a float array, returns complex values.
+    interval [a, b]; f takes a float array of npts parameters and
+    returns npts complex values, or a stacked (k, npts) array of k
+    integrands, whose k integrals come back as an array.
 
     A panel is accepted when its 24- and 48-point values agree to the
     level's tolerance, and bisected otherwise; the tolerance tightens
     by 1.9 per level, but acceptance is floored at roundoff relative to
     the integrand's L1 mass (both the local panel's and the top-level
     one's): once two rules agree to machine precision for values of
-    that size, splitting further cannot help.  A panel still open after
-    ``depth`` bisections raises QuadratureError.
+    that size, splitting further cannot help.  A stacked integrand
+    applies this rule to each component with its own mass floors, and
+    a panel closes only when every component accepts it, so each
+    component's panel tree contains the one it would get alone.  A
+    panel still open after ``depth`` bisections raises QuadratureError.
 
     The panel tree is walked breadth-first, so each level costs a few
     integrand calls instead of one per panel.  The accepted values are
@@ -139,16 +150,17 @@ def adaptive_line(f, a: float = 0.0, b: float = 1.0, tol: float = 1e-11,
     for level in range(depth + 1):
         coarse, fine, mass = _panels(f, lo, hi)
         if level == 0:
-            floor = 1e-13 * mass[0]
+            floor = 1e-13 * mass[..., :1]
         err = np.abs(fine - coarse)
-        ok = err <= np.maximum(max(tol, floor), 1e-13 * mass)
-        levels.append((ok, fine))
-        if ok.all():
+        ok = err <= np.maximum(np.fmax(tol, floor), 1e-13 * mass)
+        done = ok.reshape(-1, ok.shape[-1]).all(axis=0)
+        levels.append((done, fine))
+        if done.all():
             break
         if level == depth:
             raise QuadratureError("contour panel did not converge",
                                   float(err[~ok][0]))
-        s0, s1 = lo[~ok], hi[~ok]
+        s0, s1 = lo[~done], hi[~done]
         mid = (s0 + s1) / 2.0
         lo = np.stack([s0, mid], axis=1).ravel()
         hi = np.stack([mid, s1], axis=1).ravel()
@@ -156,7 +168,8 @@ def adaptive_line(f, a: float = 0.0, b: float = 1.0, tol: float = 1e-11,
     # children of the bisected panels of a level are consecutive pairs
     # of the next level, in position order
     total = levels[-1][1]
-    for ok, fine in reversed(levels[:-1]):
-        fine[~ok] = total[0::2] + total[1::2]
+    for done, fine in reversed(levels[:-1]):
+        fine[..., ~done] = total[..., 0::2] + total[..., 1::2]
         total = fine
-    return complex(total[0])
+    total = total[..., 0]
+    return complex(total) if total.ndim == 0 else total

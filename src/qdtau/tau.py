@@ -17,7 +17,10 @@ symplectic basis change shifts the odd branch by 48 dlog det(C Omega + D)
 and leaves the even branch alone.
 
 phi has double-pole growth at branch points, so its periods go through
-the stadium contours, never the inter-endpoint spine shortcut.
+the stadium contours, never the inter-endpoint spine shortcut.  Both
+branches share S_v, v and the contours, so they are integrated together:
+one stacked integrand per contour piece, evaluated from one set of
+partial fractions 1/(x - b) per point (`phi_fn`).
 """
 from __future__ import annotations
 
@@ -29,11 +32,14 @@ import numpy as np
 from .curves import QDConfigG0, build_cover
 from .cycles import build_cycles_robust
 from .periods import PeriodEngine, v_diff
-from .bergman import BergmanEvaluator
+from .bergman import BergmanEvaluator, fraction_sums, partial_fractions
 from .cover_homology import blocks, transform_basis
 
 # phi = PHI_PREF * (S_v - S_B) / v, coefficient form
 PHI_PREF = 2.0 / (1j * np.pi)
+
+# the two tau branches: +1 even (S_B = 0), -1 odd (S_B = -12 t)
+BRANCHES = (1, -1)
 
 # relative sign between the phi x v pairing and the kappa weights,
 # pinned on the reference configuration against the stratum constants
@@ -43,36 +49,53 @@ DUAL_SIGN = 1.0
 P_GRID = (1.0 / 3.0, 0.5, 2.0 / 3.0, 1.0, 4.0 / 3.0, 1.5, 2.0)
 
 
+def sv_from_sums(zeros, poles):
+    """S_v = L' - L^2/2, where L = (1/2) d/dx log q, from the
+    fraction_sums (L, L') over the zeros and over the poles of q."""
+    L = 0.5 * (zeros[0] - poles[0])
+    Lp = 0.5 * (zeros[1] - poles[1])
+    return Lp - 0.5 * L * L
+
+
 def sv_coeff(config: QDConfigG0):
     """Coefficient of the projective connection of the flat coordinate
-    of v, via the logarithmic derivative L of the v coefficient:
-    S_v = L' - L^2/2 with L = (1/2) d/dx log q."""
-    zs = np.array(config.zeros, dtype=complex)
-    ps = np.array(config.poles, dtype=complex)
+    of v, from the partial fractions 1/(x - b) over zeros and poles."""
+    pts = np.array(config.branch_points(), dtype=complex)
+    nz = len(config.zeros)
 
     def coeff(x):
-        x = np.asarray(x, dtype=complex)[..., None]
-        dz, dp = x - zs, x - ps
-        L = 0.5 * np.sum(1.0 / dz, axis=-1) - 0.5 * np.sum(1.0 / dp, axis=-1)
-        Lp = (0.5 * np.sum(1.0 / dp**2, axis=-1)
-              - 0.5 * np.sum(1.0 / dz**2, axis=-1))
-        return Lp - 0.5 * L * L
+        d = partial_fractions(x, pts)
+        return sv_from_sums(fraction_sums(d, slice(nz)),
+                            fraction_sums(d, slice(nz, None)))
 
     return coeff
 
 
-def phi_fn(bergman: BergmanEvaluator, config: QDConfigG0, branch: int):
-    """fn(x, sheet) for the one-form phi of the given branch (+1 even,
-    -1 odd), suitable for the contour period routes."""
-    sv = sv_coeff(config)
-    sqrt_c = np.sqrt(complex(config.scale))
-    mco = np.poly([complex(p) for p in config.poles])
+def phi_fn(bergman: BergmanEvaluator, config: QDConfigG0):
+    """fn(x, sheet) for the one-forms phi of both branches, stacked on
+    a first axis in the order of BRANCHES, for the contour period
+    routes.
+
+    One broadcast d = 1/(x - b) over the branch points gives S_v, the
+    kernel coefficient t of the odd branch (BergmanEvaluator.t_from_sums),
+    1/R and m = prod(x - p), so both branches cost one sheet evaluation
+    and one set of partial fractions per point."""
+    pts = bergman.branch_points  # config.branch_points(): zeros, then poles
+    zeros, poles = slice(len(config.zeros)), slice(len(config.zeros), None)
+    pref = PHI_PREF / np.sqrt(complex(config.scale))
 
     def fn(x, sheet):
-        s = sv(x)
-        if branch < 0:
-            s = s + 12.0 * bergman.t_coeff(x)
-        return PHI_PREF * s * np.polyval(mco, x) / (sqrt_c * bergman.ev.y(x, sheet))
+        x = np.asarray(x, dtype=complex)
+        d = partial_fractions(x, pts)
+        zs, ps = fraction_sums(d, zeros), fraction_sums(d, poles)
+        sv = sv_from_sums(zs, ps)
+        sums = ((zs[0] + ps[0], zs[1] + ps[1]),
+                fraction_sums(d, bergman.p1_rows),
+                fraction_sums(d, bergman.p2_rows))
+        inv_m = np.prod(d[poles], axis=0)
+        t = bergman.t_from_sums(x, sums, inv_m * np.prod(d[zeros], axis=0))
+        base = pref / (inv_m * bergman.ev.y(x, sheet))
+        return np.stack([sv * base, (sv + 12.0 * t) * base])
 
     return fn
 
@@ -128,16 +151,19 @@ class TauConnection:
                               + pa * (self.beta_mat @ dv)))
 
     def phi_periods(self, branch: int):
-        if branch not in self._phi:
-            fn = phi_fn(self.be, self.config, branch)
-            key = ("phi", branch, self.tag)
+        """(alpha, beta) periods of phi for the branch; the first call
+        integrates both branches in one contour pass per loop."""
+        if not self._phi:
+            fn = phi_fn(self.be, self.config)
+            key = ("phi", self.tag)
             pa = np.array(
                 [self.pe.contour_combo_period(fn, r, key=key) for r in self.alpha_mat]
             )
             pb = np.array(
                 [self.pe.contour_combo_period(fn, r, key=key) for r in self.beta_mat]
             )
-            self._phi[branch] = (pa, pb)
+            for k, b in enumerate(BRANCHES):
+                self._phi[b] = (pa[:, k], pb[:, k])
         return self._phi[branch]
 
     def euler_pairing(self, branch: int) -> complex:

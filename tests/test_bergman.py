@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from qdtau import tau
 from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
 from qdtau.cycles import build_cycles_robust
 from qdtau.periods import PeriodEngine
@@ -195,3 +196,43 @@ def test_transformed_period_matrix_law(ref_bergman):
     be2 = be.transformed(sig)
     pred = (a @ be.omega + b) @ np.linalg.inv(c @ be.omega + d)
     assert np.max(np.abs(be2.omega - pred)) < 1e-10
+
+
+def expanded_t_coeff(be, x):
+    """The kernel coefficient t in expanded polynomials, the form
+    t_coeff had before partial fractions: -R'^2/(16 R^2) + R''/(8R)
+    - (P1 P2'' + P1'' P2)/(8R) - q^T C q / R."""
+    c = be.correction()
+    x = np.asarray(x, dtype=complex)
+    rhs = be.curve.rhs_coeffs
+    r = np.polyval(rhs, x)
+    rp = np.polyval(np.polyder(rhs), x)
+    rpp = np.polyval(np.polyder(rhs, 2), x)
+    h2 = (np.polyval(be._p1, x) * np.polyval(np.polyder(be._p2, 2), x)
+          + np.polyval(np.polyder(be._p1, 2), x) * np.polyval(be._p2, x))
+    q = be.q_values(x)
+    quad = np.einsum("...j,jk,...k->...", q, c, q)
+    return -(rp**2) / (16.0 * r**2) + rpp / (8.0 * r) - h2 / (8.0 * r) - quad / r
+
+
+_ZZ = tau.zero_zero_family()
+
+
+@pytest.mark.parametrize("cfg, pairing", [
+    (QDConfigG0(**REF), None),
+    (_ZZ.config(0.1 * 0.5**8), _ZZ.pairing),
+], ids=["ref", "zero-zero-3.9e-4"])
+def test_t_coeff_matches_expanded_polynomials(cfg, pairing):
+    # on the contour loops, where the phi periods evaluate t
+    pe = PeriodEngine(build_cycles_robust(build_cover(cfg), pairing=pairing))
+    be = BergmanEvaluator(pe)
+    s = np.linspace(0.0, 1.0, 40, endpoint=False) + 0.0123
+    xs = np.concatenate([pc.point(s) for lp in pe.cycles.loops
+                         for pc in lp.pieces])
+    want = expanded_t_coeff(be, xs)
+    got = be.t_coeff(xs)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # scalar input keeps scalar shape
+    one = be.t_coeff(xs[0])
+    assert np.shape(one) == ()
+    assert abs(one - got[0]) <= 1e-14 * abs(got[0])

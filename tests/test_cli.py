@@ -197,7 +197,9 @@ def test_tau_basis_change(tmp_path):
 def test_tau_basis_change_rejects_non_symplectic(tmp_path, capsys):
     sig = tmp_path / "sigma.json"
     for raw in ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]],
-                {"foo": 1}, [[1, 0, 0, 0], [0, 1, 0]]):
+                {"foo": 1}, [[1, 0, 0, 0], [0, 1, 0]],
+                {"sigma": [[1, 0, 1.5, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                           [0, 0, 0, 1]]}):
         sig.write_text(json.dumps(raw))
         assert rejected(["tau", "basis-change", "--sigma", str(sig)],
                         capsys), raw

@@ -134,3 +134,20 @@ def test_period_cache_reuse():
     first = pe.loop_period(d, 0)
     again = pe.loop_period(d, 0)
     assert first == again  # identical object from the cache, not a re-solve
+
+
+def test_spine_cache_keeps_loop_periods_bit_identical():
+    # a warm engine reuses the sheet values at every rung; a fresh one
+    # computes them for its first differential alone
+    cfg = QDConfigG0(zeros=[0.3 + 0.2j, -0.4 - 0.1j],
+                     poles=[2.0, -2.0, -1.0 - 1.5j, -1.0 + 1.5j,
+                            1.0 + 1.5j, 1.0 - 1.5j])
+    curve = build_cover(cfg)
+    warm = PeriodEngine(build_cycles_robust(curve))
+    diffs = [holo_diff(j) for j in range(curve.genus)] + [v_diff(curve)]
+    for d in diffs:
+        warm.loop_periods(d)
+    assert warm._spine_cache
+    for d in diffs[::-1]:
+        fresh = PeriodEngine(build_cycles_robust(curve))
+        assert np.array_equal(fresh.loop_periods(d), warm.loop_periods(d))

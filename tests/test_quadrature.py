@@ -154,27 +154,32 @@ def _panel(f, a, b, n):
     x, w = legendre_rule(n)
     mid, half = (a + b) / 2.0, (b - a) / 2.0
     vals = np.asarray(f(mid + half * x), dtype=complex)
-    return half * complex(np.sum(w * vals)), abs(half) * float(
-        np.sum(np.abs(w) * np.abs(vals))
+    return half * np.sum(w * vals, axis=-1), abs(half) * np.sum(
+        np.abs(w) * np.abs(vals), axis=-1
     )
 
 
 def recursive_line(f, a=0.0, b=1.0, tol=1e-11, depth=32, _floor=None,
                    _counts=None):
     """Depth-first reference for adaptive_line: one call of f and one
-    recursion per panel, same rules and acceptance.  ``_counts``, when
-    given, collects the number of panels at each bisection level."""
+    recursion per panel, same rules and acceptance.  A stacked (k, npts)
+    integrand is accepted per component, each against its own mass
+    floors, and a panel closes when every component accepts.
+    ``_counts``, when given, collects the number of panels at each
+    bisection level."""
     if _counts is not None:
         _counts.append(depth)
     coarse, _ = _panel(f, a, b, 24)
     fine, mass = _panel(f, a, b, 48)
     if _floor is None:
         _floor = 1e-13 * mass
-    err = abs(fine - coarse)
-    accept = max(tol, _floor, 1e-13 * mass)
-    if err <= accept or depth == 0:
-        if depth == 0 and err > accept:
-            raise QuadratureError("contour panel did not converge", err)
+    err = np.abs(fine - coarse)
+    accept = np.maximum(np.fmax(tol, _floor), 1e-13 * mass)
+    ok = err <= accept
+    if np.all(ok) or depth == 0:
+        if not np.all(ok):
+            raise QuadratureError("contour panel did not converge",
+                                  float(np.max(err)))
         return fine
     mid = (a + b) / 2.0
     left = recursive_line(f, a, mid, tol / 1.9, depth - 1, _floor, _counts)
@@ -205,6 +210,37 @@ def test_adaptive_line_matches_recursive_oracle(name):
     if name == "comb":
         per_level = np.bincount(32 - np.array(counts))
         assert per_level.max() > PANELS_PER_CALL
+
+
+def _stacked(*fs):
+    return lambda s: np.stack([f(s) for f in fs])
+
+
+def test_adaptive_line_stacked_matches_recursive_oracle():
+    f = _stacked(PEAKED["pole-1e-4"], PEAKED["two-poles"], np.exp)
+    want = recursive_line(f, 0.0, 1.0, tol=1e-11)
+    got = adaptive_line(f, 0.0, 1.0, tol=1e-11)
+    assert got.shape == (3,)
+    assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+def test_adaptive_line_stacked_components_keep_their_trees():
+    # a component alone gets exactly its scalar value when the others
+    # need no finer panels than it does
+    f = PEAKED["two-poles"]
+    same = adaptive_line(_stacked(f, f), 0.0, 1.0, tol=1e-11)
+    alone = adaptive_line(f, 0.0, 1.0, tol=1e-11)
+    assert same[0] == alone and same[1] == alone
+    with_smooth = adaptive_line(_stacked(f, np.exp), 0.0, 1.0, tol=1e-11)
+    assert with_smooth[0] == alone
+    # the smooth one rides on the finer tree and stays as accurate
+    assert abs(with_smooth[1] - (math.e - 1.0)) < 1e-13
+
+
+def test_adaptive_line_stacked_raises_if_any_component_fails():
+    f = _stacked(np.exp, lambda s: 1.0 / (s - 0.5301))
+    with pytest.raises(QuadratureError):
+        adaptive_line(f, 0.0, 1.0, tol=1e-11)
 
 
 def test_adaptive_line_calls_are_capped():

@@ -3,7 +3,7 @@ import cmath
 import numpy as np
 import pytest
 
-from qdtau import periods, tau
+from qdtau import periods, strata, tau
 from qdtau.curves import QDConfigG0
 from qdtau.cover_homology import random_symplectic
 from test_quadrature import recursive_line
@@ -299,6 +299,22 @@ def test_period_matrix_velocity_matches_finite_differences():
 
 # tight regression gates beside the stated ones above, set from the
 # accuracy the exact derivatives achieve
+
+def _generic_config(rng, n):
+    # n poles and n - 4 zeros uniform in [-2.5, 2.5]^2, 0.25 apart
+    while True:
+        pts = rng.uniform(-2.5, 2.5, (2 * n - 4, 2)) @ np.array([1.0, 1.0j])
+        if min(abs(p - q) for i, p in enumerate(pts) for q in pts[:i]) >= 0.25:
+            return QDConfigG0(zeros=pts[:n - 4], poles=pts[n - 4:])
+
+
+def test_euler_pairing_matches_kappa_tight():
+    rng = np.random.default_rng(2026)
+    for n in (5, 5, 6, 6, 7, 7, 8, 8):
+        conn = tau.build_connection(_generic_config(rng, n))
+        for branch, kappa in zip((1, -1), strata.principal_kappa(0, n)):
+            assert abs(conn.euler_pairing(branch) - float(kappa)) < 1e-8, n
+
 
 def test_scaling_path_matches_pairing_tight():
     for branch, (pair, path) in tau.scaling_check(
