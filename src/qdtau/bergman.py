@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cover_homology import blocks, transform_basis
+from .cover_homology import transform_basis
 from .cycles import GeometryError
 from .periods import Differential, PeriodEngine
 
@@ -208,20 +208,3 @@ class BergmanEvaluator:
                                    self.pe.cycles.beta_mat)
         return BergmanEvaluator(self.pe, alpha_mat=am2, beta_mat=bm2,
                                 probe_offset=self._probe_offset)
-
-    def moved_kernel_shift(self, sigma):
-        """Predicted Bhat change under the basis move: coefficient
-        function -2 pi i u(x)^T (C Om + D)^-1 C u(w) built from this
-        evaluator's data."""
-        _, _, c, d = blocks(sigma)
-        m = np.linalg.inv(c @ self.omega + d) @ c
-
-        def shift(x, sx, w, sw):
-            yx = self.ev.y(np.asarray(x, dtype=complex), sx)
-            yw = self.ev.y(np.asarray(w, dtype=complex), sw)
-            qx = self.q_values(x) / np.asarray(yx)[..., None]
-            qw = self.q_values(w) / np.asarray(yw)[..., None]
-            return -2j * np.pi * np.einsum("...j,jk,...k->...", qx, m, qw)
-
-        return shift
-

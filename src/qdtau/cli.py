@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+from dataclasses import replace
 import json
 import math
 import sys
@@ -309,9 +310,7 @@ def cmd_tau_degenerate(args) -> int:
         sc, tol = base.scale, base.tolerance
 
         def mk(d):
-            c = mk0(d)
-            return QDConfigG0(zeros=c.zeros, poles=c.poles, scale=sc,
-                              tolerance=tol)
+            return replace(mk0(d), scale=sc, tolerance=tol)
 
         fam = tau.DegenerationFamily(fam.name, mk, fam.pairing, fam.collide,
                                      schedule=fam.schedule)

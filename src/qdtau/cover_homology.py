@@ -35,19 +35,6 @@ def _zeros(r, c):
     return [[Fraction(0)] * c for _ in range(r)]
 
 
-def _matmul(a, b):
-    n, m, p = len(a), len(b), len(b[0])
-    out = _zeros(n, p)
-    for i in range(n):
-        for k in range(m):
-            if a[i][k] == 0:
-                continue
-            aik = a[i][k]
-            for j in range(p):
-                out[i][j] += aik * b[k][j]
-    return out
-
-
 def _transpose(a):
     return [list(row) for row in zip(*a)]
 

@@ -67,12 +67,6 @@ class QDConfigG0:
     def branch_points(self):
         return self.zeros + self.poles
 
-    def zero_indices(self):
-        return tuple(range(len(self.zeros)))
-
-    def pole_indices(self):
-        return tuple(range(len(self.zeros), len(self.zeros) + len(self.poles)))
-
 
 @dataclass(frozen=True)
 class CoverCurve:
@@ -83,9 +77,6 @@ class CoverCurve:
 
     def rhs(self, x):
         return np.polyval(self.rhs_coeffs, x)
-
-    def rhs_derivative(self, x):
-        return np.polyval(np.polyder(self.rhs_coeffs), x)
 
 
 def build_cover(cfg: QDConfigG0) -> CoverCurve:

@@ -17,7 +17,7 @@ BACKEND = "python"
 def eval_sheet1(x, mids, halves, ray_base=None, ray_sigma=None):
     """Sheet-1 value of yhat at points x (any array shape).
 
-    Each cut [m-h, m+h] contributes the factor h*u*sqrt(1 - u**-2) with
+    Each cut [m-h, m+h] contributes the factor h*u*sqrt(1 - 1/u^2) with
     u = (x-m)/h, which squares to (x-m)^2 - h^2 and is discontinuous
     exactly on the segment.  An odd branch point (elliptic test models)
     adds the ray factor sqrt((x-b)*s)/sqrt(s) with s = -conj(unit ray
@@ -27,7 +27,7 @@ def eval_sheet1(x, mids, halves, ray_base=None, ray_sigma=None):
     out = np.ones(x.shape, dtype=complex)
     for m, h in zip(mids, halves):
         u = (x - m) / h
-        out = out * (h * u * np.sqrt(1.0 - u ** (-2)))
+        out = out * (h * u * np.sqrt(1.0 - 1.0 / (u * u)))
     if ray_base is not None:
         out = out * (np.sqrt((x - ray_base) * ray_sigma) / np.sqrt(ray_sigma))
     return out
@@ -47,7 +47,7 @@ def eval_oncut(owner, t, side, mids, halves, ray_base=None, ray_sigma=None):
         if i == owner:
             continue
         u = (x - m) / h
-        out = out * (h * u * np.sqrt(1.0 - u ** (-2)))
+        out = out * (h * u * np.sqrt(1.0 - 1.0 / (u * u)))
     if ray_base is not None:
         out = out * (np.sqrt((x - ray_base) * ray_sigma) / np.sqrt(ray_sigma))
     return out

@@ -1,13 +1,12 @@
 """Period integrals over the cycle system.
 
-Differentials that change sign under the hyperelliptic involution,
-written f(x) dx / yhat with f rational and regular at the branch
-points, reduce on every loop to twice a spine integral with the
-inverse-square-root endpoint weight; the orientation factor of each
-loop is calibrated once against a coarse contour integral.  Everything
-else (in practice the tau-function integrands, whose poles at branch
-points are non-integrable on the spine) is integrated along the actual
-stadium pieces with sheet tracking.
+Every differential is integrated as f(x) dx / yhat with f regular at
+the branch points (poles there are first traded for polynomials by the
+exact forms d(yhat/(x-b)^j), `pole_reductions`).  On every loop such a
+form's period is twice a spine integral with the inverse-square-root
+endpoint weight; each loop's orientation is calibrated once against a
+coarse contour integral, and a spine whose Jacobi ladder does not
+settle (a foreign branch point too close) falls back to the contour.
 
 Per-loop values are cached, so every cycle period, including those of
 a transformed basis, is an integer combination of cached numbers.  The
@@ -19,40 +18,70 @@ differential.
 
 from __future__ import annotations
 
+from typing import Callable, NamedTuple
+
 import numpy as np
 
 from .cycles import CycleSystem, GeometryError
 from .quadrature import QuadratureError, adaptive_line, spine_integral
 
 
-class Differential:
+class Differential(NamedTuple):
     """mu-odd differential f(x) dx / yhat; ``fn`` maps complex arrays
-    to complex arrays and must be regular at branch points."""
+    to complex arrays and must be regular at branch points; a stack of
+    k arrays gives k-vectors of periods, integrated in one pass."""
 
-    def __init__(self, key, fn):
-        self.key = key
-        self.fn = fn
+    key: tuple
+    fn: Callable
 
 
 def holo_diff(j: int) -> Differential:
     return Differential(("holo", j), lambda x, j=j: np.asarray(x) ** j)
 
 
+def holo_basis(g: int) -> Differential:
+    """x^j dx / yhat for j < g, stacked."""
+    return Differential(("holo-basis", g),
+                        lambda x: np.asarray(x) ** np.arange(g)[:, None])
+
+
+def v_numerator(config):
+    """f = sqrt(scale) * prod(x - z_i) (highest degree first) with
+    v = sqrt(scale) yhat dx / m = f dx / yhat, as R = Z m."""
+    return np.sqrt(complex(config.scale)) * np.poly(
+        np.array(config.zeros, dtype=complex))
+
+
 def v_diff(curve) -> Differential:
-    """v = sqrt(scale) * yhat dx / m with m = prod(x - p_j); as
-    f dx/yhat this is f = sqrt(scale) * R/m, regular at branch points
-    because R picks up each pole's linear factor."""
-    cfg = curve.config
-    if cfg is None:
+    if curve.config is None:
         raise ValueError("v needs a configuration-backed curve")
-    pref = complex(np.sqrt(complex(cfg.scale)))
-    mpoly = np.poly(np.array(cfg.poles, dtype=complex))
-    rpoly = curve.rhs_coeffs
+    coeffs = v_numerator(curve.config)
+    return Differential(("v",), lambda x: np.polyval(coeffs, x))
 
-    def fn(x):
-        return pref * np.polyval(rpoly, x) / np.polyval(mpoly, x)
 
-    return Differential(("v",), fn)
+def deflate(p, b):
+    """(q, r) with p = (x - b) q + r, by synthetic division."""
+    q = np.empty(len(p) - 1, dtype=complex)
+    acc = 0.0
+    for i in range(len(q)):
+        acc = acc * b + p[i]
+        q[i] = acc
+    return q, acc * b + p[-1]
+
+
+def pole_reductions(points, k):
+    """(e_1, e_2): dx / ((x - b)^j yhat) = e_j dx / yhat modulo d(yhat /
+    (x - b)^j), b = points[k], yhat^2 = prod(x - points).  With
+    R = (x - b) S, W = (S - S(b)) / (x - b) (S(b) as a product):
+    1 / ((x-b)^j yhat) = [S'/(2j - 1) - W] / (S(b) (x-b)^(j-1) yhat)."""
+    pts = np.asarray(points, dtype=complex)
+    b, others = pts[k], np.delete(pts, k)
+    s = np.poly(others)
+    sb = np.prod(b - others)
+    w, ds = deflate(s, b)[0], np.polyder(s)
+    e1 = (ds - w) / sb
+    q, r = deflate((ds / 3.0 - w) / sb, b)
+    return e1, np.polyadd(q, r * e1)
 
 
 class PeriodEngine:
@@ -64,20 +93,22 @@ class PeriodEngine:
         self._scale = max(abs(b) for b in self.curve.branch_points) + 1.0
         self._loop_cache = {}
         self._spine_cache = {}
-        self._contour_cache = {}
         self._sigmas = None
         self._norm = None
+
+    def spine_ends(self, loop_idx):
+        """Branch-point indices (i, j) of the ends of the loop's spine."""
+        lp = self.cycles.loops[loop_idx]
+        if lp.kind == "cut":
+            return self.cycles.pairs[lp.index]
+        return self.cycles.gap_ends[lp.index]
 
     # spine geometry of a loop: midpoint, half-vector, and whether the
     # spine lies on a cut (boundary values) or in the open plane
     def _spine(self, loop_idx):
         lp = self.cycles.loops[loop_idx]
-        pts = self.curve.branch_points
-        if lp.kind == "cut":
-            i, j = self.cycles.pairs[lp.index]
-        else:
-            i, j = self.cycles.gap_ends[lp.index]
-        a, b = pts[i], pts[j]
+        i, j = self.spine_ends(loop_idx)
+        a, b = self.curve.branch_points[i], self.curve.branch_points[j]
         return (a + b) / 2.0, (b - a) / 2.0, lp.kind == "cut", lp.index
 
     def _spine_nodes(self, loop_idx, t):
@@ -164,21 +195,16 @@ class PeriodEngine:
         with velocity f_dot while branch point k moves with b_dot[k].
 
         Moving b turns f dx/yhat into f b_dot / (2 (x-b) yhat) dx
-        (Rauch's variational formula).  With f = f(b) + (x-b) q and
-        R = (x-b) S, the exact form d(yhat/(x-b)) gives
-        S(b)/((x-b) yhat) = [S' - (S - S(b))/(x-b)] / yhat, so the
-        derivative is again a polynomial over yhat and takes the
-        cached spine route."""
+        (Rauch's variational formula).  With f = f(b) + (x-b) q and the
+        exact-form step of `pole_reductions`, the derivative is again a
+        polynomial over yhat and takes the cached spine route."""
         num = np.asarray(f_dot, dtype=complex)
-        for b, bd in zip(self.curve.branch_points, b_dot):
+        pts = self.curve.branch_points
+        for k, bd in enumerate(b_dot):
             if bd == 0:
                 continue
-            lin = np.array([1.0, -b])
-            q, fb = np.polydiv(f, lin)
-            s, _ = np.polydiv(self.curve.rhs_coeffs, lin)
-            sb = np.polyval(s, b)
-            w, _ = np.polydiv(np.polysub(s, [sb]), lin)
-            term = np.polyadd(q, (fb[-1] / sb) * np.polysub(np.polyder(s), w))
+            q, fb = deflate(f, pts[k])
+            term = np.polyadd(q, fb * pole_reductions(pts, k)[0])
             num = np.polyadd(num, 0.5 * bd * term)
         diff = Differential(("poly", tuple(num)),
                             lambda x, c=num: np.polyval(c, x))
@@ -199,20 +225,12 @@ class PeriodEngine:
         return n @ (d_b - d_a @ omega)
 
     def combo_period(self, diff: Differential, combo):
-        vals = self.loop_periods(diff)
-        return complex(np.asarray(combo, dtype=float) @ vals)
+        return complex(sum(int(c) * self.loop_period(diff, i)
+                           for i, c in enumerate(combo) if c))
 
-    def alpha_periods(self, diff: Differential):
-        vals = self.loop_periods(diff)
-        return self.cycles.alpha_mat @ vals
-
-    def beta_periods(self, diff: Differential):
-        vals = self.loop_periods(diff)
-        return self.cycles.beta_mat @ vals
-
-    # contour route for integrands with non-integrable spine behavior;
-    # fn(x, sheet) is the full coefficient of dx, or a (k, npts) stack
-    # of k coefficients whose k periods come back as an array
+    # the loop's stadium contour, sheet by sheet: sigma's calibration
+    # and the spine fallback; fn(x, sheet) is the full coefficient of
+    # dx, or a (k, npts) stack of k coefficients
     def contour_loop_period(self, fn, loop_idx: int, tol=None):
         lp = self.cycles.loops[loop_idx]
         tol = self.tol * self._scale if tol is None else tol
@@ -232,21 +250,6 @@ class PeriodEngine:
                 )
         return total
 
-    def contour_combo_period(self, fn, combo, key=None, tol=None):
-        total = 0.0 + 0.0j
-        for i, c in enumerate(np.asarray(combo)):
-            if c == 0:
-                continue
-            if key is not None:
-                k = (key, i)
-                if k not in self._contour_cache:
-                    self._contour_cache[k] = self.contour_loop_period(fn, i, tol)
-                val = self._contour_cache[k]
-            else:
-                val = self.contour_loop_period(fn, i, tol)
-            total += int(c) * val
-        return total
-
     # normalized holomorphic basis and the period matrix
     def normalized_basis(self, alpha_mat=None, beta_mat=None):
         """Coefficient matrix N and period matrix for the basis dual to
@@ -259,7 +262,7 @@ class PeriodEngine:
         g = self.curve.genus
         am = self.cycles.alpha_mat if alpha_mat is None else alpha_mat
         bm = self.cycles.beta_mat if beta_mat is None else beta_mat
-        raw = np.array([self.loop_periods(holo_diff(j)) for j in range(g)])
+        raw = self.loop_periods(holo_basis(g)).T
         A = raw @ am.T  # A[j, l] = alpha_l period of x^j dx/yhat
         if np.linalg.cond(A) > 1e12:
             raise GeometryError("alpha-period matrix is numerically singular")
@@ -281,5 +284,5 @@ class PeriodEngine:
 
     def homological_coordinates(self, diff=None):
         """(alpha periods, beta periods) of v by default."""
-        d = v_diff(self.curve) if diff is None else diff
-        return self.alpha_periods(d), self.beta_periods(d)
+        vals = self.loop_periods(v_diff(self.curve) if diff is None else diff)
+        return self.cycles.alpha_mat @ vals, self.cycles.beta_mat @ vals

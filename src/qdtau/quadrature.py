@@ -5,7 +5,8 @@ Two regimes:
 - integrals along a branch-cut spine, with inverse-square-root or
   square-root endpoint behavior: Gauss-Jacobi rules with half-integer
   exponents, which have closed-form Chebyshev-type nodes and weights
-  (no root-finding), escalated until two consecutive sizes agree;
+  (no root-finding), escalated until two consecutive sizes agree (for
+  every component of a stacked integrand);
 - integrals along contour pieces staying away from all singularities:
   24- and 48-point Gauss-Legendre panels compared on each panel and
   bisected where they disagree.  The panel tree is grown breadth-first:
@@ -76,18 +77,20 @@ def spine_integral(g, alpha: float, beta: float, tol: float = 1e-12):
     integral over [-1,1] of (1-t)^alpha (1+t)^beta g(t) dt.
 
     ``g`` receives a float array of interior nodes and must return
-    complex values; it is smooth whenever the caller extracted the
+    complex values (or a (k, npts) stack, whose k integrals come back
+    as an array); it is smooth whenever the caller extracted the
     endpoint behavior correctly.  Returns (value, defect-estimate).
     """
     prev = None
     last_defect = np.inf
     for n in SPINE_SIZES:
         t, w = jacobi_rule(n, alpha, beta)
-        val = complex(np.sum(w * np.asarray(g(t), dtype=complex)))
+        val = np.sum(w * np.asarray(g(t), dtype=complex), axis=-1)
         if prev is not None:
-            last_defect = abs(val - prev)
-            if last_defect <= tol * max(1.0, abs(val)):
-                return val, last_defect
+            defect = np.abs(val - prev)
+            last_defect = float(np.max(defect))
+            if np.all(defect <= tol * np.maximum(1.0, np.abs(val))):
+                return (complex(val) if val.ndim == 0 else val), last_defect
         prev = val
     raise QuadratureError("spine quadrature did not converge", last_defect)
 

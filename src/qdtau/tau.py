@@ -16,22 +16,24 @@ stratum; shrinking a paired cut recovers the boundary exponents; a
 symplectic basis change shifts the odd branch by 48 dlog det(C Omega + D)
 and leaves the even branch alone.
 
-phi has double-pole growth at branch points, so its periods go through
-the stadium contours, never the inter-endpoint spine shortcut.  Both
-branches share S_v, v and the contours, so they are integrated together:
-one stacked integrand per contour piece, evaluated from one set of
-partial fractions 1/(x - b) per point (`phi_fn`).
+phi = F dx / yhat with F rational, poles of order at most two only at
+branch points.  FFTs on circles split F into principal parts and a
+polynomial part; on each loop the poles at (or crowding) its spine are
+traded for a polynomial by the exact forms d(yhat / (x - b)^j), the
+pole step of Kedlaya's reduction, and phi's periods take the period
+engine's spine route like any holomorphic form.
 """
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .curves import QDConfigG0, build_cover
 from .cycles import build_cycles_robust
-from .periods import PeriodEngine, v_diff
+from .periods import (Differential, PeriodEngine, deflate,
+                      pole_reductions, v_diff, v_numerator)
 from .bergman import BergmanEvaluator, fraction_sums, partial_fractions
 from .cover_homology import blocks, transform_basis
 
@@ -57,34 +59,15 @@ def sv_from_sums(zeros, poles):
     return Lp - 0.5 * L * L
 
 
-def sv_coeff(config: QDConfigG0):
-    """Coefficient of the projective connection of the flat coordinate
-    of v, from the partial fractions 1/(x - b) over zeros and poles."""
-    pts = np.array(config.branch_points(), dtype=complex)
-    nz = len(config.zeros)
-
-    def coeff(x):
-        d = partial_fractions(x, pts)
-        return sv_from_sums(fraction_sums(d, slice(nz)),
-                            fraction_sums(d, slice(nz, None)))
-
-    return coeff
-
-
-def phi_fn(bergman: BergmanEvaluator, config: QDConfigG0):
-    """fn(x, sheet) for the one-forms phi of both branches, stacked on
-    a first axis in the order of BRANCHES, for the contour period
-    routes.
-
-    One broadcast d = 1/(x - b) over the branch points gives S_v, the
-    kernel coefficient t of the odd branch (BergmanEvaluator.t_from_sums),
-    1/R and m = prod(x - p), so both branches cost one sheet evaluation
-    and one set of partial fractions per point."""
+def phi_numerators(bergman: BergmanEvaluator, config: QDConfigG0):
+    """fn(x): F = PHI_PREF / sqrt(c) * m * (S_v - S_B) with phi = F dx/yhat,
+    both branches stacked in the order of BRANCHES, from one broadcast
+    d = 1/(x - b) (S_v, t via BergmanEvaluator.t_from_sums, and m)."""
     pts = bergman.branch_points  # config.branch_points(): zeros, then poles
     zeros, poles = slice(len(config.zeros)), slice(len(config.zeros), None)
     pref = PHI_PREF / np.sqrt(complex(config.scale))
 
-    def fn(x, sheet):
+    def fn(x):
         x = np.asarray(x, dtype=complex)
         d = partial_fractions(x, pts)
         zs, ps = fraction_sums(d, zeros), fraction_sums(d, poles)
@@ -94,10 +77,91 @@ def phi_fn(bergman: BergmanEvaluator, config: QDConfigG0):
                 fraction_sums(d, bergman.p2_rows))
         inv_m = np.prod(d[poles], axis=0)
         t = bergman.t_from_sums(x, sums, inv_m * np.prod(d[zeros], axis=0))
-        base = pref / (inv_m * bergman.ev.y(x, sheet))
-        return np.stack([sv * base, (sv + 12.0 * t) * base])
+        return np.stack([sv, sv + 12.0 * t]) * (pref / inv_m)
 
     return fn
+
+
+def phi_fn(bergman: BergmanEvaluator, config: QDConfigG0):
+    """fn(x, sheet): phi's stacked coefficients of dx on a sheet, the
+    integrand of its stadium-contour periods."""
+    num = phi_numerators(bergman, config)
+    return lambda x, sheet: num(x) / bergman.ev.y(x, sheet)
+
+
+# principal_parts samples FFT_POINTS per circle; the polynomial part's
+# circle has FAR_RADIUS times the points' radius
+FFT_POINTS = 64
+FAR_RADIUS = 2.0
+
+
+def _nearest(pts):
+    gaps = np.abs(pts[:, None] - pts)
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min(axis=1)
+
+
+def principal_parts(fn, points):
+    """(poly, c, s, laurent): fn(x) = poly((x - c)/s) + sum over k, j of
+    laurent[..., k, j - 1] / (x - points[k])^j for fn (maybe stacked)
+    rational with poles of order j <= 2 only at the points and degree
+    <= len(points) - 2 at infinity (phi's: g - 1); c, s: centroid and
+    radius of the points.  laurent: the -1, -2 Fourier modes of fn on a
+    circle of radius 0.3 nearest-neighbour distances around each point;
+    poly: the nonnegative ones on |x - c| = FAR_RADIUS * s."""
+    pts = np.asarray(points, dtype=complex)
+    c = pts.mean()
+    s = np.abs(pts - c).max()
+    radii = np.append(0.3 * _nearest(pts), FAR_RADIUS * s)
+    centers = np.append(pts, c)
+    roots = np.exp(2j * np.pi * np.arange(FFT_POINTS) / FFT_POINTS)
+    modes = np.fft.fft(fn(centers[:, None] + radii[:, None] * roots))
+    modes /= FFT_POINTS
+    top = len(pts) - 2
+    poly = modes[..., -1, top::-1] / FAR_RADIUS ** np.arange(top, -1, -1)
+    laurent = modes[..., :-1, :-3:-1] * radii[:-1, None] ** [1, 2]
+    return poly, c, s, laurent
+
+
+def reduce_poles(laurent, points, rows):
+    """P with P dx/yhat = the principal parts laurent[..., k, :] at
+    points[k], k in rows, modulo exact forms."""
+    return sum(laurent[..., k, :] @ np.array(pole_reductions(points, k))
+               for k in rows)
+
+
+def reduced_loop_periods(engine: PeriodEngine, fn, key):
+    """Loop periods, shape (k, loops), of the stacked forms
+    fn(x)[i] dx/yhat (numerators as in `principal_parts`), cached under
+    ``key``.  Each loop reduces the poles closer to its spine than half
+    their nearest-neighbour distance (its ends, and foreign points
+    crowding it) in the spine coordinate u = (x - mid)/half and keeps
+    the others explicit: reducing a pole divides by its distances to the
+    other points, so one global polynomial has coefficients ~1/d^2 near
+    a pinching cut of length d, whose roundoff swamps far loops."""
+    pts = np.asarray(engine.curve.branch_points, dtype=complex)
+    poly, c, s, laurent = principal_parts(fn, pts)
+    nearest = _nearest(pts)
+    out = []
+    for idx in range(len(engine.cycles.loops)):
+        a, b = pts[list(engine.spine_ends(idx))]
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        u = (pts - mid) / half
+        close = np.abs(half * (u - np.clip(u.real, -1, 1))) < 0.5 * nearest
+        near = reduce_poles(laurent * half ** -np.arange(1.0, 3.0), u,
+                            np.flatnonzero(close))
+        far = np.flatnonzero(~close)
+        coef = np.concatenate([laurent[:, far, 0], laurent[:, far, 1]], axis=1)
+
+        def num(x, far=far, near=near, coef=coef, mid=mid, half=half):
+            d = partial_fractions(x, pts[far])
+            m = near.shape[-1]
+            return (near @ np.vander((x - mid) / half, m).T
+                    + poly @ np.vander((x - c) / s, m).T
+                    + coef @ np.concatenate([d, d * d]))
+
+        out.append(engine.loop_period(Differential(key, num), idx))
+    return np.array(out).T
 
 
 class TauConnection:
@@ -105,8 +169,8 @@ class TauConnection:
 
     The kernel evaluator is built lazily: plain v-period work never
     pays for the probe solve.
-    `tag` keys the engine's contour cache; two connections sharing one
-    engine (a basis change) must carry distinct tags.
+    `tag` keys phi's loop periods in the engine's cache; two connections
+    sharing one engine (a basis change) must carry distinct tags.
     """
 
     def __init__(self, engine: PeriodEngine, config: QDConfigG0,
@@ -133,14 +197,10 @@ class TauConnection:
         """d/ds of every loop period of v = sqrt(c) Z(x) dx/yhat,
         Z = prod(x - z_i), while branch point k (zeros, then poles)
         moves with velocity b_dot[k] and the scale with c_dot."""
-        zeros = self.config.zeros
-        sqrt_c = np.sqrt(self.config.scale)
-        z_poly = np.poly(np.array(zeros, dtype=complex))
-        f = sqrt_c * z_poly
+        f = v_numerator(self.config)
         f_dot = (c_dot / (2.0 * self.config.scale)) * f
-        for z, zd in zip(zeros, b_dot):
-            z_rest = np.polydiv(z_poly, [1.0, -z])[0]
-            f_dot = np.polysub(f_dot, sqrt_c * zd * z_rest)
+        for z, zd in zip(self.config.zeros, b_dot):
+            f_dot = np.polysub(f_dot, zd * deflate(f, z)[0])
         return self.pe.period_velocities(f, f_dot, b_dot)
 
     def dlog_tau(self, branch: int, dv) -> complex:
@@ -152,18 +212,14 @@ class TauConnection:
 
     def phi_periods(self, branch: int):
         """(alpha, beta) periods of phi for the branch; the first call
-        integrates both branches in one contour pass per loop."""
+        samples both branches' numerators in one pass and integrates
+        them together, keyed by the connection's tag."""
         if not self._phi:
-            fn = phi_fn(self.be, self.config)
-            key = ("phi", self.tag)
-            pa = np.array(
-                [self.pe.contour_combo_period(fn, r, key=key) for r in self.alpha_mat]
-            )
-            pb = np.array(
-                [self.pe.contour_combo_period(fn, r, key=key) for r in self.beta_mat]
-            )
-            for k, b in enumerate(BRANCHES):
-                self._phi[b] = (pa[:, k], pb[:, k])
+            vals = reduced_loop_periods(
+                self.pe, phi_numerators(self.be, self.config),
+                ("phi", self.tag))
+            for b, v in zip(BRANCHES, vals):
+                self._phi[b] = (self.alpha_mat @ v, self.beta_mat @ v)
         return self._phi[branch]
 
     def euler_pairing(self, branch: int) -> complex:
@@ -205,13 +261,7 @@ def scaling_check(config: QDConfigG0, pairing=None):
     conn = build_connection(config, pairing=pairing)
 
     def scaled(s):
-        return QDConfigG0(
-            zeros=config.zeros,
-            poles=config.poles,
-            scale=complex(config.scale) * cmath.exp(s),
-            tolerance=config.tolerance,
-            pairing=config.pairing,
-        )
+        return replace(config, scale=config.scale * cmath.exp(s))
 
     path = dlog_tau_along(scaled, 0.0, pairing=pairing, center=conn)
     return {b: (conn.euler_pairing(b), path[b]) for b in (1, -1)}

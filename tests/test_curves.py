@@ -12,8 +12,6 @@ def test_config_basic():
     cfg = QDConfigG0(**REF)
     assert cfg.n == 5
     assert len(cfg.branch_points()) == 6
-    assert tuple(cfg.zero_indices()) == (0,)
-    assert tuple(cfg.pole_indices()) == (1, 2, 3, 4, 5)
 
 
 def test_config_rejects_bad_counts():
@@ -51,14 +49,6 @@ def test_cover_genus_and_rhs():
         expect = expect * (xs - b)
     got = curve.rhs(xs)
     assert np.max(np.abs(got - expect)) < 1e-12 * np.max(np.abs(expect))
-
-
-def test_rhs_derivative_matches_fd():
-    curve = build_cover(QDConfigG0(**REF))
-    x = 0.9 + 0.4j
-    h = 1e-6
-    fd = (curve.rhs(x + h) - curve.rhs(x - h)) / (2 * h)
-    assert abs(curve.rhs_derivative(x) - fd) < 1e-4
 
 
 def test_hyperelliptic_model_genus():

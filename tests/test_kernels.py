@@ -106,3 +106,35 @@ def test_backend_selector_exposes_python_fallback():
     a = np.array([kernels.eval_sheet1(xi, mids, halves) for xi in x])
     b = kernels.eval_sheet1(x, mids, halves)
     assert np.max(np.abs(a - b)) < 1e-13 * np.max(np.abs(a))
+
+
+def _sheet1_negative_power(x, mids, halves):
+    # the factor as first written, with u ** (-2)
+    out = np.ones(np.shape(x), dtype=complex)
+    for m, h in zip(mids, halves):
+        u = (x - m) / h
+        out = out * (h * u * np.sqrt(1.0 - u ** (-2)))
+    return out
+
+
+def test_sheet_factor_matches_negative_power_form():
+    # 1 / (u * u) and u ** (-2) round differently by a few ulps; the
+    # branch must agree everywhere, also within 1e-6 of a cut
+    _, mids, halves = _setup_even()
+    rng = np.random.default_rng(41)
+    box = rng.uniform(-3.0, 4.0, 4000) + 1j * rng.uniform(-2.5, 2.0, 4000)
+    k = rng.integers(0, len(mids), 4000)
+    off = rng.uniform(1e-9, 1e-6, 4000) * rng.choice([-1.0, 1.0], 4000)
+    near = mids[k] + halves[k] * (rng.uniform(-0.95, 0.95, 4000) + 1j * off)
+    for x in (box, near):
+        want = _sheet1_negative_power(x, mids, halves)
+        got = kernels.eval_sheet1(x, mids, halves)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 8 * np.finfo(float).eps
+    t = rng.uniform(-0.99, 0.99, 500)
+    for owner in range(len(mids)):
+        x = mids[owner] + t * halves[owner]
+        rest = [i for i in range(len(mids)) if i != owner]
+        want = (1j * halves[owner] * np.sqrt(1.0 - t * t)
+                * _sheet1_negative_power(x, mids[rest], halves[rest]))
+        got = kernels.eval_oncut(owner, t, 1, mids, halves)
+        assert np.max(np.abs(got - want) / np.abs(want)) <= 8 * np.finfo(float).eps

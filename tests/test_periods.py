@@ -19,7 +19,7 @@ def _engine(points, pairing=None):
 
 def test_elliptic_agm_alpha_period():
     pe = _engine([0.0, 1.0, 2.0])
-    per = pe.alpha_periods(holo_diff(0))[0]
+    per = pe.homological_coordinates(holo_diff(0))[0][0]
     assert abs(abs(per) - AGM_PERIOD) < 1e-10 * AGM_PERIOD
 
 
@@ -34,7 +34,7 @@ def test_elliptic_tau_square_lattice():
 def test_lemniscatic_half_period():
     # y^2 = x^3 - x: real half-period 1.31102877714606...
     pe = _engine([-1.0, 0.0, 1.0])
-    per = pe.alpha_periods(holo_diff(0))[0]
+    per = pe.homological_coordinates(holo_diff(0))[0][0]
     # quarter of the alpha-period of dx/yhat is omega_1
     assert abs(abs(per) / 4 - 1.3110287771460603) < 1e-12
 
@@ -77,7 +77,7 @@ def test_normalized_basis_duality():
             N[j, m] * x**m for m in range(g)
         )
         d = Differential(("dual", j), fn)
-        check[j] = pe.alpha_periods(d)
+        check[j] = pe.homological_coordinates(d)[0]
     assert np.max(np.abs(check - np.eye(g))) < 1e-10
 
 
@@ -151,3 +151,31 @@ def test_spine_cache_keeps_loop_periods_bit_identical():
     for d in diffs[::-1]:
         fresh = PeriodEngine(build_cycles_robust(curve))
         assert np.array_equal(fresh.loop_periods(d), warm.loop_periods(d))
+
+
+# three branch points in a disc of radius ~0.3 beside three spread ones:
+# v's numerator as the quotient R/m was roundoff near the clustered
+# poles, so no spine ladder settled and every loop went to the contour
+CLUSTERED = QDConfigG0(zeros=[-1.325 - 2.362j],
+                       poles=[-0.835 - 2.259j, -1.051 - 2.396j,
+                              -2.417 + 1.566j, -1.003 - 2.167j,
+                              -1.561 - 2.622j])
+
+
+def test_v_periods_on_clustered_config_take_the_spine(monkeypatch):
+    pe = PeriodEngine(build_cycles_robust(build_cover(CLUSTERED)))
+    pe.normalized_basis()  # calibrates every loop's sigma
+    contour = PeriodEngine.contour_loop_period
+    calls = []
+
+    def spy(self, fn, loop_idx, tol=None):
+        calls.append(loop_idx)
+        return contour(self, fn, loop_idx, tol)
+
+    monkeypatch.setattr(PeriodEngine, "contour_loop_period", spy)
+    d = v_diff(pe.curve)
+    got = pe.loop_periods(d)
+    assert calls == []
+    want = np.array([contour(pe, lambda x, sheet: d.fn(x) / pe.ev.y(x, sheet), i)
+                     for i in range(len(pe.cycles.loops))])
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()

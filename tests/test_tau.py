@@ -2,8 +2,10 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdtau import periods, strata, tau
+from qdtau.bergman import fraction_sums, partial_fractions
 from qdtau.curves import QDConfigG0
 from qdtau.cover_homology import random_symplectic
 from test_quadrature import recursive_line
@@ -87,9 +89,23 @@ def test_phi_periods_scaling_weight(ref_conn):
         assert np.abs(qb * eps - pb).max() < 1e-12
 
 
+def sv_coeff(config):
+    """S_v at x from the partial fractions 1/(x - b) over zeros and
+    poles, as phi_numerators evaluates it."""
+    pts = np.array(config.branch_points(), dtype=complex)
+    nz = len(config.zeros)
+
+    def coeff(x):
+        d = partial_fractions(x, pts)
+        return tau.sv_from_sums(fraction_sums(d, slice(nz)),
+                                fraction_sums(d, slice(nz, None)))
+
+    return coeff
+
+
 def test_sv_against_finite_differences():
     cfg = ref_config(scale=0.7 - 0.3j)
-    sv = tau.sv_coeff(cfg)
+    sv = sv_coeff(cfg)
 
     def q(x):
         num = complex(cfg.scale)
@@ -118,7 +134,7 @@ def test_sv_against_finite_differences():
 def test_sv_double_zero_model():
     # (x - z)^2 S_v -> -5/8 approaching a simple zero of q,
     # the base-chart shadow of the zeta^2 dzeta cover model
-    sv = tau.sv_coeff(ref_config())
+    sv = sv_coeff(ref_config())
     for theta in (0.3, 2.1):
         u = cmath.exp(1j * theta)
 
@@ -308,12 +324,16 @@ def _generic_config(rng, n):
             return QDConfigG0(zeros=pts[:n - 4], poles=pts[n - 4:])
 
 
-def test_euler_pairing_matches_kappa_tight():
+def _kappa_configs():
     rng = np.random.default_rng(2026)
-    for n in (5, 5, 6, 6, 7, 7, 8, 8):
-        conn = tau.build_connection(_generic_config(rng, n))
-        for branch, kappa in zip((1, -1), strata.principal_kappa(0, n)):
-            assert abs(conn.euler_pairing(branch) - float(kappa)) < 1e-8, n
+    return [_generic_config(rng, n) for n in (5, 5, 6, 6, 7, 7, 8, 8)]
+
+
+def test_euler_pairing_matches_kappa_tight():
+    for cfg in _kappa_configs():
+        conn = tau.build_connection(cfg)
+        for branch, kappa in zip((1, -1), strata.principal_kappa(0, cfg.n)):
+            assert abs(conn.euler_pairing(branch) - float(kappa)) < 1e-8, cfg.n
 
 
 def test_scaling_path_matches_pairing_tight():
@@ -342,16 +362,129 @@ def test_basis_change_random_sigmas_tight(seed, count):
         assert rm < 1e-9
 
 
-@pytest.mark.parametrize("config, pairing", [
-    (ref_config(), REF_PAIRING),
-    (_ZZ.config(0.1 * 0.5**8), _ZZ.pairing),
-], ids=["ref", "zero-zero-3.9e-4"])
-def test_phi_periods_match_recursive_quadrature(monkeypatch, config, pairing):
-    def phi(conn):
-        return np.concatenate([np.concatenate(conn.phi_periods(b))
-                               for b in (1, -1)])
+# the oracle for phi's reduced periods: phi itself along the stadium
+# contours, the stacked phi_fn integrand on the depth-first reference
+# quadrature
 
-    got = phi(tau.build_connection(config, pairing=pairing))
+def _contour_phi(conn, monkeypatch):
     monkeypatch.setattr(periods, "adaptive_line", recursive_line)
-    want = phi(tau.build_connection(config, pairing=pairing))
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    fn = tau.phi_fn(conn.be, conn.config)
+    pe = conn.pe
+    loops = np.array([pe.contour_loop_period(fn, i)
+                      for i in range(len(pe.cycles.loops))])
+    return np.concatenate([np.concatenate([conn.alpha_mat @ loops[:, k],
+                                           conn.beta_mat @ loops[:, k]])
+                           for k in range(len(tau.BRANCHES))])
+
+
+def _reduced_phi(conn):
+    return np.concatenate([np.concatenate(conn.phi_periods(b))
+                           for b in tau.BRANCHES])
+
+
+def _row_cases():
+    # every second row of both schedules, down to d = 3.9e-4
+    for fam in (_ZP, _ZZ):
+        for d in fam.schedule[0:9:2]:
+            label = f"{fam.name}-{d:.1e}".replace("e-0", "e-")
+            yield pytest.param(fam.config(d), fam.pairing, 1e-10, id=label)
+
+
+@pytest.mark.parametrize("config, pairing, tol", [
+    pytest.param(ref_config(), REF_PAIRING, 1e-12, id="ref"),
+    *_row_cases(),
+    *(pytest.param(cfg, None, 1e-10, id=f"kappa-config-{i}")
+      for i, cfg in enumerate(_kappa_configs())),
+])
+def test_phi_periods_match_recursive_quadrature(monkeypatch, config, pairing,
+                                                tol):
+    conn = tau.build_connection(config, pairing=pairing)
+    got = _reduced_phi(conn)
+    want = _contour_phi(conn, monkeypatch)
+    assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
+
+def test_phi_contour_calls_are_spine_fallbacks_only(monkeypatch):
+    # sigma's calibration runs with an explicit tolerance, a spine
+    # fallback without one.  Once the kernel is built (its periods
+    # calibrate every loop), phi reaches the contour only through the
+    # fallback: never on REF or the seeded generic configurations, and
+    # on the schedules only on the gap loops past the pinching cut
+    calls = []
+    contour = periods.PeriodEngine.contour_loop_period
+
+    def spy(self, fn, loop_idx, tol=None):
+        calls.append(tol)
+        return contour(self, fn, loop_idx, tol)
+
+    monkeypatch.setattr(periods.PeriodEngine, "contour_loop_period", spy)
+
+    def phi_calls(config, pairing):
+        conn = tau.build_connection(config, pairing=pairing)
+        conn.be.correction()
+        del calls[:]
+        conn.phi_periods(1)
+        assert all(tol is None for tol in calls)
+        return len(calls)
+
+    assert phi_calls(ref_config(), REF_PAIRING) == 0
+    for config in _kappa_configs():
+        assert phi_calls(config, None) == 0
+    for fam in (_ZP, _ZZ):
+        rows = [phi_calls(fam.config(d), fam.pairing) for d in fam.schedule]
+        # the gap loops' spines pass the shrinking cut: from d = 3.9e-4
+        # on (zero-pole) and d = 1.6e-3 on (zero-zero) they fall back
+        first = 8 if fam is _ZP else 6
+        assert rows[:first] == [0] * first, rows
+
+
+# the reduction itself: exact forms reduce to zero, and forms with
+# double poles at the branch points keep their contour periods
+
+def _normalized_points(config):
+    pts = np.array(config.branch_points(), dtype=complex)
+    pts = pts - pts.mean()
+    return pts / np.abs(pts).max()
+
+
+@pytest.mark.parametrize("j", [1, 2])
+def test_pole_exact_forms_reduce_to_zero(j):
+    # d(yhat / (x - b)^j) = [(x - b) S'/2 + (1/2 - j) S] / (x - b)^j
+    # dx / yhat, with R = (x - b) S; its polynomial part plus its
+    # reduced principal parts must vanish
+    pts = _normalized_points(_ZZ.config(0.1))
+    for k, b in enumerate(pts):
+        s = np.poly(np.delete(pts, k))
+        num = np.polyadd(np.polymul([0.5, -0.5 * b], np.polyder(s)),
+                         (0.5 - j) * s)
+        poly, c, scale, laurent = tau.principal_parts(
+            lambda x: np.polyval(num, x) / (x - b) ** j, pts)
+        beta = (pts - c) / scale
+        reduced = poly + tau.reduce_poles(
+            laurent * scale ** -np.arange(1.0, 3.0), beta, range(len(pts)))
+        assert np.abs(reduced).max() <= 1e-12 * np.abs(num).sum()
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(n=st.integers(5, 8), seed=st.integers(0, 2**32 - 1))
+def test_reduced_periods_match_contour(n, seed):
+    rng = np.random.default_rng(seed)
+    pe = tau.build_connection(_generic_config(rng, n)).pe
+    pts = np.array(pe.curve.branch_points)
+    c = pts.mean()
+    s = np.abs(pts - c).max()
+    a = rng.normal(size=(2, len(pts))) + 1j * rng.normal(size=(2, len(pts)))
+    # a polynomial part of the largest degree the sampling takes, 2g
+    poly = rng.normal(size=2 * n - 5) + 1j * rng.normal(size=2 * n - 5)
+
+    def fn(x):
+        d = partial_fractions(x, pts)
+        return (np.tensordot(a[0], d * d, axes=1)
+                + np.tensordot(a[1], d, axes=1) + np.polyval(poly, (x - c) / s))
+
+    got = tau.reduced_loop_periods(pe, lambda x: fn(x)[None],
+                                   ("random",))[0]
+    want = np.array([pe.contour_loop_period(
+        lambda x, sheet: fn(x) / pe.ev.y(x, sheet), i)
+        for i in range(len(pe.cycles.loops))])
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
