@@ -169,7 +169,8 @@ class BergmanEvaluator:
         # alpha_k period of omega_j is delta_jk for the normalized basis
         return base + complex(qx @ c[:, k])
 
-    # diagonal-opposite coefficient and the projective connections
+    # diagonal-opposite coefficient; the projective connections are
+    # multiples of it (module docstring)
     def t_from_sums(self, x, sums, inv_r):
         """t(x) from the partial fractions of R = P1 P2: with
         sums = ((L, L'), (L1, L1'), (L2, L2')) the fraction_sums of R,
@@ -190,15 +191,6 @@ class BergmanEvaluator:
         sums = [fraction_sums(d, rows)
                 for rows in (slice(None), self.p1_rows, self.p2_rows)]
         return self.t_from_sums(x, sums, np.prod(d, axis=0))
-
-    def s_bhat(self, x):
-        return -6.0 * self.t_coeff(x)
-
-    def s_plus(self, x):
-        return np.zeros_like(np.asarray(x, dtype=complex))
-
-    def s_minus(self, x):
-        return -12.0 * self.t_coeff(x)
 
     def transformed(self, sigma):
         """Evaluator for the symplectically transformed cycle basis

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -45,9 +45,13 @@ EXPONENT_TABLE = {
 }
 
 
-def ref_pole_path(s):
-    """REF with its last pole moving along 0.5 + 0.2 s."""
-    return QDConfigG0(zeros=REF.zeros, poles=REF.poles[:4] + (0.5 + 0.2 * s,))
+def pole_path(config):
+    """The basis-change path s -> config with its last pole moved by 0.2 s."""
+    *rest, last = config.poles
+    return lambda s: replace(config, poles=(*rest, last + 0.2 * s))
+
+
+ref_pole_path = pole_path(REF)
 
 
 def gate(name, value, tolerance) -> dict:
@@ -115,6 +119,15 @@ def _period_engine():
     }
 
 
+def fd_schwarzian(be, x, sheet, h=0.02):
+    """The kernel's projective connection at x as its diagonal limit:
+    3 (Bhat(x, x + e) - 1/e^2) summed over e = +-h, Richardson in h^2."""
+    def v(hh):
+        return 3.0 * sum(be.bhat_coeff(x, sheet, x + e, sheet) - 1.0 / hh**2
+                         for e in (hh, -hh))
+    return (4.0 * v(h / 2) - v(h)) / 3.0
+
+
 def _bergman_identities():
     be = BergmanEvaluator(_engine(REF))
     rng = np.random.default_rng(21)
@@ -137,8 +150,10 @@ def _bergman_identities():
         "alpha_residual": max(abs(be.alpha_residual(x, k)) for x in probes
                               for k in range(be.N.shape[0])),
         "correction_defect": be.correction_defect,
-        "connection_sum": max(abs(be.s_plus(x) + be.s_minus(x)
-                                  - 2.0 * be.s_bhat(x)) for x in probes),
+        # the closed form -6 t(x) against the kernel's diagonal limit
+        "projective_connection": max(
+            abs(fd_schwarzian(be, x, 1) + 6.0 * be.t_coeff(x))
+            / max(1.0, abs(6.0 * be.t_coeff(x))) for x in probes),
     }
 
 
@@ -158,7 +173,7 @@ def _degeneration_exponents():
         gp, gm = (float(v) for v in strata.collision_exponents(kind))
         out[f"gamma_plus_{kind}"] = abs(exps[1] - gp)
         out[f"gamma_minus_{kind}"] = abs(exps[-1] - gm)
-    return out
+    return {**out, **{f"{k}_tight": v for k, v in out.items()}}
 
 
 def _flatness_and_modularity():
@@ -193,6 +208,12 @@ def _transversality_constant():
     return {"transversal_t_constant": worst}
 
 
+# criterion 6's stated tolerances; each value is also gated at 1e-6
+# ("_tight"), near the accuracy achieved (at most 2e-11)
+GAMMA_STATED = {"gamma_plus_zero-pole": 0.05, "gamma_minus_zero-pole": 0.05,
+                "gamma_plus_zero-zero": 0.1, "gamma_minus_zero-zero": 0.1}
+
+
 @dataclass(frozen=True)
 class Criterion:
     number: int
@@ -220,15 +241,14 @@ REGISTRY = (
               _period_engine),
     Criterion(4, "bergman identities", "quick", 120.0,
               {"bergman_pullback": 1e-6, "alpha_residual": 1e-6,
-               "correction_defect": 1e-8, "connection_sum": 1e-8},
+               "correction_defect": 1e-8, "projective_connection": 1e-6},
               _bergman_identities),
     Criterion(5, "homogeneity", "quick", 120.0,
               {"euler_kappa_plus": 1e-4, "euler_kappa_minus": 1e-4,
                "scaling_path": 1e-6},
               _homogeneity),
     Criterion(6, "degeneration exponents", "full", 900.0,
-              {"gamma_plus_zero-pole": 0.05, "gamma_minus_zero-pole": 0.05,
-               "gamma_plus_zero-zero": 0.1, "gamma_minus_zero-zero": 0.1},
+              {**GAMMA_STATED, **{f"{k}_tight": 1e-6 for k in GAMMA_STATED}},
               _degeneration_exponents),
     Criterion(7, "flatness and modularity", "full", 300.0,
               {"flatness_loop": 1e-4, "basis_change_residual": 1e-4},

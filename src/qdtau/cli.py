@@ -44,6 +44,13 @@ def _cj(z) -> list:
     return [z.real, z.imag]
 
 
+def _config_inputs(config, **more) -> dict:
+    """A report's inputs: the configuration's points and scale."""
+    return {"zeros": [_cj(z) for z in config.zeros],
+            "poles": [_cj(p) for p in config.poles],
+            "scale": _cj(config.scale), **more}
+
+
 def _parse_complex(v):
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return complex(float(v[0]), float(v[1]))
@@ -178,12 +185,7 @@ def cmd_periods(args) -> int:
     eigs = np.linalg.eigvalsh(omega.imag)
     report = {
         "command": "periods",
-        "inputs": {
-            "zeros": [_cj(z) for z in config.zeros],
-            "poles": [_cj(p) for p in config.poles],
-            "scale": _cj(config.scale),
-            "tolerance": config.tolerance,
-        },
+        "inputs": _config_inputs(config, tolerance=config.tolerance),
         "results": {
             "genus": int(omega.shape[0]),
             "omega_minus": [[_cj(v) for v in row] for row in omega],
@@ -227,19 +229,16 @@ def cmd_bergman(args) -> int:
                          "points coincide")
     be = BergmanEvaluator(_engine(config))
     kernel = complex(be.bhat_coeff(x, 1, w, 1))
+    tx, tw = be.t_coeff(x), be.t_coeff(w)
     report = {
         "command": "bergman",
-        "inputs": {
-            "zeros": [_cj(z) for z in config.zeros],
-            "poles": [_cj(p) for p in config.poles],
-            "scale": _cj(config.scale),
-            "probe": [_cj(x), _cj(w)],
-        },
+        "inputs": _config_inputs(config, probe=[_cj(x), _cj(w)]),
         "results": {
             "bhat": _cj(kernel),
-            "t_coeff": [_cj(be.t_coeff(x)), _cj(be.t_coeff(w))],
+            "t_coeff": [_cj(tx), _cj(tw)],
+            # projective connections of the two kernel splittings
             "s_plus": [0.0, 0.0],
-            "s_minus": [_cj(be.s_minus(x)), _cj(be.s_minus(w))],
+            "s_minus": [_cj(-12.0 * tx), _cj(-12.0 * tw)],
         },
         "diagnostics": {"correction_defect": float(be.correction_defect)},
         "checks": [
@@ -259,11 +258,7 @@ def cmd_tau_scaling(args) -> int:
     (ep, fp), (em, fm) = result[1], result[-1]
     report = {
         "command": "tau scaling",
-        "inputs": {
-            "zeros": [_cj(z) for z in config.zeros],
-            "poles": [_cj(p) for p in config.poles],
-            "scale": _cj(config.scale),
-        },
+        "inputs": _config_inputs(config),
         "results": {
             "euler_pairing_plus": _cj(ep),
             "euler_pairing_minus": _cj(em),
@@ -340,6 +335,9 @@ def cmd_tau_degenerate(args) -> int:
 
 
 def cmd_tau_basis_change(args) -> int:
+    config = load_config(args.config) if args.config else checks.REF
+    m = 2 * (config.n - 3)
+    shape = f"sigma must be a {m}x{m} integer symplectic matrix"
     try:
         with open(args.sigma) as fh:
             raw = json.load(fh)
@@ -351,20 +349,20 @@ def cmd_tau_basis_change(args) -> int:
         vals = np.asarray(raw["sigma"] if isinstance(raw, dict) else raw,
                           dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"sigma must be a 4x4 integer symplectic matrix: "
-                         f"{exc!r}") from None
+        raise InputError(f"{shape}: {exc!r}") from None
+    if vals.shape != (m, m):
+        raise InputError(f"{shape} for genus {m // 2}, got shape "
+                         f"{vals.shape}")
     # parsed as floats so that 1.5 is refused instead of truncated
-    if (vals.shape != (4, 4) or not np.all(np.abs(vals) <= 2**31)
-            or not np.all(vals == np.round(vals))):
-        raise InputError("sigma must be a 4x4 integer symplectic matrix")
+    if not (np.all(np.abs(vals) <= 2**31) and np.all(vals == np.round(vals))
+            and is_symplectic(vals)):
+        raise InputError(shape)
     sig = vals.astype(int)
-    if not is_symplectic(sig):
-        raise InputError("sigma must be a 4x4 integer symplectic matrix")
-    rp, rm = tau.basis_change_residual(checks.ref_pole_path, 0.0, sig,
-                                       pairing=checks.REF.pairing)
+    rp, rm = tau.basis_change_residual(checks.pole_path(config), 0.0, sig,
+                                       pairing=config.pairing)
     report = {
         "command": "tau basis-change",
-        "inputs": {"sigma": sig.tolist()},
+        "inputs": _config_inputs(config, sigma=sig.tolist()),
         "results": {"plus_residual": rp, "minus_residual": rm},
         "checks": [
             gate("plus_invariance", rp, TOLERANCES["basis_change_residual"]),
@@ -442,7 +440,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = tsub.add_parser("basis-change", help="modular anomaly residual")
     q.add_argument("--sigma", required=True,
-                   help="JSON file with a 4x4 integer symplectic matrix")
+                   help="JSON file with a 2g x 2g integer symplectic matrix")
+    q.add_argument("--config",
+                   help="configuration whose last pole moves (default: "
+                        "the reference configuration)")
     q.add_argument("--out")
     q.set_defaults(fn=cmd_tau_basis_change)
 

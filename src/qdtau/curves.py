@@ -10,7 +10,9 @@ single-valued abelian differential with v^2 = q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,18 +45,16 @@ class QDConfigG0:
             )
         if self.scale == 0:
             raise ValueError("scale must be nonzero")
-        if not (np.isfinite(self.tolerance) and self.tolerance > 0):
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError("tolerance must be positive and finite")
         pts = self.zeros + self.poles
-        if any(not np.isfinite([p.real, p.imag]).all() for p in pts):
+        if not all(map(cmath.isfinite, pts)):
             raise ValueError("all points must be finite")
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                if pts[i] == pts[j]:
-                    raise ValueError(
-                        f"coincident points at index {i}, {j}: not a "
-                        "principal-stratum configuration"
-                    )
+        if len(set(pts)) < len(pts):
+            i, j = next((i, j) for i in range(len(pts))
+                        for j in range(i + 1, len(pts)) if pts[i] == pts[j])
+            raise ValueError(f"coincident points at index {i}, {j}: not a "
+                             "principal-stratum configuration")
         if self.pairing is not None:
             idx = sorted(i for pair in self.pairing for i in pair)
             if idx != list(range(len(pts))):

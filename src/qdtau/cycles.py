@@ -93,7 +93,6 @@ class Loop:
     index: int
     # filled in by the builder:
     crossings: list = None  # [(piece_idx, s, cut_idx)] ordered along loop
-    sheets: list = None  # sheet on each inter-crossing stretch of each piece
 
     def point(self, piece_idx, s):
         return self.pieces[piece_idx].point(s)
@@ -211,12 +210,15 @@ def loop_loop_crossings(la: Loop, lb: Loop):
 
 
 def winding_number(pieces, z0, samples=64):
+    """Winding numbers of the closed path around each point of z0 (a
+    point or an array of them), in one broadcast over points x samples."""
     s = np.linspace(0.0, 1.0, samples + 1)
-    w = np.angle(np.concatenate([p.point(s) for p in pieces]) - z0)
-    dw = np.diff(w)
+    path = np.concatenate([p.point(s) for p in pieces])
+    w = np.angle(path - np.asarray(z0, dtype=complex)[..., None])
+    dw = np.diff(w, axis=-1)
     dw = np.where(dw > math.pi, dw - 2 * math.pi,
                   np.where(dw < -math.pi, dw + 2 * math.pi, dw))
-    return round(float(np.sum(dw)) / (2 * math.pi))
+    return np.rint(np.sum(dw, axis=-1) / (2 * math.pi)).astype(int)
 
 
 class CycleSystem:
@@ -226,14 +228,11 @@ class CycleSystem:
     alpha_mat and beta_mat have one row per basis cycle and one column
     per loop; every period of a basis cycle is the matching integer
     combination of per-loop periods.  pairs and gap_ends hold the
-    branch-point indices at the ends of each cut and gap spine,
-    leftover the ray's base point (None for an even model), inter the
-    raw loop intersection numbers and signs the per-loop orientation
-    that makes the chain cut, gap, cut, ... intersect at +1.
+    branch-point indices at the ends of each cut and gap spine.
     """
 
     def __init__(self, curve, evaluator, loops, alpha_mat, beta_mat,
-                 cut_segments, pairs, gap_ends, signs, inter, leftover):
+                 cut_segments, pairs, gap_ends):
         self.curve = curve
         self.evaluator = evaluator
         self.loops = loops
@@ -242,9 +241,6 @@ class CycleSystem:
         self.cut_segments = cut_segments
         self.pairs = pairs
         self.gap_ends = gap_ends
-        self.signs = signs
-        self.inter = inter
-        self.leftover = leftover
         self.genus = alpha_mat.shape[0]
 
     def loop_index(self, kind, index):
@@ -436,17 +432,13 @@ def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> Cycl
     # stray enclosures break the sheet bookkeeping; every loop may wind
     # only around its own spine's endpoints
     for lp in loops:
-        if lp.kind == "cut":
-            own = set(pairs[lp.index])
-        else:
-            own = set(gap_ends[lp.index])
-        for i, z in enumerate(pts):
-            if i in own:
-                continue
-            if winding_number(lp.pieces, z) != 0:
-                raise GeometryError(
-                    f"{lp.kind} loop {lp.index} encloses branch point {i}"
-                )
+        own = pairs[lp.index] if lp.kind == "cut" else gap_ends[lp.index]
+        foreign = [i for i in range(len(pts)) if i not in own]
+        wound = winding_number(lp.pieces, [pts[i] for i in foreign])
+        if wound.any():
+            bad = foreign[np.flatnonzero(wound)[0]]
+            raise GeometryError(
+                f"{lp.kind} loop {lp.index} encloses branch point {bad}")
 
     # surface intersection numbers between lifted loops
     nloops = len(loops)
@@ -488,7 +480,6 @@ def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> Cycl
                 f"chain neighbors intersect at {raw}; expected a simple chain"
             )
         signs[b] = signs[a] * raw
-    signed_inter = inter * np.outer(signs, signs)
 
     # basis as integer loop combinations
     g = curve.genus
@@ -527,7 +518,7 @@ def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> Cycl
         )
 
     return CycleSystem(curve, evaluator, loops, alpha_mat, beta_mat,
-                       cut_segments, pairs, gap_ends, signs, inter, leftover)
+                       cut_segments, pairs, gap_ends)
 
 
 def build_cycles_robust(curve: CoverCurve, pairing=None) -> CycleSystem:

@@ -4,9 +4,10 @@ Every differential is integrated as f(x) dx / yhat with f regular at
 the branch points (poles there are first traded for polynomials by the
 exact forms d(yhat/(x-b)^j), `pole_reductions`).  On every loop such a
 form's period is twice a spine integral with the inverse-square-root
-endpoint weight; each loop's orientation is calibrated once against a
-coarse contour integral, and a spine whose Jacobi ladder does not
-settle (a foreign branch point too close) falls back to the contour.
+endpoint weight, times the loop's orientation sign, which is read off
+the lift (`PeriodEngine.sigma`) without any quadrature.  Only a spine
+whose Jacobi ladder does not settle (a foreign branch point too close)
+falls back to the stadium contour.
 
 Per-loop values are cached, so every cycle period, including those of
 a transformed basis, is an integer combination of cached numbers.  The
@@ -22,7 +23,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cycles import CycleSystem, GeometryError
+from .cycles import CycleSystem, GeometryError, Segment, piece_crossings
 from .quadrature import QuadratureError, adaptive_line, spine_integral
 
 
@@ -93,7 +94,7 @@ class PeriodEngine:
         self._scale = max(abs(b) for b in self.curve.branch_points) + 1.0
         self._loop_cache = {}
         self._spine_cache = {}
-        self._sigmas = None
+        self._sigmas = {}
         self._norm = None
 
     def spine_ends(self, loop_idx):
@@ -140,31 +141,22 @@ class PeriodEngine:
         return val
 
     def sigma(self, loop_idx: int) -> int:
-        """Orientation factor: loop period = 2*sigma*spine integral."""
-        if self._sigmas is None:
-            self._sigmas = [None] * len(self.cycles.loops)
-        if self._sigmas[loop_idx] is None:
-            g = self.curve.genus
-            for j in range(g):
-                diff = holo_diff(j)
-                spine = self.spine_half_period(diff, loop_idx)
-                if abs(spine) < 1e-8:
-                    continue
-                contour = self.contour_loop_period(
-                    lambda x, sheet, d=diff: d.fn(x) / self.ev.y(x, sheet),
-                    loop_idx,
-                    tol=1e-6 * abs(spine),
-                )
-                ratio = contour / (2.0 * spine)
-                sig = 1 if ratio.real > 0 else -1
-                if abs(ratio - sig) > 1e-2:
-                    raise GeometryError(
-                        f"orientation calibration off: ratio {ratio}"
-                    )
-                self._sigmas[loop_idx] = sig
-                break
-            else:
-                raise GeometryError("no usable differential for calibration")
+        """Orientation factor: loop period = 2*sigma*spine integral,
+        read off the lift.  The stadium's first side runs from a to b
+        right of the spine: sigma is the lift's sheet at its midpoint,
+        flipped for every other cut crossed on the way there from the
+        spine's midpoint, and for a cut loop, whose spine takes the left
+        boundary value of yhat (the negative of the right one)."""
+        if loop_idx not in self._sigmas:
+            lp = self.cycles.loops[loop_idx]
+            mid = self._spine(loop_idx)[0]
+            path = Segment(mid, lp.point(0, 0.5))
+            own = lp.index if lp.kind == "cut" else None
+            flips = sum(len(piece_crossings(path, cut))
+                        for k, cut in enumerate(self.cycles.cut_segments)
+                        if k != own)
+            sign = lp.sheet_at(0, 0.5) * (-1) ** flips
+            self._sigmas[loop_idx] = -sign if lp.kind == "cut" else sign
         return self._sigmas[loop_idx]
 
     def loop_period(self, diff: Differential, loop_idx: int):
@@ -228,9 +220,9 @@ class PeriodEngine:
         return complex(sum(int(c) * self.loop_period(diff, i)
                            for i, c in enumerate(combo) if c))
 
-    # the loop's stadium contour, sheet by sheet: sigma's calibration
-    # and the spine fallback; fn(x, sheet) is the full coefficient of
-    # dx, or a (k, npts) stack of k coefficients
+    # the loop's stadium contour, sheet by sheet: the fallback of a
+    # spine whose ladder does not settle; fn(x, sheet) is the full
+    # coefficient of dx, or a (k, npts) stack of k coefficients
     def contour_loop_period(self, fn, loop_idx: int, tol=None):
         lp = self.cycles.loops[loop_idx]
         tol = self.tol * self._scale if tol is None else tol

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from qdtau import tau
+from qdtau.checks import fd_schwarzian
 from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
 from qdtau.cycles import build_cycles_robust
 from qdtau.periods import PeriodEngine
@@ -75,33 +76,12 @@ def test_kernel_invariant_under_joint_sheet_flip(ref_bergman):
     assert abs(a - b) < 1e-13 * max(1.0, abs(a))
 
 
-def _fd_schwarzian(be, x, sheet, h=0.02):
-    """Diagonal limit 3*(B(x,x+h) - 1/h^2) with Richardson in h^2."""
-
-    def v(hh):
-        p = be.bhat_coeff(x, sheet, x + hh, sheet) - 1.0 / hh**2
-        m = be.bhat_coeff(x, sheet, x - hh, sheet) - 1.0 / hh**2
-        return 3.0 * (p + m)
-
-    return (4.0 * v(h / 2) - v(h)) / 3.0
-
-
 def test_diagonal_expansion_matches_closed_form(ref_bergman):
     be = ref_bergman
     for x in (0.9 + 1.4j, -1.6 + 0.7j, 2.6 + 2.2j):
         want = complex(-6.0 * be.t_coeff(x))
-        got = _fd_schwarzian(be, x, 1)
+        got = fd_schwarzian(be, x, 1)
         assert abs(got - want) < 1e-6 * max(1.0, abs(want))
-
-
-def test_connection_split(ref_bergman):
-    be = ref_bergman
-    xs = np.array([0.7 + 1.9j, -2.2 + 0.4j, 1.8 - 1.3j])
-    sb = be.s_bhat(xs)
-    sp = be.s_plus(xs)
-    sm = be.s_minus(xs)
-    assert np.max(np.abs(sp)) == 0.0
-    assert np.max(np.abs(sp + sm - 2 * sb)) == 0.0
 
 
 def test_elliptic_correction_is_pi(elliptic_bergman):

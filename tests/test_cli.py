@@ -194,6 +194,46 @@ def test_tau_basis_change(tmp_path):
     assert rep["results"]["minus_residual"] < 1e-8
 
 
+GENUS3_CONFIG = {
+    "zeros": [[0.3, 0.2], [-0.4, -0.1]],
+    "poles": [[2.0, 0.0], [-2.0, 0.0], [-1.0, -1.5], [-1.0, 1.5],
+              [1.0, 1.5], [1.0, -1.5]],
+}
+
+
+def test_tau_basis_change_genus3(tmp_path):
+    cfg = tmp_path / "g3.json"
+    cfg.write_text(json.dumps(GENUS3_CONFIG))
+    # C symmetric and invertible, so the odd branch's anomaly
+    # 48 dlog det(C Omega + D) is not zero
+    eye, c = [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 1, 0], [1, 0, 0],
+                                                 [0, 0, 1]]
+    sig = tmp_path / "sigma.json"
+    sig.write_text(json.dumps(
+        {"sigma": [row + [0, 0, 0] for row in eye]
+         + [cr + er for cr, er in zip(c, eye)]}))
+    code, rep = run(["tau", "basis-change", "--sigma", str(sig),
+                     "--config", str(cfg)], tmp_path / "r.json")
+    assert code == 0
+    assert len(rep["inputs"]["poles"]) == 6
+    assert rep["results"]["plus_residual"] < 1e-8
+    assert rep["results"]["minus_residual"] < 1e-8
+
+
+def test_tau_basis_change_rejects_sigma_of_another_genus(tmp_path, capsys):
+    cfg = tmp_path / "g3.json"
+    cfg.write_text(json.dumps(GENUS3_CONFIG))
+    sig = tmp_path / "sigma.json"
+    sig.write_text(json.dumps({"sigma": [[1, 0, 1, 0], [0, 1, 0, 0],
+                                         [0, 0, 1, 0], [0, 0, 0, 1]]}))
+    assert rejected(["tau", "basis-change", "--sigma", str(sig),
+                     "--config", str(cfg)], capsys)
+    # a genus-3 sigma on the genus-2 reference configuration
+    sig.write_text(json.dumps({"sigma": [[int(i == j) for j in range(6)]
+                                         for i in range(6)]}))
+    assert rejected(["tau", "basis-change", "--sigma", str(sig)], capsys)
+
+
 def test_tau_basis_change_rejects_non_symplectic(tmp_path, capsys):
     sig = tmp_path / "sigma.json"
     for raw in ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [0, 0, 0, 1]],

@@ -32,6 +32,37 @@ def test_stadium_closes_and_winds_once():
     assert winding_number(pieces, -1.0j) == 0
 
 
+def scalar_winding_number(pieces, z0, samples=64):
+    """The one-point form winding_number had before it took arrays."""
+    s = np.linspace(0.0, 1.0, samples + 1)
+    w = np.angle(np.concatenate([p.point(s) for p in pieces]) - z0)
+    dw = np.diff(w)
+    dw = np.where(dw > np.pi, dw - 2 * np.pi,
+                  np.where(dw < -np.pi, dw + 2 * np.pi, dw))
+    return round(float(np.sum(dw)) / (2 * np.pi))
+
+
+def test_batched_winding_number_matches_scalar_form():
+    rng = np.random.default_rng(31)
+    wound = 0
+    for _ in range(40):
+        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
+        ra, rb = rng.uniform(0.05, 0.4, 2) * abs(b - a)
+        pieces = stadium(a, b, ra, rb)
+        if rng.random() < 0.5:
+            pieces = [p.reversed() for p in pieces[::-1]]
+        # points around and inside the stadium, its foci included
+        z = np.concatenate([[a, b, (a + b) / 2],
+                            a + (b - a) * (rng.normal(size=12)
+                                           + 1j * rng.normal(size=12))])
+        got = winding_number(pieces, z)
+        want = [scalar_winding_number(pieces, zi) for zi in z]
+        assert got.tolist() == want
+        wound += np.count_nonzero(got)
+    # both points inside (foci, centre) and outside were tested
+    assert 120 <= wound < 40 * 15
+
+
 def test_stadium_rejects_swallowed_disk():
     with pytest.raises(GeometryError):
         stadium(0.0, 0.1, 1.0, 0.2)

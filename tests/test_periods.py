@@ -2,9 +2,13 @@
 import numpy as np
 import pytest
 
+from qdtau import tau
+from qdtau.bergman import BergmanEvaluator
 from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
 from qdtau.cycles import build_cycles_robust
 from qdtau.periods import PeriodEngine, Differential, holo_diff, v_diff
+from qdtau.quadrature import QuadratureError
+from test_tau import _genus3_path, _kappa_configs
 
 
 # |alpha-period of dx/yhat| on w^2 = x(x-1)(x-2) equals 2*pi/agm(sqrt(2),1).
@@ -164,7 +168,7 @@ CLUSTERED = QDConfigG0(zeros=[-1.325 - 2.362j],
 
 def test_v_periods_on_clustered_config_take_the_spine(monkeypatch):
     pe = PeriodEngine(build_cycles_robust(build_cover(CLUSTERED)))
-    pe.normalized_basis()  # calibrates every loop's sigma
+    pe.normalized_basis()  # the holomorphic basis fills the spine cache
     contour = PeriodEngine.contour_loop_period
     calls = []
 
@@ -179,3 +183,100 @@ def test_v_periods_on_clustered_config_take_the_spine(monkeypatch):
     want = np.array([contour(pe, lambda x, sheet: d.fn(x) / pe.ev.y(x, sheet), i)
                      for i in range(len(pe.cycles.loops))])
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
+# Loop orientation: the sign read off the lift against the contour
+# calibration that set it before, kept here as the oracle
+
+def calibrated_sigma(pe, loop_idx):
+    """sigma from the ratio of a contour period of x^j dx/yhat to twice
+    its spine integral, for the first j whose spine integral is not
+    negligible; None where no such j exists.  A spine whose ladder does
+    not settle raises QuadratureError."""
+    for j in range(pe.curve.genus):
+        diff = holo_diff(j)
+        spine = pe.spine_half_period(diff, loop_idx)
+        if abs(spine) < 1e-8:
+            continue
+        contour = pe.contour_loop_period(
+            lambda x, sheet, d=diff: d.fn(x) / pe.ev.y(x, sheet), loop_idx,
+            tol=1e-6 * abs(spine))
+        ratio = contour / (2.0 * spine)
+        sig = 1 if ratio.real > 0 else -1
+        assert abs(ratio - sig) < 1e-2, ratio
+        return sig
+    return None
+
+
+def _spread(rng, m, radius=2.5, min_sep=0.25):
+    while True:
+        pts = rng.uniform(-radius, radius, (m, 2)) @ np.array([1.0, 1.0j])
+        if min(abs(p - q) for i, p in enumerate(pts) for q in pts[:i]) >= min_sep:
+            return pts
+
+
+def class_config(rng, cls, n):
+    """n poles and n - 4 zeros in one of the benchmark's geometry
+    classes: spread, a tight cluster beside spread points, within 1e-3
+    of a line, or spread at 1e3 times the size."""
+    m = 2 * n - 4
+    if cls == "generic":
+        pts = _spread(rng, m)
+    elif cls == "clustered":
+        k = int(rng.integers(3, min(m - 1, 5) + 1))
+        r = 0.1 * 5.0 ** rng.uniform()
+        far = _spread(rng, m - k + 1)
+        pts = rng.permutation(np.concatenate([far[0] + _spread(rng, k, r, r / 5),
+                                              far[1:]]))
+    elif cls == "collinear":
+        xs = np.linspace(-2.5, 2.5, m) + rng.uniform(-0.1, 0.1, m)
+        pts = rng.permutation(xs) + 1j * rng.uniform(-1e-3, 1e-3, m)
+    else:
+        pts = 1e3 * _spread(rng, m)
+    return QDConfigG0(zeros=pts[:n - 4], poles=pts[n - 4:])
+
+
+def _orientation_cases():
+    rng = np.random.default_rng(515)
+    for cls in ("generic", "clustered", "collinear", "scaled"):
+        for n in (5, 6, 7, 8):
+            for _ in range(3):
+                yield cls, class_config(rng, cls, n), None
+    for name, make in tau.FAMILIES.items():
+        fam = make()
+        for d in fam.schedule:
+            yield name, fam.config(d), fam.pairing
+    for s in (0.0, 5e-6):
+        yield "genus3-path", _genus3_path(s), tau.zero_zero_family().pairing
+
+
+def test_loop_orientation_matches_contour_calibration():
+    compared = {}
+    for group, config, pairing in _orientation_cases():
+        pe = PeriodEngine(build_cycles_robust(build_cover(config),
+                                              pairing=pairing))
+        for i in range(len(pe.cycles.loops)):
+            try:
+                want = calibrated_sigma(pe, i)
+            except QuadratureError:
+                continue
+            if want is not None:
+                assert pe.sigma(i) == want, (group, config, i)
+                compared[group] = compared.get(group, 0) + 1
+    assert len(compared) == 7 and sum(compared.values()) >= 450
+
+
+def test_generic_engines_make_no_contour_call(monkeypatch):
+    # with the orientation read off the lift, Omega, v's periods and the
+    # Bergman correction of well-separated configurations stay on the
+    # spine route
+    calls = []
+    monkeypatch.setattr(PeriodEngine, "contour_loop_period",
+                        lambda self, fn, loop_idx, tol=None:
+                        calls.append(loop_idx))
+    for config in (QDConfigG0(**REF), *_kappa_configs()):
+        pe = PeriodEngine(build_cycles_robust(build_cover(config)))
+        pe.period_matrix()
+        pe.homological_coordinates()
+        BergmanEvaluator(pe).correction()
+    assert calls == []

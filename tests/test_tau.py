@@ -405,11 +405,11 @@ def test_phi_periods_match_recursive_quadrature(monkeypatch, config, pairing,
 
 
 def test_phi_contour_calls_are_spine_fallbacks_only(monkeypatch):
-    # sigma's calibration runs with an explicit tolerance, a spine
-    # fallback without one.  Once the kernel is built (its periods
-    # calibrate every loop), phi reaches the contour only through the
-    # fallback: never on REF or the seeded generic configurations, and
-    # on the schedules only on the gap loops past the pinching cut
+    # a spine fallback runs the contour at the engine's tolerance (no
+    # explicit one).  Counted after the kernel is built, phi reaches
+    # the contour only through that fallback: never on REF or the
+    # seeded generic configurations, and on the schedules only on the
+    # gap loops past the pinching cut
     calls = []
     contour = periods.PeriodEngine.contour_loop_period
 
