@@ -1,7 +1,7 @@
 """Normalized Bergman kernel on the double cover.
 
 On a hyperelliptic curve yhat^2 = R(x), split R = P1 * P2 into factors
-of (near-)equal degree.  The symmetric bidifferential
+of equal degree.  The symmetric bidifferential
 
     B0(x,w) = [2 yhat(x) yhat(w) + P1(x)P2(w) + P1(w)P2(x)]
               / (4 yhat(x) yhat(w) (x-w)^2) dx dw
@@ -62,8 +62,7 @@ class BergmanEvaluator:
             raise ValueError("the kernel correction needs positive genus")
         self.N, self.omega = engine.normalized_basis(alpha_mat, beta_mat)
         self.alpha_mat = engine.cycles.alpha_mat if alpha_mat is None else alpha_mat
-        # balanced split R = P1 * P2; for an odd count P1 takes the
-        # extra factor
+        # balanced split R = P1 * P2
         self.branch_points = np.array(self.curve.branch_points, dtype=complex)
         pts = self.branch_points
         order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))

@@ -21,7 +21,7 @@ import numpy as np
 from . import picard, strata, tau
 from .bergman import BergmanEvaluator
 from .cover_homology import random_symplectic
-from .curves import QDConfigG0, build_cover, hyperelliptic_model
+from .curves import QDConfigG0, hyperelliptic_model
 from .cycles import GeometryError, build_cycles_robust
 from .periods import PeriodEngine, holo_diff, v_diff
 from .quadrature import QuadratureError
@@ -61,11 +61,6 @@ def gate(name, value, tolerance) -> dict:
             "passed": bool(value <= tolerance)}
 
 
-def _engine(config: QDConfigG0) -> PeriodEngine:
-    cycles = build_cycles_robust(build_cover(config), pairing=config.pairing)
-    return PeriodEngine(cycles)
-
-
 def _exact_picard_suite():
     bad = [cell for cell in PICARD_CELLS
            if not all(r.is_zero() for r in picard.verify(*cell).values())]
@@ -85,11 +80,14 @@ def _kappa_consistency():
 
 
 def _period_engine():
-    # y^2 = x(x-1)(x-2): the period of dx/y around cut 0 is
-    # 2 pi / agm(sqrt 2, 1)
-    cycles = build_cycles_robust(hyperelliptic_model([0.0, 1.0, 2.0]))
+    # y^2 = x(x-1)(x-2): the period of dx/y around [0, 1] is
+    # 2 pi / agm(sqrt 2, 1).  x = -1 + 1/u maps the curve onto
+    # yhat^2 = u(u - 1/3)(u - 1/2)(u - 1), with dx/y = -du/(sqrt(-6) yhat),
+    # and [0, 1] onto the loop around cut 1, [1/2, 1]
+    cycles = build_cycles_robust(
+        hyperelliptic_model([0.0, 1.0 / 3.0, 0.5, 1.0]))
     per = PeriodEngine(cycles).loop_period(holo_diff(0),
-                                           cycles.loop_index("cut", 0))
+                                           cycles.loop_index("cut", 1))
     a, b = math.sqrt(2.0), 1.0
     for _ in range(64):
         a, b = 0.5 * (a + b), math.sqrt(a * b)
@@ -105,14 +103,15 @@ def _period_engine():
             continue
         try:
             cfg = QDConfigG0(zeros=[pts[0]], poles=list(pts[1:]))
-            omegas.append(_engine(cfg).normalized_basis()[1])
+            omegas.append(PeriodEngine.for_config(cfg).normalized_basis()[1])
         except (GeometryError, QuadratureError):
             continue
     missing = 50 - len(omegas)
-    omegas.append(_engine(REF).normalized_basis()[1])
+    omegas.append(PeriodEngine.for_config(REF).normalized_basis()[1])
     min_eig = min(np.linalg.eigvalsh(om.imag).min() for om in omegas)
     return {
-        "elliptic_agm_cross_check": abs(abs(per) - 2.0 * math.pi / a),
+        "elliptic_agm_cross_check": abs(abs(per) / math.sqrt(6.0)
+                                        - 2.0 * math.pi / a),
         "random_configs_missing": missing,
         "omega_symmetric": max(np.abs(om - om.T).max() for om in omegas),
         "omega_imag_positive": 0.0 if min_eig > 0 else math.inf,
@@ -129,7 +128,7 @@ def fd_schwarzian(be, x, sheet, h=0.02):
 
 
 def _bergman_identities():
-    be = BergmanEvaluator(_engine(REF))
+    be = BergmanEvaluator(PeriodEngine.for_config(REF))
     rng = np.random.default_rng(21)
     worst = 0.0
     npair = 0
@@ -198,8 +197,8 @@ def _transversality_constant():
     for scale, d in ((0.7 - 0.3j, 8e-3), (0.7 - 0.3j, 2e-3),
                      (1.0, fam.schedule[-1])):
         c = fam.config(d)
-        pe = _engine(QDConfigG0(zeros=c.zeros, poles=c.poles, scale=scale,
-                                pairing=fam.pairing))
+        pe = PeriodEngine.for_config(QDConfigG0(
+            zeros=c.zeros, poles=c.poles, scale=scale, pairing=fam.pairing))
         t_val = pe.loop_period(v_diff(pe.cycles.curve),
                                fam.collapsing_loop(pe.cycles))
         # the colliding zero and pole sit d apart: |t| -> pi sqrt|c| d

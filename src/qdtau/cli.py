@@ -27,8 +27,8 @@ from . import checks, picard, strata, tau
 from .bergman import BergmanEvaluator
 from .checks import TOLERANCES, gate
 from .cover_homology import is_symplectic
-from .curves import QDConfigG0, build_cover
-from .cycles import GeometryError, build_cycles_robust
+from .curves import QDConfigG0
+from .cycles import GeometryError
 from .periods import PeriodEngine
 from .quadrature import QuadratureError
 
@@ -84,12 +84,6 @@ def load_config(path: str) -> QDConfigG0:
         raise InputError(f"config missing field {exc}") from None
     except (ValueError, TypeError) as exc:
         raise InputError(f"invalid configuration: {exc}") from None
-
-
-def _engine(config: QDConfigG0):
-    curve = build_cover(config)
-    cycles = build_cycles_robust(curve, pairing=config.pairing)
-    return PeriodEngine(cycles, tol=config.tolerance)
 
 
 def emit(report: dict, out: str = None) -> int:
@@ -177,7 +171,7 @@ def cmd_kappa(args) -> int:
 
 def cmd_periods(args) -> int:
     config = load_config(args.config)
-    pe = _engine(config)
+    pe = PeriodEngine.for_config(config, config.tolerance)
     nmat, omega = pe.normalized_basis()
     ca, cb = pe.homological_coordinates()
     coords = list(ca) + list(cb)
@@ -227,7 +221,7 @@ def cmd_bergman(args) -> int:
     if x == w:
         raise InputError("the kernel has a double pole where the two probe "
                          "points coincide")
-    be = BergmanEvaluator(_engine(config))
+    be = BergmanEvaluator(PeriodEngine.for_config(config, config.tolerance))
     kernel = complex(be.bhat_coeff(x, 1, w, 1))
     tx, tw = be.t_coeff(x), be.t_coeff(w)
     report = {

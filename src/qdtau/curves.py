@@ -57,8 +57,10 @@ class QDConfigG0:
                              "principal-stratum configuration")
         if self.pairing is not None:
             idx = sorted(i for pair in self.pairing for i in pair)
-            if idx != list(range(len(pts))):
-                raise ValueError("pairing must partition the branch points")
+            if (idx != list(range(len(pts)))
+                    or any(len(pair) != 2 for pair in self.pairing)):
+                raise ValueError("pairing must partition the branch points "
+                                 "into pairs")
 
     @property
     def n(self) -> int:
@@ -101,15 +103,16 @@ def build_cover(cfg: QDConfigG0) -> CoverCurve:
 
 
 def hyperelliptic_model(branch_points) -> CoverCurve:
-    """Bare hyperelliptic curve for test models; an odd number of
-    branch points puts one ramification point at infinity."""
+    """Bare hyperelliptic curve for test models: yhat^2 = prod(x - b)
+    over an even number of distinct branch points, none at infinity."""
     pts = _as_complex_tuple(branch_points)
     if len(set(pts)) != len(pts):
         raise ValueError("branch points must be distinct")
-    genus = (len(pts) - 1) // 2 if len(pts) % 2 else len(pts) // 2 - 1
+    if len(pts) % 2:
+        raise ValueError("need an even number of branch points")
     return CoverCurve(
         branch_points=pts,
-        genus=genus,
+        genus=len(pts) // 2 - 1,
         rhs_coeffs=np.poly(np.array(pts, dtype=complex)),
         config=None,
     )
@@ -120,10 +123,10 @@ class SheetedEval:
 
     Sheet 1 is the branch that behaves like +x^(deg/2) far to the
     right; sheet -1 is its negative.  Cuts are stored as midpoints and
-    half-vectors; an odd model carries one ray cut to infinity.
+    half-vectors.
     """
 
-    def __init__(self, branch_points, pairs, ray=None):
+    def __init__(self, branch_points, pairs):
         pts = np.asarray(branch_points, dtype=complex)
         self.branch_points = pts
         self.pairs = tuple((int(i), int(j)) for i, j in pairs)
@@ -133,31 +136,15 @@ class SheetedEval:
         self.halves = np.array(
             [(pts[j] - pts[i]) / 2.0 for i, j in self.pairs], dtype=complex
         )
-        if ray is None:
-            self.ray_base = None
-            self.ray_sigma = None
-            self.ray_dir = None
-        else:
-            idx, direction = ray
-            u = complex(direction)
-            u /= abs(u)
-            self.ray_base = complex(pts[int(idx)])
-            self.ray_dir = u
-            # cut of sqrt((x-b)*sigma) sits where (x-b)*sigma < 0
-            self.ray_sigma = -np.conj(u)
 
     def cut_endpoints(self, k):
         i, j = self.pairs[k]
         return self.branch_points[i], self.branch_points[j]
 
     def y(self, x, sheet=1):
-        return sheet * kernels.eval_sheet1(
-            x, self.mids, self.halves, self.ray_base, self.ray_sigma
-        )
+        return sheet * kernels.eval_sheet1(x, self.mids, self.halves)
 
     def y_oncut(self, k, t, side):
         """Boundary value on cut k at x = mid + t*half from the given
         side (+1 = the side the left normal i*half points into)."""
-        return kernels.eval_oncut(
-            k, t, side, self.mids, self.halves, self.ray_base, self.ray_sigma
-        )
+        return kernels.eval_oncut(k, t, side, self.mids, self.halves)

@@ -1,13 +1,12 @@
 """Cut systems, stadium contours, and a symplectic homology basis.
 
-Branch points are joined pairwise by straight cuts (plus one ray to
-infinity when their number is odd).  Around every cut and every gap
-between consecutive cuts we place a stadium-shaped loop: two circular
-caps joined by tangent segments.  Loops are lifted to the double cover
-by tracking cut crossings, intersection numbers are counted at
-same-sheet transversal crossings, and the alpha/beta basis comes out
-as integer combinations of the loops, verified against the standard
-symplectic form exactly.
+Branch points, always an even number of them, are joined pairwise by
+straight cuts.  Around every cut and every gap between consecutive cuts
+we place a stadium-shaped loop: two circular caps joined by tangent
+segments.  Loops are lifted to the double cover by tracking cut
+crossings, intersection numbers are counted at same-sheet transversal
+crossings, and the alpha/beta basis comes out as integer combinations
+of the loops, verified against the standard symplectic form exactly.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ from .curves import CoverCurve, SheetedEval
 
 CAP_FACTOR = 0.3
 GAP_CAP_SHRINK = 0.8
-RAY_LENGTH_FACTOR = 1.0e6
 
 
 class GeometryError(RuntimeError):
@@ -273,9 +271,7 @@ def _seg_seg_dist(a1, b1, a2, b2):
 
 def _default_pairing(points):
     order = sorted(range(len(points)), key=lambda i: (points[i].real, points[i].imag))
-    pairs = [(order[2 * k], order[2 * k + 1]) for k in range(len(points) // 2)]
-    leftover = order[-1] if len(points) % 2 else None
-    return pairs, leftover
+    return [(order[2 * k], order[2 * k + 1]) for k in range(len(points) // 2)]
 
 
 def _greedy_pairing(points):
@@ -295,31 +291,13 @@ def _greedy_pairing(points):
         pairs.append((best[1], best[2]))
         left.discard(best[1])
         left.discard(best[2])
-    leftover = left.pop() if left else None
-    return pairs, leftover
+    return pairs
 
 
 def _sweep_pairing(points):
     centroid = sum(points) / len(points)
     order = sorted(range(len(points)), key=lambda i: cmath.phase(points[i] - centroid))
-    pairs = [(order[2 * k], order[2 * k + 1]) for k in range(len(points) // 2)]
-    leftover = order[-1] if len(points) % 2 else None
-    return pairs, leftover
-
-
-def _ray_direction(base, others):
-    """Direction from base maximizing angular clearance from every
-    other branch point."""
-    angles = sorted(cmath.phase(p - base) for p in others)
-    best, best_gap = None, -1.0
-    for k in range(len(angles)):
-        a0 = angles[k]
-        a1 = angles[(k + 1) % len(angles)] + (2 * math.pi if k + 1 == len(angles) else 0)
-        gap = a1 - a0
-        if gap > best_gap:
-            best_gap = gap
-            best = (a0 + a1) / 2.0
-    return cmath.exp(1j * best)
+    return [(order[2 * k], order[2 * k + 1]) for k in range(len(points) // 2)]
 
 
 def _min_dist(i, points):
@@ -328,15 +306,10 @@ def _min_dist(i, points):
 
 def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> CycleSystem:
     pts = list(curve.branch_points)
-    if pairing is None:
-        pairs, leftover = _default_pairing(pts)
-    else:
-        pairs = [tuple(p) for p in pairing]
-        used = sorted(i for p in pairs for i in p)
-        rest = [i for i in range(len(pts)) if i not in used]
-        if len(rest) > 1:
-            raise ValueError("pairing leaves more than one point unmatched")
-        leftover = rest[0] if rest else None
+    pairs = _default_pairing(pts) if pairing is None else [tuple(p) for p in pairing]
+    if (sorted(i for p in pairs for i in p) != list(range(len(pts)))
+            or any(len(p) != 2 for p in pairs)):
+        raise ValueError("pairing must partition the branch points into pairs")
 
     # orient each cut by lexicographic endpoint order, then order cuts
     # by midpoint so gaps connect consecutive cuts
@@ -347,19 +320,8 @@ def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> Cycl
     pairs.sort(key=lambda p: (((pts[p[0]] + pts[p[1]]) / 2).real,
                               ((pts[p[0]] + pts[p[1]]) / 2).imag))
 
-    ray = None
-    if leftover is not None:
-        ray = (leftover, _ray_direction(pts[leftover], [p for i, p in enumerate(pts) if i != leftover]))
-    evaluator = SheetedEval(pts, pairs, ray)
-
+    evaluator = SheetedEval(pts, pairs)
     cut_segments = [Segment(pts[i], pts[j]) for i, j in pairs]
-    scale = max(abs(p) for p in pts) + max(
-        abs(pts[i] - pts[j]) for i, j in pairs
-    )
-    if ray is not None:
-        cut_segments.append(
-            Segment(pts[leftover], pts[leftover] + RAY_LENGTH_FACTOR * scale * evaluator.ray_dir)
-        )
 
     # reject mutually crossing cuts outright
     for i in range(len(cut_segments)):
@@ -370,13 +332,8 @@ def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> Cycl
     radii = [cap_factor * _min_dist(i, pts) for i in range(len(pts))]
     scale_len = max(abs(pts[i] - pts[j]) for i in range(len(pts)) for j in range(i))
 
-    # gap spines join consecutive cuts tail-to-head; with a ray the last
-    # gap runs from the final cut to the ray base
-    gap_ends = []
-    for k in range(len(pairs) - 1):
-        gap_ends.append((pairs[k][1], pairs[k + 1][0]))
-    if leftover is not None:
-        gap_ends.append((pairs[-1][1], leftover))
+    # gap spines join consecutive cuts tail-to-head
+    gap_ends = [(pairs[k][1], pairs[k + 1][0]) for k in range(len(pairs) - 1)]
 
     def loop_clamp(i, j, allowed_cuts):
         """Clearance of the spine [i, j] from foreign branch points and
@@ -407,11 +364,9 @@ def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> Cycl
         allowed = {
             ci for ci, pr in enumerate(pairs) if i in pr or j in pr
         }
-        if leftover is not None and j == leftover:
-            allowed.add(len(cut_segments) - 1)
         cl = loop_clamp(i, j, allowed)
-        ra = min(GAP_CAP_SHRINK * cut_cap.get(i, radii[i]), cl)
-        rb = min(GAP_CAP_SHRINK * cut_cap.get(j, radii[j]), cl)
+        ra = min(GAP_CAP_SHRINK * cut_cap[i], cl)
+        rb = min(GAP_CAP_SHRINK * cut_cap[j], cl)
         loops.append(Loop(stadium(pts[i], pts[j], ra, rb), "gap", k))
 
     # lift: order each loop's cut crossings along the loop, start on
@@ -483,27 +438,14 @@ def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> Cycl
 
     # basis as integer loop combinations
     g = curve.genus
-    even = leftover is None
     alpha_mat = np.zeros((g, nloops), dtype=int)
     beta_mat = np.zeros((g, nloops), dtype=int)
-    if even:
-        if ncuts != g + 1:
-            raise GeometryError("cut count does not match an even model")
-        for i in range(g):
-            a_idx = idx_of[("cut", i + 1)]
-            alpha_mat[i, a_idx] = signs[a_idx]
-            for k in range(i + 1):
-                g_idx = idx_of[("gap", k)]
-                beta_mat[i, g_idx] = -signs[g_idx]
-    else:
-        if ncuts != g:
-            raise GeometryError("cut count does not match an odd model")
-        for i in range(g):
-            a_idx = idx_of[("cut", i)]
-            alpha_mat[i, a_idx] = signs[a_idx]
-            for k in range(i, ngaps):
-                g_idx = idx_of[("gap", k)]
-                beta_mat[i, g_idx] = signs[g_idx]
+    for i in range(g):
+        a_idx = idx_of[("cut", i + 1)]
+        alpha_mat[i, a_idx] = signs[a_idx]
+        for k in range(i + 1):
+            g_idx = idx_of[("gap", k)]
+            beta_mat[i, g_idx] = -signs[g_idx]
 
     # exact symplectic verification of the assembled basis
     big = np.vstack([alpha_mat, beta_mat])
@@ -532,7 +474,7 @@ def build_cycles_robust(curve: CoverCurve, pairing=None) -> CycleSystem:
     else:
         candidates, seen = [], set()
         for strat in (_greedy_pairing, _default_pairing, _sweep_pairing):
-            prs, _ = strat(pts)
+            prs = strat(pts)
             key = tuple(sorted(tuple(sorted(p)) for p in prs))
             if key not in seen:
                 seen.add(key)

@@ -23,7 +23,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cycles import CycleSystem, GeometryError, Segment, piece_crossings
+from .curves import build_cover
+from .cycles import CycleSystem, GeometryError, build_cycles_robust
 from .quadrature import QuadratureError, adaptive_line, spine_integral
 
 
@@ -97,6 +98,13 @@ class PeriodEngine:
         self._sigmas = {}
         self._norm = None
 
+    @classmethod
+    def for_config(cls, config, tol: float = 1e-11) -> "PeriodEngine":
+        """Engine on the configuration's cover and robust cycle system,
+        with the configuration's pairing."""
+        curve = build_cover(config)
+        return cls(build_cycles_robust(curve, pairing=config.pairing), tol)
+
     def spine_ends(self, loop_idx):
         """Branch-point indices (i, j) of the ends of the loop's spine."""
         lp = self.cycles.loops[loop_idx]
@@ -144,18 +152,28 @@ class PeriodEngine:
         """Orientation factor: loop period = 2*sigma*spine integral,
         read off the lift.  The stadium's first side runs from a to b
         right of the spine: sigma is the lift's sheet at its midpoint,
-        flipped for every other cut crossed on the way there from the
-        spine's midpoint, and for a cut loop, whose spine takes the left
-        boundary value of yhat (the negative of the right one)."""
+        negated for a cut loop, whose spine takes the left boundary
+        value of yhat (the negative of the right one).
+
+        No other cut crosses the straight path from the spine's
+        midpoint m to that midpoint m + r e (e a unit vector, r the mean
+        of the cap radii ra, rb), so the sheet there is the spine's.
+        Caps are at most 0.45 of the loop's clearance, which bounds the
+        distance from the spine to every foreign branch point and to
+        every cut but the loop's own and a gap loop's two adjacent
+        ones; those stay out of reach.  Say the adjacent cut [a, c]
+        of the gap [a, b] met the path at p, |p - m| = s < r, with
+        c = a + t (p - a), t > 1.  For t <= 2, c would lie within
+        t s <= 2 s of the spine point a + t (m - a), yet the clearance
+        is at least r / 0.45 > 2 r.  So t > 2 and the cut passes
+        through b + 2 (p - m), within 2 s of b.  That bounds the
+        clearance of both cut loops, at a and at b, by 2 s, so the
+        gap's radii, at most 0.8 of those caps, are at most
+        0.8 * 0.45 * 2 s = 0.72 s < r: a contradiction.  The cut
+        at b is the same case with a and b swapped."""
         if loop_idx not in self._sigmas:
             lp = self.cycles.loops[loop_idx]
-            mid = self._spine(loop_idx)[0]
-            path = Segment(mid, lp.point(0, 0.5))
-            own = lp.index if lp.kind == "cut" else None
-            flips = sum(len(piece_crossings(path, cut))
-                        for k, cut in enumerate(self.cycles.cut_segments)
-                        if k != own)
-            sign = lp.sheet_at(0, 0.5) * (-1) ** flips
+            sign = lp.sheet_at(0, 0.5)
             self._sigmas[loop_idx] = -sign if lp.kind == "cut" else sign
         return self._sigmas[loop_idx]
 

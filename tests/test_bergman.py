@@ -10,6 +10,7 @@ from qdtau.periods import PeriodEngine
 from qdtau.bergman import BergmanEvaluator
 from qdtau.cover_homology import blocks, random_symplectic
 from qdtau.quadrature import adaptive_line
+from test_periods import mobius_model
 
 
 REF = dict(zeros=[0.0], poles=[1.0, -1.0, 2.0, -2.0, 0.5])
@@ -22,9 +23,14 @@ def ref_bergman():
     return BergmanEvaluator(pe)
 
 
+# y^2 = x^3 - x under x = -2 + 1/u: yhat^2 = u(u - 1/3)(u - 1/2)(u - 1)
+# with dx/y = -du/(K yhat), and the alpha cycle onto the real one
+LEMNISCATIC_MODEL, K = mobius_model([-1.0, 0.0, 1.0], -2.0)
+
+
 @pytest.fixture(scope="module")
 def elliptic_bergman():
-    curve = hyperelliptic_model([-1.0, 0.0, 1.0])
+    curve = hyperelliptic_model(LEMNISCATIC_MODEL)
     pe = PeriodEngine(build_cycles_robust(curve))
     return BergmanEvaluator(pe)
 
@@ -105,19 +111,24 @@ def _weierstrass_p(u, w1, w2, radius=160):
 
 
 def test_kernel_matches_elliptic_closed_form(elliptic_bergman):
-    # in the flat coordinate z the kernel is wp(z1 - z2) + eta1/omega1
+    # in the flat coordinate z, dz = dx/(2y) = du/(2K yhat) up to sign,
+    # the kernel is wp(z1 - z2) + eta1/omega1
     be = elliptic_bergman
     ev = be.ev
 
     def zdiff(x1, x2):
         return adaptive_line(
-            lambda s: (x2 - x1) / (2 * ev.y(x1 + s * (x2 - x1))), 0.0, 1.0, tol=1e-12
+            lambda s: (x2 - x1) / (2 * K * ev.y(x1 + s * (x2 - x1))),
+            0.0, 1.0, tol=1e-12
         )
 
     w2 = OMEGA1 * 1j  # square lattice
-    pairs = [(0.5 + 1.2j, -0.8 + 1.5j), (1.4 + 0.9j, 0.3 + 2.1j)]
+    # the x-plane pairs, sent to u = 1/(x + 2) in the lower half plane
+    pairs = [(1.0 / (x1 + 2), 1.0 / (x2 + 2))
+             for x1, x2 in [(0.5 + 1.2j, -0.8 + 1.5j), (1.4 + 0.9j, 0.3 + 2.1j)]]
     for x1, x2 in pairs:
-        bzz = be.bhat_coeff(x1, 1, x2, 1) * (2 * ev.y(x1)) * (2 * ev.y(x2))
+        bzz = (be.bhat_coeff(x1, 1, x2, 1)
+               * (2 * K * ev.y(x1)) * (2 * K * ev.y(x2)))
         u = zdiff(x2, x1)
         const = complex(bzz) - _weierstrass_p(complex(u), OMEGA1, w2)
         assert abs(const - ETA1 / OMEGA1) < 1e-4

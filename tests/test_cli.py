@@ -104,7 +104,8 @@ def test_periods_malformed_config(tmp_path, capsys):
            json.dumps(dict(REF_CONFIG, zeros=[["a", "b"]])),
            json.dumps(dict(REF_CONFIG, tolerance="abc")),
            json.dumps(dict(REF_CONFIG, tolerance=-1)),
-           json.dumps(dict(REF_CONFIG, pairing=[["x", 1]]))]
+           json.dumps(dict(REF_CONFIG, pairing=[["x", 1]])),
+           json.dumps(dict(REF_CONFIG, pairing=[[0, 1, 2], [3, 4, 5]]))]
     p = tmp_path / "bad.json"
     for text in bad:
         p.write_text(text)

@@ -37,6 +37,8 @@ def test_config_pairing_must_partition():
         QDConfigG0(**REF, pairing=[(0, 1), (2, 3), (4, 4)])
     with pytest.raises(ValueError):
         QDConfigG0(**REF, pairing=[(0, 1), (2, 3)])
+    with pytest.raises(ValueError):
+        QDConfigG0(**REF, pairing=[(0, 1, 2), (3, 4, 5)])
 
 
 def test_cover_genus_and_rhs():
@@ -52,12 +54,14 @@ def test_cover_genus_and_rhs():
 
 
 def test_hyperelliptic_model_genus():
-    odd = hyperelliptic_model([-1.0, 0.0, 1.0])
-    assert odd.genus == 1
     even = hyperelliptic_model([-1.5, -0.5, 0.5, 1.5])
     assert even.genus == 1
-    g2 = hyperelliptic_model([0.0, 1.0, 2.0, 3.0, 4.0])
+    g2 = hyperelliptic_model([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
     assert g2.genus == 2
+    # an odd count would put a branch point at infinity
+    for odd in ([-1.0, 0.0, 1.0], [0.0, 1.0, 2.0, 3.0, 4.0]):
+        with pytest.raises(ValueError):
+            hyperelliptic_model(odd)
 
 
 def test_sheeted_eval_square():

@@ -209,3 +209,15 @@ def test_explicit_pairing_is_respected():
     cyc = build_cycles_robust(curve, pairing=cfg.pairing)
     built_pairs = {tuple(sorted(p)) for p in cyc.pairs}
     assert built_pairs == {(2, 4), (0, 5), (1, 3)}
+
+
+def test_pairing_that_leaves_a_point_unmatched_is_rejected():
+    # with an even number of branch points every cut joins two of them;
+    # a pairing that leaves one out, repeats one or joins three is bad input
+    curve = build_cover(QDConfigG0(**REF))
+    for pairing in ([(4, 2), (0, 5)], [(4, 2), (0, 5), (1, 5)],
+                    [(0, 1, 2), (3, 4, 5)]):
+        with pytest.raises(ValueError):
+            build_cycles(curve, pairing=pairing)
+        with pytest.raises(ValueError):
+            build_cycles_robust(curve, pairing=pairing)

@@ -67,38 +67,6 @@ def test_oncut_matches_one_sided_limits():
         assert np.max(np.abs(bm - wm) / np.abs(bm)) < 1e-6
 
 
-def test_ray_factor_odd_model():
-    # y^2 = x(x-1)(x-2); cut [0,1], ray from 2 along +1
-    pts = np.array([0.0, 1.0, 2.0])
-    mids = np.array([0.5 + 0j])
-    halves = np.array([0.5 + 0j])
-    base, sigma = 2.0 + 0j, -1.0 + 0j
-    x = np.array([0.3 + 2j, -4.0 + 1j, 5.0 + 3j])
-    w = kernels.eval_sheet1(x, mids, halves, base, sigma)
-    assert np.max(np.abs(w**2 - x * (x - 1) * (x - 2)) / np.abs(w**2)) < 1e-12
-    # discontinuous across the ray (x real > 2) ...
-    wp = kernels.eval_sheet1(3.0 + 1e-9j, mids, halves, base, sigma)
-    wm = kernels.eval_sheet1(3.0 - 1e-9j, mids, halves, base, sigma)
-    assert abs(wp + wm) / abs(wp) < 1e-6
-    # ... continuous between the cut and the ray base
-    vp = kernels.eval_sheet1(1.5 + 1e-9j, mids, halves, base, sigma)
-    vm = kernels.eval_sheet1(1.5 - 1e-9j, mids, halves, base, sigma)
-    assert abs(vp - vm) / abs(vp) < 1e-6
-
-
-def test_oncut_with_ray_factor():
-    pts = np.array([0.0, 1.0, 2.0])
-    mids = np.array([0.5 + 0j])
-    halves = np.array([0.5 + 0j])
-    base, sigma = 2.0 + 0j, -1.0 + 0j
-    t = np.array([0.25])
-    x0 = mids[0] + t * halves[0]
-    eps = 1e-9
-    wp = kernels.eval_sheet1(x0 + eps * 1j, mids, halves, base, sigma)
-    bp = kernels.eval_oncut(0, t, +1, mids, halves, base, sigma)
-    assert np.max(np.abs(bp - wp) / np.abs(bp)) < 1e-6
-
-
 def test_backend_selector_exposes_python_fallback():
     assert kernels.BACKEND == "python"
     x = RNG.normal(size=10) + 1j * (RNG.normal(size=10) + 3.0)

@@ -15,6 +15,15 @@ from test_tau import _genus3_path, _kappa_configs
 AGM_PERIOD = 2 * 2.6220575542921198
 
 
+def mobius_model(points, x0):
+    """(branch points, k) of the curve y^2 = prod(x - b) over three
+    finite points under x = x0 + 1/u: the images 1/(b - x0) and u = 0,
+    the image of x = infinity, with dx/y = -du/(k yhat(u)) and
+    k^2 = prod(x0 - b)."""
+    model = [1.0 / (b - x0) for b in points] + [0.0]
+    return model, np.sqrt(complex(np.prod([x0 - b for b in points])))
+
+
 def _engine(points, pairing=None):
     curve = hyperelliptic_model(points)
     cyc = build_cycles_robust(curve, pairing=pairing)
@@ -22,25 +31,29 @@ def _engine(points, pairing=None):
 
 
 def test_elliptic_agm_alpha_period():
-    pe = _engine([0.0, 1.0, 2.0])
-    per = pe.homological_coordinates(holo_diff(0))[0][0]
-    assert abs(abs(per) - AGM_PERIOD) < 1e-10 * AGM_PERIOD
+    # three points sent to infinity; 1 + 1j gives a non-collinear model
+    for x0 in (-1.0, 3.0, 1.0 + 1.0j):
+        model, k = mobius_model([0.0, 1.0, 2.0], x0)
+        per = _engine(model).homological_coordinates(holo_diff(0))[0][0]
+        assert abs(abs(per) / abs(k) - AGM_PERIOD) < 1e-10 * AGM_PERIOD, x0
 
 
 def test_elliptic_tau_square_lattice():
     # both curves have real 2-torsion symmetric enough to force tau = i
-    for pts in ([0.0, 1.0, 2.0], [-1.0, 0.0, 1.0]):
-        pe = _engine(pts)
+    for pts, x0 in (([0.0, 1.0, 2.0], -1.0), ([0.0, 1.0, 2.0], 3.0),
+                    ([-1.0, 0.0, 1.0], 2.0)):
+        pe = _engine(mobius_model(pts, x0)[0])
         tau = pe.period_matrix()[0, 0]
         assert abs(tau - 1j) < 1e-12
 
 
 def test_lemniscatic_half_period():
-    # y^2 = x^3 - x: real half-period 1.31102877714606...
-    pe = _engine([-1.0, 0.0, 1.0])
-    per = pe.homological_coordinates(holo_diff(0))[0][0]
-    # quarter of the alpha-period of dx/yhat is omega_1
-    assert abs(abs(per) / 4 - 1.3110287771460603) < 1e-12
+    # y^2 = x^3 - x: real half-period 1.31102877714606...; it is
+    # x(x-1)(x-2) shifted by one, so x0 = -2 gives the model of x0 = -1
+    model, k = mobius_model([-1.0, 0.0, 1.0], -2.0)
+    per = _engine(model).homological_coordinates(holo_diff(0))[0][0]
+    # quarter of the alpha-period of dx/y is omega_1
+    assert abs(abs(per) / (4 * abs(k)) - 1.3110287771460603) < 1e-12
 
 
 REF = dict(zeros=[0.0], poles=[1.0, -1.0, 2.0, -2.0, 0.5])
