@@ -189,6 +189,8 @@ def cmd_periods(args) -> int:
             "omega_symmetry_defect": sym,
             "omega_imag_min_eig": float(eigs.min()),
             "loops": len(pe.cycles.loops),
+            "pairing": [list(pr) for pr in pe.cycles.pairs],
+            "spine_rho_min": pe.cycles.spine_rho(),
         },
         "checks": [
             gate("omega_symmetric", sym, TOLERANCES["omega_symmetric"]),

@@ -7,6 +7,10 @@ segments.  Loops are lifted to the double cover by tracking cut
 crossings, intersection numbers are counted at same-sheet transversal
 crossings, and the alpha/beta basis comes out as integer combinations
 of the loops, verified against the standard symplectic form exactly.
+Pieces whose bounding discs are disjoint are never tested for crossings.
+`build_cycles_robust` tries three pairings in turn, drops one with
+crossing cuts or a spine without clearance after one attempt, and
+prefers the first whose spines keep clear of foreign branch points.
 """
 
 from __future__ import annotations
@@ -18,15 +22,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CoverCurve, SheetedEval
+from .quadrature import SPINE_SIZES
 
 CAP_FACTOR = 0.3
+CAP_FACTORS = (CAP_FACTOR, 0.18, 0.1, 0.06)
 GAP_CAP_SHRINK = 0.8
+
+# an n-point Gauss-Jacobi rule errs like rho^(-2n) on a spine of
+# Bernstein parameter rho: the top rung meets the engine's default 1e-11
+# from this rho (about 1.022) on
+SPINE_RHO_MIN = 1e-11 ** (-0.5 / SPINE_SIZES[-1])
 
 
 class GeometryError(RuntimeError):
     """Configuration defeats the contour builder (tangencies, enclosed
     stray branch points, or an intersection pattern that is not the
-    standard chain)."""
+    standard chain).  ``cap_free`` marks a fault of the pairing itself
+    (crossing cuts, a spine without clearance) that no cap can mend."""
+
+    def __init__(self, message, cap_free=False):
+        super().__init__(message)
+        self.cap_free = cap_free
 
 
 @dataclass(frozen=True)
@@ -92,8 +108,13 @@ class Loop:
     # filled in by the builder:
     crossings: list = None  # [(piece_idx, s, cut_idx)] ordered along loop
 
-    def point(self, piece_idx, s):
-        return self.pieces[piece_idx].point(s)
+    def __post_init__(self):
+        # discs holding the stadium, which lies within max(ra, rb) of its
+        # spine [a, b], and each of its pieces
+        ca, cb = self.pieces[3], self.pieces[1]
+        self.disc = ((ca.center + cb.center) / 2.0, abs(cb.center - ca.center)
+                     / 2.0 + max(ca.radius, cb.radius))
+        self.piece_discs = [_piece_disc(p) for p in self.pieces]
 
     def sheet_at(self, piece_idx, s):
         """Sheet of the lift at parameter s of the given piece."""
@@ -198,12 +219,26 @@ def piece_crossings(p, q):
     return _arc_arc(p, q)
 
 
+def _piece_disc(p):
+    """(centre, radius) of a disc holding the piece."""
+    if isinstance(p, Segment):
+        return (p.a + p.b) / 2.0, abs(p.b - p.a) / 2.0
+    return p.center, p.radius
+
+
+def _apart(d1, d2):
+    """Whether discs (centre, radius) are disjoint beyond rounding."""
+    return abs(d1[0] - d2[0]) > (d1[1] + d2[1]) * (1.0 + 1e-9)
+
+
 def loop_loop_crossings(la: Loop, lb: Loop):
+    """[(i, s, j, t)]: piece i of la meets piece j of lb at parameters
+    s, t; piece pairs with disjoint discs are not tested."""
     out = []
-    for i, p in enumerate(la.pieces):
-        for j, q in enumerate(lb.pieces):
-            for s, t in piece_crossings(p, q):
-                out.append((i, s, j, t))
+    for i, (p, dp) in enumerate(zip(la.pieces, la.piece_discs)):
+        for j, (q, dq) in enumerate(zip(lb.pieces, lb.piece_discs)):
+            if not _apart(dp, dq):
+                out.extend((i, s, j, t) for s, t in piece_crossings(p, q))
     return out
 
 
@@ -230,13 +265,12 @@ class CycleSystem:
     """
 
     def __init__(self, curve, evaluator, loops, alpha_mat, beta_mat,
-                 cut_segments, pairs, gap_ends):
+                 pairs, gap_ends):
         self.curve = curve
         self.evaluator = evaluator
         self.loops = loops
         self.alpha_mat = alpha_mat
         self.beta_mat = beta_mat
-        self.cut_segments = cut_segments
         self.pairs = pairs
         self.gap_ends = gap_ends
         self.genus = alpha_mat.shape[0]
@@ -247,6 +281,18 @@ class CycleSystem:
                 return i
         raise KeyError((kind, index))
 
+    def spine_rho(self):
+        """Worst Bernstein parameter rho = |u + sqrt(u-1) sqrt(u+1)|
+        (the root of modulus >= 1) of any foreign branch point in any
+        spine's coordinate u = (z - mid) / half, in one broadcast."""
+        pts = np.asarray(self.curve.branch_points)
+        ends = np.array(self.pairs + self.gap_ends)[:, :, None]
+        a, b = pts[ends[:, 0]], pts[ends[:, 1]]
+        u = (2.0 * pts - (a + b)) / (b - a)
+        rho = np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))
+        own = (np.arange(len(pts)) == ends).any(axis=1)
+        return float(np.where(own, np.inf, np.maximum(rho, 1.0 / rho)).min())
+
 
 def _point_seg_dist(p, a, b):
     d = b - a
@@ -256,17 +302,6 @@ def _point_seg_dist(p, a, b):
     s = ((p - a) * d.conjugate()).real / L2
     s = min(1.0, max(0.0, s))
     return abs(p - (a + s * d))
-
-
-def _seg_seg_dist(a1, b1, a2, b2):
-    if _seg_seg(Segment(a1, b1), Segment(a2, b2)):
-        return 0.0
-    return min(
-        _point_seg_dist(a1, a2, b2),
-        _point_seg_dist(b1, a2, b2),
-        _point_seg_dist(a2, a1, b1),
-        _point_seg_dist(b2, a1, b1),
-    )
 
 
 def _default_pairing(points):
@@ -300,8 +335,57 @@ def _sweep_pairing(points):
     return [(order[2 * k], order[2 * k + 1]) for k in range(len(points) // 2)]
 
 
-def _min_dist(i, points):
-    return min(abs(points[i] - points[j]) for j in range(len(points)) if j != i)
+def _lift(loops, cut_segments):
+    """Order each loop's cut crossings along the loop: the lift starts
+    on sheet +1 and flips at every crossing."""
+    cut_discs = [_piece_disc(c) for c in cut_segments]
+    for lp in loops:
+        near = [ci for ci, d in enumerate(cut_discs) if not _apart(lp.disc, d)]
+        cr = []
+        for pi, (piece, dp) in enumerate(zip(lp.pieces, lp.piece_discs)):
+            for ci in near:
+                if not _apart(dp, cut_discs[ci]):
+                    cr.extend((pi, s, ci) for s, _t in
+                              piece_crossings(piece, cut_segments[ci]))
+        cr.sort()
+        if len(cr) % 2:
+            raise GeometryError(
+                f"{lp.kind} loop {lp.index} crosses cuts an odd number of times")
+        lp.crossings = cr
+
+
+def _check_enclosures(loops, pts, spine_ends):
+    """Stray enclosures break the sheet bookkeeping: every loop may wind
+    only around its own spine's ends.  Points outside its disc cannot."""
+    for lp, own in zip(loops, spine_ends):
+        centre, radius = lp.disc
+        near = [i for i, z in enumerate(pts) if i not in own
+                and abs(z - centre) <= radius * (1.0 + 1e-9)]
+        if not near:
+            continue
+        wound = winding_number(lp.pieces, [pts[i] for i in near])
+        if wound.any():
+            bad = near[np.flatnonzero(wound)[0]]
+            raise GeometryError(
+                f"{lp.kind} loop {lp.index} encloses branch point {bad}")
+
+
+def _intersections(loops):
+    """Surface intersection numbers between lifted loops, counted at
+    same-sheet crossings; loops with disjoint discs meet nowhere."""
+    inter = np.zeros((len(loops), len(loops)), dtype=int)
+    for a, la in enumerate(loops):
+        for b, lb in enumerate(loops[a + 1:], a + 1):
+            if _apart(la.disc, lb.disc):
+                continue
+            for pi, s, qj, t in loop_loop_crossings(la, lb):
+                if la.sheet_at(pi, s) == lb.sheet_at(qj, t):
+                    da, db = la.pieces[pi].tangent(s), lb.pieces[qj].tangent(t)
+                    cross = (da.conjugate() * db).imag
+                    if cross == 0:
+                        raise GeometryError("tangential loop crossing")
+                    inter[a, b] += 1 if cross > 0 else -1
+    return inter - inter.T
 
 
 def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> CycleSystem:
@@ -327,163 +411,115 @@ def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> Cycl
     for i in range(len(cut_segments)):
         for j in range(i + 1, len(cut_segments)):
             if piece_crossings(cut_segments[i], cut_segments[j]):
-                raise GeometryError(f"cuts {i} and {j} intersect")
+                raise GeometryError(f"cuts {i} and {j} intersect",
+                                    cap_free=True)
 
-    radii = [cap_factor * _min_dist(i, pts) for i in range(len(pts))]
-    scale_len = max(abs(pts[i] - pts[j]) for i in range(len(pts)) for j in range(i))
+    # hypot rounds as abs() of a Python complex; np.abs would move caps
+    diff = np.subtract.outer(pts, pts)
+    dist = np.hypot(diff.real, diff.imag)
+    scale_len = float(dist.max())
+    radii = (cap_factor * np.where(dist > 0, dist, np.inf).min(axis=1)).tolist()
 
     # gap spines join consecutive cuts tail-to-head
     gap_ends = [(pairs[k][1], pairs[k + 1][0]) for k in range(len(pairs) - 1)]
 
     def loop_clamp(i, j, allowed_cuts):
         """Clearance of the spine [i, j] from foreign branch points and
-        from cuts it is not meant to cross."""
+        from cuts it is not meant to cross; those cuts end at foreign
+        points, so only the spine's ends are measured against them."""
         a, b = pts[i], pts[j]
-        clear = math.inf
-        for k2, z in enumerate(pts):
-            if k2 in (i, j):
-                continue
-            clear = min(clear, _point_seg_dist(z, a, b))
-        for ci, seg in enumerate(cut_segments):
-            if ci in allowed_cuts:
-                continue
-            clear = min(clear, _seg_seg_dist(a, b, seg.a, seg.b))
-        if clear < 1e-9 * scale_len:
-            raise GeometryError("spine has no clearance from foreign cuts")
+        cuts = [c for ci, c in enumerate(cut_segments) if ci not in allowed_cuts]
+        clear = min([_point_seg_dist(z, a, b) for k, z in enumerate(pts)
+                     if k not in (i, j)]
+                    + [_point_seg_dist(e, c.a, c.b) for c in cuts for e in (a, b)])
+        if clear < 1e-9 * scale_len or any(_seg_seg(Segment(a, b), c) for c in cuts):
+            raise GeometryError("spine has no clearance from foreign cuts",
+                                cap_free=True)
         return 0.45 * clear
+
+    # clearances depend on the pairing alone: settle them before any cap;
+    # gap k may cross its adjacent cuts k and k + 1
+    cut_clamps = [loop_clamp(i, j, {k}) for k, (i, j) in enumerate(pairs)]
+    gap_clamps = [loop_clamp(i, j, {k, k + 1}) for k, (i, j) in enumerate(gap_ends)]
 
     loops = []
     cut_cap = {}
-    for k, (i, j) in enumerate(pairs):
-        cl = loop_clamp(i, j, {k})
+    for k, ((i, j), cl) in enumerate(zip(pairs, cut_clamps)):
         ra, rb = min(radii[i], cl), min(radii[j], cl)
         cut_cap[i], cut_cap[j] = ra, rb
         loops.append(Loop(stadium(pts[i], pts[j], ra, rb), "cut", k))
 
-    for k, (i, j) in enumerate(gap_ends):
-        allowed = {
-            ci for ci, pr in enumerate(pairs) if i in pr or j in pr
-        }
-        cl = loop_clamp(i, j, allowed)
+    for k, ((i, j), cl) in enumerate(zip(gap_ends, gap_clamps)):
         ra = min(GAP_CAP_SHRINK * cut_cap[i], cl)
         rb = min(GAP_CAP_SHRINK * cut_cap[j], cl)
         loops.append(Loop(stadium(pts[i], pts[j], ra, rb), "gap", k))
 
-    # lift: order each loop's cut crossings along the loop, start on
-    # sheet +1, flip at every crossing
-    for lp in loops:
-        cr = []
-        for pi, piece in enumerate(lp.pieces):
-            for ci, cut in enumerate(cut_segments):
-                for s, _t in piece_crossings(piece, cut):
-                    cr.append((pi, s, ci))
-        cr.sort()
-        if len(cr) % 2:
-            raise GeometryError(
-                f"{lp.kind} loop {lp.index} crosses cuts an odd number of times"
-            )
-        lp.crossings = cr
-
-    # stray enclosures break the sheet bookkeeping; every loop may wind
-    # only around its own spine's endpoints
-    for lp in loops:
-        own = pairs[lp.index] if lp.kind == "cut" else gap_ends[lp.index]
-        foreign = [i for i in range(len(pts)) if i not in own]
-        wound = winding_number(lp.pieces, [pts[i] for i in foreign])
-        if wound.any():
-            bad = foreign[np.flatnonzero(wound)[0]]
-            raise GeometryError(
-                f"{lp.kind} loop {lp.index} encloses branch point {bad}")
-
-    # surface intersection numbers between lifted loops
-    nloops = len(loops)
-    inter = np.zeros((nloops, nloops), dtype=int)
-    for a in range(nloops):
-        for b in range(a + 1, nloops):
-            total = 0
-            for pi, s, qj, t in loop_loop_crossings(loops[a], loops[b]):
-                if loops[a].sheet_at(pi, s) != loops[b].sheet_at(qj, t):
-                    continue
-                da = loops[a].pieces[pi].tangent(s)
-                db = loops[b].pieces[qj].tangent(t)
-                cross = (da.conjugate() * db).imag
-                if cross == 0:
-                    raise GeometryError("tangential loop crossing")
-                total += 1 if cross > 0 else -1
-            inter[a, b] = total
-            inter[b, a] = -total
+    _lift(loops, cut_segments)
+    _check_enclosures(loops, pts, pairs + gap_ends)
+    inter = _intersections(loops)
 
     # normalize signs along the chain C1 G1 C2 G2 ... so consecutive
-    # pairs intersect at +1
+    # pairs intersect at +1; loop k is cut k, loop ncuts + k gap k
     ncuts = len(pairs)
-    ngaps = len(gap_ends)
-    chain = []
-    for k in range(ncuts):
-        chain.append(("cut", k))
-        if k < ngaps:
-            chain.append(("gap", k))
-    idx_of = {}
-    for i, lp in enumerate(loops):
-        idx_of[(lp.kind, lp.index)] = i
-    chain_idx = [idx_of[c] for c in chain]
-    signs = np.zeros(nloops, dtype=int)
-    signs[chain_idx[0]] = 1
-    for a, b in zip(chain_idx, chain_idx[1:]):
+    chain = [i for k in range(ncuts) for i in (k, ncuts + k)][:-1]
+    signs = np.zeros(len(loops), dtype=int)
+    signs[0] = 1
+    for a, b in zip(chain, chain[1:]):
         raw = inter[a, b]
         if abs(raw) != 1:
             raise GeometryError(
-                f"chain neighbors intersect at {raw}; expected a simple chain"
-            )
+                f"chain neighbors intersect at {raw}; expected a simple chain")
         signs[b] = signs[a] * raw
 
     # basis as integer loop combinations
     g = curve.genus
-    alpha_mat = np.zeros((g, nloops), dtype=int)
-    beta_mat = np.zeros((g, nloops), dtype=int)
+    alpha_mat = np.zeros((g, len(loops)), dtype=int)
+    beta_mat = np.zeros((g, len(loops)), dtype=int)
     for i in range(g):
-        a_idx = idx_of[("cut", i + 1)]
-        alpha_mat[i, a_idx] = signs[a_idx]
-        for k in range(i + 1):
-            g_idx = idx_of[("gap", k)]
-            beta_mat[i, g_idx] = -signs[g_idx]
+        alpha_mat[i, i + 1] = signs[i + 1]
+        beta_mat[i, ncuts:ncuts + i + 1] = -signs[ncuts:ncuts + i + 1]
 
     # exact symplectic verification of the assembled basis
     big = np.vstack([alpha_mat, beta_mat])
     gram = big @ inter @ big.T
-    want = np.zeros((2 * g, 2 * g), dtype=int)
-    want[:g, g:] = np.eye(g, dtype=int)
-    want[g:, :g] = -np.eye(g, dtype=int)
+    want = np.kron([[0, 1], [-1, 0]], np.eye(g, dtype=int))
     if not np.array_equal(gram, want):
         raise GeometryError(
-            "assembled basis is not symplectic; intersection gram:\n"
-            f"{gram}"
-        )
+            f"assembled basis is not symplectic; intersection gram:\n{gram}")
 
     return CycleSystem(curve, evaluator, loops, alpha_mat, beta_mat,
-                       cut_segments, pairs, gap_ends)
+                       pairs, gap_ends)
 
 
 def build_cycles_robust(curve: CoverCurve, pairing=None) -> CycleSystem:
-    """build_cycles with a retry ladder: for awkward configurations the
-    default pairing or cap size can put a stadium across foreign
-    geometry, so alternative pairings and smaller caps are attempted
-    until one passes all the internal checks."""
+    """build_cycles with a retry ladder: the greedy, sorted and sweep
+    pairings in that order, each at CAP_FACTORS until one builds.  A
+    cap-free fault (crossing cuts, a spine without clearance) drops the
+    pairing after one attempt.  The first pairing built with spine_rho()
+    at least SPINE_RHO_MIN, whose spines the Gauss-Jacobi ladder can
+    settle, is returned, else the first built.  A given pairing is the
+    only candidate and is never scored."""
     pts = list(curve.branch_points)
     if pairing is not None:
         candidates = [[tuple(p) for p in pairing]]
-    else:
-        candidates, seen = [], set()
-        for strat in (_greedy_pairing, _default_pairing, _sweep_pairing):
-            prs = strat(pts)
-            key = tuple(sorted(tuple(sorted(p)) for p in prs))
-            if key not in seen:
-                seen.add(key)
-                candidates.append(prs)
-    last = None
+    else:  # the distinct pairings, in ladder order
+        found = (s(pts) for s in (_greedy_pairing, _default_pairing, _sweep_pairing))
+        candidates = list({frozenset(map(frozenset, prs)): prs
+                           for prs in found}.values())
+    first = last = None
     for cand in candidates:
-        for factor in (CAP_FACTOR, 0.18, 0.1, 0.06):
+        for factor in CAP_FACTORS:
             try:
-                return build_cycles(curve, pairing=cand, cap_factor=factor)
+                cyc = build_cycles(curve, pairing=cand, cap_factor=factor)
             except GeometryError as exc:
                 last = exc
+                if exc.cap_free:
+                    break
+                continue
+            if pairing is not None or cyc.spine_rho() >= SPINE_RHO_MIN:
+                return cyc
+            first = first or cyc
+            break
+    if first is not None:
+        return first
     raise last

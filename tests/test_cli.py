@@ -93,6 +93,9 @@ def test_periods_report(ref_config_path, tmp_path):
     assert len(rep["results"]["homological_coords"]) == 4
     assert rep["diagnostics"]["omega_symmetry_defect"] < 1e-8
     assert rep["diagnostics"]["omega_imag_min_eig"] > 0
+    # the basis Omega is written in: the given pairing, as built
+    assert rep["diagnostics"]["pairing"] == REF_CONFIG["pairing"]
+    assert rep["diagnostics"]["spine_rho_min"] > 1.0
 
 
 def test_periods_missing_config(tmp_path):

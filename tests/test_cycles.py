@@ -2,8 +2,11 @@
 import numpy as np
 import pytest
 
+from qdtau import cycles, tau
 from qdtau.curves import QDConfigG0, build_cover
 from qdtau.cycles import (
+    CAP_FACTORS,
+    SPINE_RHO_MIN,
     GeometryError,
     Segment,
     Arc,
@@ -13,6 +16,7 @@ from qdtau.cycles import (
     build_cycles,
     build_cycles_robust,
 )
+from test_periods import class_config
 
 
 def _close(a, b, tol=1e-12):
@@ -115,31 +119,60 @@ def test_reversed_pieces():
 REF = dict(zeros=[0.0], poles=[1.0, -1.0, 2.0, -2.0, 0.5])
 
 
-def _surface_intersections(loops):
-    """Signed sheet-aware intersection numbers, recomputed from the
-    loop geometry alone."""
-    from qdtau.cycles import loop_loop_crossings
+# Unpruned lift, enclosure and intersection passes: every piece against
+# every cut or piece, every foreign point wound.  They are the oracle of
+# the builder's disc-pruned passes and recompute intersection numbers
+# from the geometry alone.
 
+def all_pairs_lift(loops, cut_segments):
+    for lp in loops:
+        cr = []
+        for pi, piece in enumerate(lp.pieces):
+            for ci, cut in enumerate(cut_segments):
+                for s, _t in piece_crossings(piece, cut):
+                    cr.append((pi, s, ci))
+        cr.sort()
+        if len(cr) % 2:
+            raise GeometryError(
+                f"{lp.kind} loop {lp.index} crosses cuts an odd number of times")
+        lp.crossings = cr
+
+
+def all_pairs_enclosures(loops, pts, spine_ends):
+    for lp, own in zip(loops, spine_ends):
+        foreign = [i for i in range(len(pts)) if i not in own]
+        wound = winding_number(lp.pieces, [pts[i] for i in foreign])
+        if wound.any():
+            bad = foreign[np.flatnonzero(wound)[0]]
+            raise GeometryError(
+                f"{lp.kind} loop {lp.index} encloses branch point {bad}")
+
+
+def all_pairs_intersections(loops):
+    """Signed sheet-aware intersection numbers of the lifted loops."""
     n = len(loops)
     raw = np.zeros((n, n), dtype=int)
     for a in range(n):
         for b in range(a + 1, n):
             tot = 0
-            for pi, s, qj, t in loop_loop_crossings(loops[a], loops[b]):
-                if loops[a].sheet_at(pi, s) != loops[b].sheet_at(qj, t):
-                    continue
-                da = complex(loops[a].pieces[pi].tangent(s))
-                db = complex(loops[b].pieces[qj].tangent(t))
-                cross = (da.conjugate() * db).imag
-                assert cross != 0
-                tot += 1 if cross > 0 else -1
+            for pi, p in enumerate(loops[a].pieces):
+                for qj, q in enumerate(loops[b].pieces):
+                    for s, t in piece_crossings(p, q):
+                        if loops[a].sheet_at(pi, s) != loops[b].sheet_at(qj, t):
+                            continue
+                        da = p.tangent(s)
+                        db = q.tangent(t)
+                        cross = (da.conjugate() * db).imag
+                        if cross == 0:
+                            raise GeometryError("tangential loop crossing")
+                        tot += 1 if cross > 0 else -1
             raw[a, b] = tot
             raw[b, a] = -tot
     return raw
 
 
 def _gram(cycles):
-    raw = _surface_intersections(cycles.loops)
+    raw = all_pairs_intersections(cycles.loops)
     rows = np.vstack([cycles.alpha_mat, cycles.beta_mat])
     return rows @ raw @ rows.T
 
@@ -221,3 +254,166 @@ def test_pairing_that_leaves_a_point_unmatched_is_rejected():
             build_cycles(curve, pairing=pairing)
         with pytest.raises(ValueError):
             build_cycles_robust(curve, pairing=pairing)
+
+
+PRUNED = (cycles._lift, cycles._check_enclosures, cycles._intersections)
+ALL_PAIRS = (all_pairs_lift, all_pairs_enclosures, all_pairs_intersections)
+
+
+def _recorded_build(monkeypatch, passes, curve, pairing, factor):
+    """build_cycles with the given lift, enclosure and intersection
+    passes; returns what each pass produced and the error, if any."""
+    lift, enclosures, intersections = passes
+    seen = []
+
+    def rec_lift(loops, cut_segments):
+        lift(loops, cut_segments)
+        seen.append([lp.crossings for lp in loops])
+
+    def rec_enclosures(loops, pts, spine_ends):
+        enclosures(loops, pts, spine_ends)
+        seen.append("no stray enclosure")
+
+    def rec_intersections(loops):
+        inter = intersections(loops)
+        seen.append(inter.tolist())
+        return inter
+
+    monkeypatch.setattr(cycles, "_lift", rec_lift)
+    monkeypatch.setattr(cycles, "_check_enclosures", rec_enclosures)
+    monkeypatch.setattr(cycles, "_intersections", rec_intersections)
+    try:
+        build_cycles(curve, pairing=pairing, cap_factor=factor)
+    except GeometryError as exc:
+        seen.append(str(exc))
+    return seen
+
+
+def test_disc_pruning_matches_all_pairs_passes(monkeypatch):
+    # every pairing the ladder tries, at every cap factor: crossings,
+    # enclosure verdicts, intersection matrices and errors all agree
+    rng = np.random.default_rng(909)
+    outcomes = set()
+    for cls in ("generic", "clustered", "collinear", "scaled"):
+        for n in (5, 6, 7, 8):
+            for _ in range(7):
+                curve = build_cover(class_config(rng, cls, n))
+                pts = list(curve.branch_points)
+                candidates = {frozenset(frozenset(p) for p in strat(pts))
+                              for strat in (cycles._greedy_pairing,
+                                            cycles._default_pairing,
+                                            cycles._sweep_pairing)}
+                for pairing in candidates:
+                    for factor in CAP_FACTORS:
+                        args = (curve, [tuple(p) for p in pairing], factor)
+                        got = _recorded_build(monkeypatch, PRUNED, *args)
+                        want = _recorded_build(monkeypatch, ALL_PAIRS, *args)
+                        assert got == want, (cls, n, pairing, factor)
+                        outcomes.add(len(got) if isinstance(got[-1], list)
+                                     else got[-1].split()[0])
+    # built systems and the rejections these classes meet were compared
+    assert {3, "cuts", "spine", "assembled"} <= outcomes, outcomes
+
+
+def _verdict(pass_, *args):
+    try:
+        out = pass_(*args)
+    except GeometryError as exc:
+        return str(exc)
+    return [lp.crossings for lp in args[0]] if out is None else out.tolist()
+
+
+def test_pruned_passes_match_all_pairs_on_bare_geometry():
+    # the builder's clearances keep stray enclosures, odd lifts and
+    # crossings far from a loop's own caps out of reach, so random
+    # stadiums among random cuts and points exercise those verdicts
+    rng = np.random.default_rng(77)
+    verdicts = []
+    for _ in range(60):
+        ends = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
+        loops = [cycles.Loop(stadium(a, b, *(rng.uniform(0.05, 0.6, 2)
+                                            * abs(b - a))), "gap", k)
+                 for k, (a, b) in enumerate(ends)]
+        cuts = [Segment(*z) for z in rng.normal(size=(3, 2))
+                + 1j * rng.normal(size=(3, 2))]
+        pts = [*ends[0], *(rng.normal(size=4) + 1j * rng.normal(size=4))]
+        for pruned, oracle, args in (
+                (cycles._check_enclosures, all_pairs_enclosures,
+                 (loops[:1], pts, [(0, 1)])),
+                (cycles._lift, all_pairs_lift, (loops, cuts)),
+                (cycles._intersections, all_pairs_intersections, (loops,))):
+            got = _verdict(pruned, *args)
+            assert got == _verdict(oracle, *args)
+            verdicts.append(got if isinstance(got, str) else pruned.__name__)
+            if isinstance(got, str):
+                break
+    # every pass passed and failed somewhere
+    assert {"_check_enclosures", "_lift", "_intersections"} <= set(verdicts)
+    assert {"encloses", "crosses"} <= {v.split()[3] for v in verdicts
+                                       if v.startswith("gap loop")}
+
+
+def test_explicit_pairing_with_poor_rho_is_kept():
+    # the zero-zero family's pinching zeros at d = 3.9e-4 crowd a spine
+    # past SPINE_RHO_MIN; a given pairing is still built as it is
+    fam = tau.zero_zero_family()
+    curve = build_cover(fam.config(0.1 * 0.5 ** 8))
+    cyc = build_cycles_robust(curve, pairing=fam.pairing)
+    assert ({tuple(sorted(p)) for p in cyc.pairs}
+            == {tuple(sorted(p)) for p in fam.pairing})
+    assert 1.0 < cyc.spine_rho() < SPINE_RHO_MIN
+
+
+def _spy_attempts(monkeypatch):
+    """Record (pairing, cap factor, system built or error) of every
+    attempt."""
+    attempts = []
+    real = cycles.build_cycles
+
+    def spy(curve, pairing=None, cap_factor=cycles.CAP_FACTOR):
+        key = frozenset(frozenset(p) for p in pairing)
+        try:
+            out = real(curve, pairing=pairing, cap_factor=cap_factor)
+        except GeometryError as exc:
+            attempts.append((key, cap_factor, exc))
+            raise
+        attempts.append((key, cap_factor, out))
+        return out
+
+    monkeypatch.setattr(cycles, "build_cycles", spy)
+    return attempts
+
+
+def test_crossing_cuts_are_attempted_once(monkeypatch):
+    attempts = _spy_attempts(monkeypatch)
+    # the diagonals of a square cross at its centre
+    curve = build_cover(QDConfigG0(zeros=[2.0], poles=[1 + 1j, -1 - 1j, 1 - 1j,
+                                                       -1 + 1j, 3.0]))
+    with pytest.raises(GeometryError, match="cuts 0 and 1 intersect"):
+        build_cycles_robust(curve, pairing=[(1, 2), (3, 4), (0, 5)])
+    assert len(attempts) == 1 and attempts[0][2].cap_free
+
+
+def test_ladder_drops_cap_free_faults_and_ranks_by_rho(monkeypatch):
+    attempts = _spy_attempts(monkeypatch)
+    rng = np.random.default_rng(12)
+    dropped = rescued = 0
+    for cls in ("generic", "clustered", "collinear", "scaled"):
+        for n in (5, 6, 7, 8):
+            for _ in range(2):
+                del attempts[:]
+                cyc = build_cycles_robust(build_cover(class_config(rng, cls, n)))
+                tried = [key for key, _, _ in attempts]
+                for key, factor, out in attempts:
+                    if isinstance(out, GeometryError) and out.cap_free:
+                        assert tried.count(key) == 1
+                        assert factor == CAP_FACTORS[0]
+                        dropped += 1
+                # the first clear pairing that built, else the first built
+                built = [out for _, _, out in attempts
+                         if not isinstance(out, GeometryError)]
+                clear = [c for c in built if c.spine_rho() >= SPINE_RHO_MIN]
+                assert cyc is (clear[0] if clear else built[0])
+                assert cyc is built[-1] or not clear
+                rescued += cyc is not built[0]
+    assert dropped >= 3 and rescued >= 1

@@ -2,10 +2,10 @@
 import numpy as np
 import pytest
 
-from qdtau import tau
+from qdtau import strata, tau
 from qdtau.bergman import BergmanEvaluator
 from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
-from qdtau.cycles import build_cycles_robust
+from qdtau.cycles import SPINE_RHO_MIN, build_cycles_robust
 from qdtau.periods import PeriodEngine, Differential, holo_diff, v_diff
 from qdtau.quadrature import QuadratureError
 from test_tau import _genus3_path, _kappa_configs
@@ -292,4 +292,33 @@ def test_generic_engines_make_no_contour_call(monkeypatch):
         pe.period_matrix()
         pe.homological_coordinates()
         BergmanEvaluator(pe).correction()
+    assert calls == []
+
+
+# eight branch points within 1e-3 of a line (zeros first): the greedy
+# pairing joins the ends of the row past six foreign points (worst
+# spine rho 1.0000016), so the ladder must not stop there
+COLLINEAR = QDConfigG0(
+    zeros=[0.1072563909415523 + 0.00031154442284457177j,
+           -2.3490066545881865 + 0.0010161154501581598j],
+    poles=[0.7551783616755803 - 0.0006277467354209106j,
+           -1.4195303189714452 + 0.0007209908104205179j,
+           -1.0489960338146318 + 0.000434135454945383j,
+           2.1309811354234296 - 0.0007854969916183529j,
+           1.8441086036913055 - 0.0005865129069926625j,
+           2.497071134212012 - 0.0003661584425061073j])
+
+
+def test_collinear_ladder_keeps_every_period_on_the_spine(monkeypatch):
+    calls = []
+    monkeypatch.setattr(PeriodEngine, "contour_loop_period",
+                        lambda self, fn, loop_idx, tol=None:
+                        calls.append(loop_idx))
+    conn = tau.build_connection(COLLINEAR)
+    assert conn.pe.cycles.spine_rho() >= SPINE_RHO_MIN
+    conn.pe.period_matrix()
+    conn.v_periods()
+    conn.be.correction()
+    for branch, kappa in zip((1, -1), strata.principal_kappa(0, COLLINEAR.n)):
+        assert abs(conn.euler_pairing(branch) - float(kappa)) < 1e-8
     assert calls == []
