@@ -52,8 +52,7 @@ def fraction_sums(d, rows):
 
 
 class BergmanEvaluator:
-    def __init__(self, engine: PeriodEngine, alpha_mat=None, beta_mat=None,
-                 probe_offset: float = 0.37):
+    def __init__(self, engine: PeriodEngine, alpha_mat=None, beta_mat=None):
         self.pe = engine
         self.curve = engine.curve
         self.ev = engine.ev
@@ -69,7 +68,6 @@ class BergmanEvaluator:
         self.p1_rows, self.p2_rows = np.array(order[0::2]), np.array(order[1::2])
         self._p1 = np.poly(pts[self.p1_rows])
         self._p2 = np.poly(pts[self.p2_rows])
-        self._probe_offset = probe_offset
         self._C = None
         self._quad = None
         self.correction_defect = None
@@ -88,12 +86,12 @@ class BergmanEvaluator:
             self._p1, w
         ) * np.polyval(self._p2, x)
 
-    def _probes(self):
+    def _probes(self, offset):
         pts = np.array(self.curve.branch_points)
         center = pts.mean()
         rad = 1.5 * max(abs(pts - center).max(), 1e-6)
         g = self.curve.genus
-        ang = 2 * np.pi * np.arange(g) / g + self._probe_offset
+        ang = 2 * np.pi * np.arange(g) / g + offset
         return center + rad * np.exp(1j * ang)
 
     def _alpha_integrals(self, x0):
@@ -115,12 +113,13 @@ class BergmanEvaluator:
         alpha period of Bhat in its second argument vanishes."""
         if self._C is not None:
             return self._C
+        offset = 0.37
         for attempt in range(4):
-            probes = self._probes()
+            probes = self._probes(offset)
             u = self.q_values(probes) / self.ev.y(probes)[:, None]
             if np.linalg.cond(u) < 1e8:
                 break
-            self._probe_offset += 0.21
+            offset += 0.21
         else:
             raise GeometryError("probe matrix ill-conditioned")
         rint = np.array([self._alpha_integrals(xp) for xp in probes])
@@ -197,5 +196,4 @@ class BergmanEvaluator:
         A beta); reuses the engine's cached loop periods."""
         am2, bm2 = transform_basis(sigma, self.alpha_mat,
                                    self.pe.cycles.beta_mat)
-        return BergmanEvaluator(self.pe, alpha_mat=am2, beta_mat=bm2,
-                                probe_offset=self._probe_offset)
+        return BergmanEvaluator(self.pe, alpha_mat=am2, beta_mat=bm2)

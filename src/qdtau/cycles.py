@@ -7,10 +7,11 @@ segments.  Loops are lifted to the double cover by tracking cut
 crossings, intersection numbers are counted at same-sheet transversal
 crossings, and the alpha/beta basis comes out as integer combinations
 of the loops, verified against the standard symplectic form exactly.
-Pieces whose bounding discs are disjoint are never tested for crossings.
-`build_cycles_robust` tries three pairings in turn, drops one with
-crossing cuts or a spine without clearance after one attempt, and
-prefers the first whose spines keep clear of foreign branch points.
+Caps stay inside each spine's clearance, so a loop encloses no foreign
+branch point and crosses only the cuts it must (`build_cycles`); pieces
+whose bounding discs are disjoint are never tested for crossings.
+`build_cycles_robust` tries three pairings, each once, and prefers the
+first whose spines keep clear of foreign branch points.
 """
 
 from __future__ import annotations
@@ -24,8 +25,7 @@ import numpy as np
 from .curves import CoverCurve, SheetedEval
 from .quadrature import SPINE_SIZES
 
-CAP_FACTOR = 0.3
-CAP_FACTORS = (CAP_FACTOR, 0.18, 0.1, 0.06)
+CAP_FACTORS = (0.3, 0.18, 0.1, 0.06)
 GAP_CAP_SHRINK = 0.8
 
 # an n-point Gauss-Jacobi rule errs like rho^(-2n) on a spine of
@@ -35,14 +35,9 @@ SPINE_RHO_MIN = 1e-11 ** (-0.5 / SPINE_SIZES[-1])
 
 
 class GeometryError(RuntimeError):
-    """Configuration defeats the contour builder (tangencies, enclosed
-    stray branch points, or an intersection pattern that is not the
-    standard chain).  ``cap_free`` marks a fault of the pairing itself
-    (crossing cuts, a spine without clearance) that no cap can mend."""
-
-    def __init__(self, message, cap_free=False):
-        super().__init__(message)
-        self.cap_free = cap_free
+    """Configuration defeats the contour builder (crossing cuts, a spine
+    without clearance, tangencies, or an intersection pattern that is
+    not the standard chain)."""
 
 
 @dataclass(frozen=True)
@@ -242,18 +237,6 @@ def loop_loop_crossings(la: Loop, lb: Loop):
     return out
 
 
-def winding_number(pieces, z0, samples=64):
-    """Winding numbers of the closed path around each point of z0 (a
-    point or an array of them), in one broadcast over points x samples."""
-    s = np.linspace(0.0, 1.0, samples + 1)
-    path = np.concatenate([p.point(s) for p in pieces])
-    w = np.angle(path - np.asarray(z0, dtype=complex)[..., None])
-    dw = np.diff(w, axis=-1)
-    dw = np.where(dw > math.pi, dw - 2 * math.pi,
-                  np.where(dw < -math.pi, dw + 2 * math.pi, dw))
-    return np.rint(np.sum(dw, axis=-1) / (2 * math.pi)).astype(int)
-
-
 class CycleSystem:
     """Loops plus the integer combinations expressing a symplectic
     basis of the double cover's homology.
@@ -294,14 +277,15 @@ class CycleSystem:
         return float(np.where(own, np.inf, np.maximum(rho, 1.0 / rho)).min())
 
 
-def _point_seg_dist(p, a, b):
-    d = b - a
-    L2 = (d * d.conjugate()).real
-    if L2 == 0:
-        return abs(p - a)
-    s = ((p - a) * d.conjugate()).real / L2
-    s = min(1.0, max(0.0, s))
-    return abs(p - (a + s * d))
+def _seg_dist(p, a, b):
+    """Distances from points p to segments [a, b], broadcast.  Written in
+    real components: np.hypot rounds as abs() of a Python complex, while
+    np.abs and complex products would move caps in the last bit."""
+    dx, dy = b.real - a.real, b.imag - a.imag
+    l2 = dx * dx + dy * dy
+    s = (p.real - a.real) * dx + (p.imag - a.imag) * dy
+    s = np.clip(s / np.where(l2 > 0, l2, 1.0), 0.0, 1.0)
+    return np.hypot(p.real - (a.real + s * dx), p.imag - (a.imag + s * dy))
 
 
 def _default_pairing(points):
@@ -337,37 +321,17 @@ def _sweep_pairing(points):
 
 def _lift(loops, cut_segments):
     """Order each loop's cut crossings along the loop: the lift starts
-    on sheet +1 and flips at every crossing."""
-    cut_discs = [_piece_disc(c) for c in cut_segments]
+    on sheet +1 and flips at every crossing.  Only gap loop k's
+    adjacent cuts k and k + 1 are tested: the caps keep every other
+    crossing out of reach (`build_cycles`)."""
     for lp in loops:
-        near = [ci for ci, d in enumerate(cut_discs) if not _apart(lp.disc, d)]
-        cr = []
-        for pi, (piece, dp) in enumerate(zip(lp.pieces, lp.piece_discs)):
-            for ci in near:
-                if not _apart(dp, cut_discs[ci]):
-                    cr.extend((pi, s, ci) for s, _t in
-                              piece_crossings(piece, cut_segments[ci]))
-        cr.sort()
+        near = () if lp.kind == "cut" else (lp.index, lp.index + 1)
+        cr = sorted((pi, s, ci) for pi, piece in enumerate(lp.pieces) for ci in near
+                    for s, _t in piece_crossings(piece, cut_segments[ci]))
         if len(cr) % 2:
             raise GeometryError(
                 f"{lp.kind} loop {lp.index} crosses cuts an odd number of times")
         lp.crossings = cr
-
-
-def _check_enclosures(loops, pts, spine_ends):
-    """Stray enclosures break the sheet bookkeeping: every loop may wind
-    only around its own spine's ends.  Points outside its disc cannot."""
-    for lp, own in zip(loops, spine_ends):
-        centre, radius = lp.disc
-        near = [i for i, z in enumerate(pts) if i not in own
-                and abs(z - centre) <= radius * (1.0 + 1e-9)]
-        if not near:
-            continue
-        wound = winding_number(lp.pieces, [pts[i] for i in near])
-        if wound.any():
-            bad = near[np.flatnonzero(wound)[0]]
-            raise GeometryError(
-                f"{lp.kind} loop {lp.index} encloses branch point {bad}")
 
 
 def _intersections(loops):
@@ -388,7 +352,77 @@ def _intersections(loops):
     return inter - inter.T
 
 
-def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> CycleSystem:
+def _stadiums(pts, pairs, gap_ends, radii, clamps):
+    """Cut loops, then gap loops: each cap at its point's radius, a gap's
+    at GAP_CAP_SHRINK of the cut cap it shares, none above its spine's
+    clamp."""
+    loops = []
+    cut_cap = {}
+    for k, (i, j) in enumerate(pairs):
+        ra, rb = min(radii[i], clamps[k]), min(radii[j], clamps[k])
+        cut_cap[i], cut_cap[j] = ra, rb
+        loops.append(Loop(stadium(pts[i], pts[j], ra, rb), "cut", k))
+    for k, (i, j) in enumerate(gap_ends):
+        cl = clamps[len(pairs) + k]
+        ra = min(GAP_CAP_SHRINK * cut_cap[i], cl)
+        rb = min(GAP_CAP_SHRINK * cut_cap[j], cl)
+        loops.append(Loop(stadium(pts[i], pts[j], ra, rb), "gap", k))
+    return loops
+
+
+def _symplectic_basis(loops, ncuts, g):
+    """(alpha_mat, beta_mat) of the lifted loops, certified by their
+    exact intersection numbers."""
+    inter = _intersections(loops)
+
+    # normalize signs along the chain C1 G1 C2 G2 ... so consecutive
+    # pairs intersect at +1; loop k is cut k, loop ncuts + k gap k
+    chain = [i for k in range(ncuts) for i in (k, ncuts + k)][:-1]
+    signs = np.zeros(len(loops), dtype=int)
+    signs[0] = 1
+    for a, b in zip(chain, chain[1:]):
+        raw = inter[a, b]
+        if abs(raw) != 1:
+            raise GeometryError(
+                f"chain neighbors intersect at {raw}; expected a simple chain")
+        signs[b] = signs[a] * raw
+
+    # basis as integer loop combinations
+    alpha_mat = np.zeros((g, len(loops)), dtype=int)
+    beta_mat = np.zeros((g, len(loops)), dtype=int)
+    for i in range(g):
+        alpha_mat[i, i + 1] = signs[i + 1]
+        beta_mat[i, ncuts:ncuts + i + 1] = -signs[ncuts:ncuts + i + 1]
+
+    # exact symplectic verification of the assembled basis
+    big = np.vstack([alpha_mat, beta_mat])
+    gram = big @ inter @ big.T
+    want = np.kron([[0, 1], [-1, 0]], np.eye(g, dtype=int))
+    if not np.array_equal(gram, want):
+        raise GeometryError(
+            f"assembled basis is not symplectic; intersection gram:\n{gram}")
+    return alpha_mat, beta_mat
+
+
+def build_cycles(curve: CoverCurve, pairing=None) -> CycleSystem:
+    """Cycle system of the pairing (the sorted one if None).
+
+    The pairing alone fixes the cuts, the gaps and each spine's
+    clearance: its distance from every foreign branch point and every
+    cut but a cut loop's own and gap k's neighbours k and k + 1.  A
+    cut the spine does not cross is nearest it at an end of one of the
+    two, and the cut's ends are foreign points, so only the spine's
+    ends are measured against it.  Crossing cuts and a spine without
+    clearance raise GeometryError before any cap is drawn.
+
+    Caps are at most 0.45 of their spine's clearance, and a stadium
+    lies in the convex hull of its cap discs, so within max(ra, rb) of
+    its spine, short of the clearance.  So no stadium encloses a
+    foreign branch point, a cut loop crosses no cut, and gap loop k
+    crosses only cuts k and k + 1, all that `_lift` tests.
+    `PeriodEngine.sigma()` rests on the same bound.  Only the stadiums,
+    lift and basis depend on the caps; they are retried at each of
+    CAP_FACTORS in turn, and the last failure is raised."""
     pts = list(curve.branch_points)
     pairs = _default_pairing(pts) if pairing is None else [tuple(p) for p in pairing]
     if (sorted(i for p in pairs for i in p) != list(range(len(pts)))
@@ -406,120 +440,72 @@ def build_cycles(curve: CoverCurve, pairing=None, cap_factor=CAP_FACTOR) -> Cycl
 
     evaluator = SheetedEval(pts, pairs)
     cut_segments = [Segment(pts[i], pts[j]) for i, j in pairs]
-
-    # reject mutually crossing cuts outright
-    for i in range(len(cut_segments)):
-        for j in range(i + 1, len(cut_segments)):
+    ncuts = len(pairs)
+    for i in range(ncuts):
+        for j in range(i + 1, ncuts):
             if piece_crossings(cut_segments[i], cut_segments[j]):
-                raise GeometryError(f"cuts {i} and {j} intersect",
-                                    cap_free=True)
-
-    # hypot rounds as abs() of a Python complex; np.abs would move caps
-    diff = np.subtract.outer(pts, pts)
-    dist = np.hypot(diff.real, diff.imag)
-    scale_len = float(dist.max())
-    radii = (cap_factor * np.where(dist > 0, dist, np.inf).min(axis=1)).tolist()
+                raise GeometryError(f"cuts {i} and {j} intersect")
 
     # gap spines join consecutive cuts tail-to-head
-    gap_ends = [(pairs[k][1], pairs[k + 1][0]) for k in range(len(pairs) - 1)]
+    gap_ends = [(pairs[k][1], pairs[k + 1][0]) for k in range(ncuts - 1)]
 
-    def loop_clamp(i, j, allowed_cuts):
-        """Clearance of the spine [i, j] from foreign branch points and
-        from cuts it is not meant to cross; those cuts end at foreign
-        points, so only the spine's ends are measured against them."""
-        a, b = pts[i], pts[j]
-        cuts = [c for ci, c in enumerate(cut_segments) if ci not in allowed_cuts]
-        clear = min([_point_seg_dist(z, a, b) for k, z in enumerate(pts)
-                     if k not in (i, j)]
-                    + [_point_seg_dist(e, c.a, c.b) for c in cuts for e in (a, b)])
-        if clear < 1e-9 * scale_len or any(_seg_seg(Segment(a, b), c) for c in cuts):
-            raise GeometryError("spine has no clearance from foreign cuts",
-                                cap_free=True)
-        return 0.45 * clear
+    # hypot rounds as abs() of a Python complex; np.abs would move caps
+    z = np.array(pts)
+    diff = np.subtract.outer(z, z)
+    dist = np.hypot(diff.real, diff.imag)
+    nearest = np.where(dist > 0, dist, np.inf).min(axis=1)
 
-    # clearances depend on the pairing alone: settle them before any cap;
-    # gap k may cross its adjacent cuts k and k + 1
-    cut_clamps = [loop_clamp(i, j, {k}) for k, (i, j) in enumerate(pairs)]
-    gap_clamps = [loop_clamp(i, j, {k, k + 1}) for k, (i, j) in enumerate(gap_ends)]
+    # clearance of every spine (cuts, then gaps); spine s may cross
+    # cuts lo[s]..hi[s], and a cut crossing another was rejected above
+    ends = np.array(pairs + gap_ends)
+    own = (np.arange(len(z)) == ends[:, :, None]).any(axis=1)
+    foreign = np.where(own, np.inf, _seg_dist(z, z[ends[:, :1]], z[ends[:, 1:]]))
+    lo = np.r_[0:ncuts, 0:ncuts - 1]
+    hi = lo + (np.arange(len(ends)) >= ncuts)
+    crossable = (lo[:, None] <= np.arange(ncuts)) & (np.arange(ncuts) <= hi[:, None])
+    to_cuts = _seg_dist(z[ends][:, :, None], z[ends[:ncuts, 0]], z[ends[:ncuts, 1]])
+    clear = np.minimum(foreign.min(axis=1),
+                       np.where(crossable, np.inf, to_cuts.min(axis=1)).min(axis=1))
+    if (clear < 1e-9 * dist.max()).any() or any(
+            _seg_seg(Segment(pts[i], pts[j]), cut_segments[c])
+            for k, (i, j) in enumerate(gap_ends) for c in range(ncuts)
+            if not crossable[ncuts + k, c]):
+        raise GeometryError("spine has no clearance from foreign cuts")
+    clamps = (0.45 * clear).tolist()
 
-    loops = []
-    cut_cap = {}
-    for k, ((i, j), cl) in enumerate(zip(pairs, cut_clamps)):
-        ra, rb = min(radii[i], cl), min(radii[j], cl)
-        cut_cap[i], cut_cap[j] = ra, rb
-        loops.append(Loop(stadium(pts[i], pts[j], ra, rb), "cut", k))
-
-    for k, ((i, j), cl) in enumerate(zip(gap_ends, gap_clamps)):
-        ra = min(GAP_CAP_SHRINK * cut_cap[i], cl)
-        rb = min(GAP_CAP_SHRINK * cut_cap[j], cl)
-        loops.append(Loop(stadium(pts[i], pts[j], ra, rb), "gap", k))
-
-    _lift(loops, cut_segments)
-    _check_enclosures(loops, pts, pairs + gap_ends)
-    inter = _intersections(loops)
-
-    # normalize signs along the chain C1 G1 C2 G2 ... so consecutive
-    # pairs intersect at +1; loop k is cut k, loop ncuts + k gap k
-    ncuts = len(pairs)
-    chain = [i for k in range(ncuts) for i in (k, ncuts + k)][:-1]
-    signs = np.zeros(len(loops), dtype=int)
-    signs[0] = 1
-    for a, b in zip(chain, chain[1:]):
-        raw = inter[a, b]
-        if abs(raw) != 1:
-            raise GeometryError(
-                f"chain neighbors intersect at {raw}; expected a simple chain")
-        signs[b] = signs[a] * raw
-
-    # basis as integer loop combinations
-    g = curve.genus
-    alpha_mat = np.zeros((g, len(loops)), dtype=int)
-    beta_mat = np.zeros((g, len(loops)), dtype=int)
-    for i in range(g):
-        alpha_mat[i, i + 1] = signs[i + 1]
-        beta_mat[i, ncuts:ncuts + i + 1] = -signs[ncuts:ncuts + i + 1]
-
-    # exact symplectic verification of the assembled basis
-    big = np.vstack([alpha_mat, beta_mat])
-    gram = big @ inter @ big.T
-    want = np.kron([[0, 1], [-1, 0]], np.eye(g, dtype=int))
-    if not np.array_equal(gram, want):
-        raise GeometryError(
-            f"assembled basis is not symplectic; intersection gram:\n{gram}")
-
-    return CycleSystem(curve, evaluator, loops, alpha_mat, beta_mat,
-                       pairs, gap_ends)
+    for factor in CAP_FACTORS:
+        try:
+            loops = _stadiums(pts, pairs, gap_ends, (factor * nearest).tolist(),
+                              clamps)
+            _lift(loops, cut_segments)
+            alpha_mat, beta_mat = _symplectic_basis(loops, ncuts, curve.genus)
+        except GeometryError as exc:
+            last = exc
+            continue
+        return CycleSystem(curve, evaluator, loops, alpha_mat, beta_mat,
+                           pairs, gap_ends)
+    raise last
 
 
 def build_cycles_robust(curve: CoverCurve, pairing=None) -> CycleSystem:
-    """build_cycles with a retry ladder: the greedy, sorted and sweep
-    pairings in that order, each at CAP_FACTORS until one builds.  A
-    cap-free fault (crossing cuts, a spine without clearance) drops the
-    pairing after one attempt.  The first pairing built with spine_rho()
-    at least SPINE_RHO_MIN, whose spines the Gauss-Jacobi ladder can
-    settle, is returned, else the first built.  A given pairing is the
-    only candidate and is never scored."""
-    pts = list(curve.branch_points)
+    """build_cycles of a given pairing, else of the greedy, sorted and
+    sweep pairings in turn, each distinct pairing once.  The first
+    built with spine_rho() at least SPINE_RHO_MIN, whose spines the
+    Gauss-Jacobi ladder can settle, is returned, else the first built."""
     if pairing is not None:
-        candidates = [[tuple(p) for p in pairing]]
-    else:  # the distinct pairings, in ladder order
-        found = (s(pts) for s in (_greedy_pairing, _default_pairing, _sweep_pairing))
-        candidates = list({frozenset(map(frozenset, prs)): prs
-                           for prs in found}.values())
+        return build_cycles(curve, pairing)
+    pts = list(curve.branch_points)
+    found = (s(pts) for s in (_greedy_pairing, _default_pairing, _sweep_pairing))
     first = last = None
-    for cand in candidates:
-        for factor in CAP_FACTORS:
-            try:
-                cyc = build_cycles(curve, pairing=cand, cap_factor=factor)
-            except GeometryError as exc:
-                last = exc
-                if exc.cap_free:
-                    break
-                continue
-            if pairing is not None or cyc.spine_rho() >= SPINE_RHO_MIN:
-                return cyc
-            first = first or cyc
-            break
-    if first is not None:
-        return first
-    raise last
+    for cand in {frozenset(map(frozenset, prs)): prs for prs in found}.values():
+        try:
+            cyc = build_cycles(curve, cand)
+        except GeometryError as exc:
+            last = exc
+            continue
+        if cyc.spine_rho() >= SPINE_RHO_MIN:
+            return cyc
+        first = first or cyc
+    if first is None:
+        raise last
+    return first

@@ -168,19 +168,19 @@ class TauConnection:
     """Periods of phi+- and v over one symplectic basis.
 
     The kernel evaluator is built lazily: plain v-period work never
-    pays for the probe solve.
-    `tag` keys phi's loop periods in the engine's cache; two connections
-    sharing one engine (a basis change) must carry distinct tags.
+    pays for the probe solve.  phi's numerator is fixed by the kernel
+    evaluator's alpha rows alone (its alpha-normalized N, C and t), so
+    its loop periods are cached in the engine under those rows: a basis
+    change that keeps the alpha cycles reuses them.
     """
 
     def __init__(self, engine: PeriodEngine, config: QDConfigG0,
-                 bergman=None, alpha_mat=None, beta_mat=None, tag="base"):
+                 bergman=None, alpha_mat=None, beta_mat=None):
         self.pe = engine
         self.config = config
         self._be = bergman
         self.alpha_mat = engine.cycles.alpha_mat if alpha_mat is None else alpha_mat
         self.beta_mat = engine.cycles.beta_mat if beta_mat is None else beta_mat
-        self.tag = tag
         self._phi = {}
 
     @property
@@ -213,11 +213,11 @@ class TauConnection:
     def phi_periods(self, branch: int):
         """(alpha, beta) periods of phi for the branch; the first call
         samples both branches' numerators in one pass and integrates
-        them together, keyed by the connection's tag."""
+        them together."""
         if not self._phi:
             vals = reduced_loop_periods(
                 self.pe, phi_numerators(self.be, self.config),
-                ("phi", self.tag))
+                ("phi", self.be.alpha_mat.tobytes()))
             for b, v in zip(BRANCHES, vals):
                 self._phi[b] = (self.alpha_mat @ v, self.beta_mat @ v)
         return self._phi[branch]
@@ -281,7 +281,6 @@ def basis_change_residual(make_config, s: float, sigma, pairing=None):
         bergman=center.be.transformed(sig),
         alpha_mat=am2,
         beta_mat=bm2,
-        tag=("sigma", sig.tobytes()),
     )
     b_dot, c_dot = _tangent(make_config, s)
     dv = center.v_velocities(b_dot, c_dot)

@@ -12,7 +12,6 @@ from qdtau.cycles import (
     Arc,
     stadium,
     piece_crossings,
-    winding_number,
     build_cycles,
     build_cycles_robust,
 )
@@ -23,48 +22,31 @@ def _close(a, b, tol=1e-12):
     return abs(complex(a) - complex(b)) < tol
 
 
+def polyline(pieces, samples=64):
+    s = np.linspace(0.0, 1.0, samples + 1)
+    return np.concatenate([p.point(s) for p in pieces])
+
+
+def scalar_winding_number(path, z0):
+    """Winding number of the closed polyline path around the point z0."""
+    dw = np.diff(np.angle(path - z0))
+    dw = np.where(dw > np.pi, dw - 2 * np.pi,
+                  np.where(dw < -np.pi, dw + 2 * np.pi, dw))
+    return round(float(np.sum(dw)) / (2 * np.pi))
+
+
 def test_stadium_closes_and_winds_once():
     pieces = stadium(0.0, 2.0 + 1.0j, 0.3, 0.45)
     # consecutive endpoints must chain up, last back to first
     for p, q in zip(pieces, pieces[1:] + pieces[:1]):
         assert _close(p.point(1.0), q.point(0.0), 1e-9)
     # both foci inside, winding +1 (counterclockwise)
-    assert winding_number(pieces, 0.0) == 1
-    assert winding_number(pieces, 2.0 + 1.0j) == 1
-    assert winding_number(pieces, 1.0 + 0.5j) == 1
-    assert winding_number(pieces, 5.0) == 0
-    assert winding_number(pieces, -1.0j) == 0
-
-
-def scalar_winding_number(pieces, z0, samples=64):
-    """The one-point form winding_number had before it took arrays."""
-    s = np.linspace(0.0, 1.0, samples + 1)
-    w = np.angle(np.concatenate([p.point(s) for p in pieces]) - z0)
-    dw = np.diff(w)
-    dw = np.where(dw > np.pi, dw - 2 * np.pi,
-                  np.where(dw < -np.pi, dw + 2 * np.pi, dw))
-    return round(float(np.sum(dw)) / (2 * np.pi))
-
-
-def test_batched_winding_number_matches_scalar_form():
-    rng = np.random.default_rng(31)
-    wound = 0
-    for _ in range(40):
-        a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
-        ra, rb = rng.uniform(0.05, 0.4, 2) * abs(b - a)
-        pieces = stadium(a, b, ra, rb)
-        if rng.random() < 0.5:
-            pieces = [p.reversed() for p in pieces[::-1]]
-        # points around and inside the stadium, its foci included
-        z = np.concatenate([[a, b, (a + b) / 2],
-                            a + (b - a) * (rng.normal(size=12)
-                                           + 1j * rng.normal(size=12))])
-        got = winding_number(pieces, z)
-        want = [scalar_winding_number(pieces, zi) for zi in z]
-        assert got.tolist() == want
-        wound += np.count_nonzero(got)
-    # both points inside (foci, centre) and outside were tested
-    assert 120 <= wound < 40 * 15
+    path = polyline(pieces)
+    assert scalar_winding_number(path, 0.0) == 1
+    assert scalar_winding_number(path, 2.0 + 1.0j) == 1
+    assert scalar_winding_number(path, 1.0 + 0.5j) == 1
+    assert scalar_winding_number(path, 5.0) == 0
+    assert scalar_winding_number(path, -1.0j) == 0
 
 
 def test_stadium_rejects_swallowed_disk():
@@ -121,8 +103,8 @@ REF = dict(zeros=[0.0], poles=[1.0, -1.0, 2.0, -2.0, 0.5])
 
 # Unpruned lift, enclosure and intersection passes: every piece against
 # every cut or piece, every foreign point wound.  They are the oracle of
-# the builder's disc-pruned passes and recompute intersection numbers
-# from the geometry alone.
+# the builder's pruned passes and recompute intersection numbers from
+# the geometry alone.
 
 def all_pairs_lift(loops, cut_segments):
     for lp in loops:
@@ -138,14 +120,20 @@ def all_pairs_lift(loops, cut_segments):
         lp.crossings = cr
 
 
-def all_pairs_enclosures(loops, pts, spine_ends):
-    for lp, own in zip(loops, spine_ends):
-        foreign = [i for i in range(len(pts)) if i not in own]
-        wound = winding_number(lp.pieces, [pts[i] for i in foreign])
-        if wound.any():
-            bad = foreign[np.flatnonzero(wound)[0]]
-            raise GeometryError(
-                f"{lp.kind} loop {lp.index} encloses branch point {bad}")
+def all_pairs_enclosures(loops, pts):
+    """(kind, index, point) of every branch point a loop winds around
+    other than its spine's ends, the centres of its caps.  A point
+    outside the polyline's bounding box is wound around zero times."""
+    out = []
+    for lp in loops:
+        path = polyline(lp.pieces)
+        own = (lp.pieces[1].center, lp.pieces[3].center)
+        box = (path.real.min(), path.real.max(), path.imag.min(), path.imag.max())
+        out.extend((lp.kind, lp.index, i) for i, z in enumerate(pts)
+                   if z not in own and box[0] <= z.real <= box[1]
+                   and box[2] <= z.imag <= box[3]
+                   and scalar_winding_number(path, z))
+    return out
 
 
 def all_pairs_intersections(loops):
@@ -223,15 +211,16 @@ def test_build_cycles_random_configs():
 
 
 def test_collinear_overlapping_pairing_rejected():
-    # cuts [0,2] and [1,3] overlap along the real axis; the stray-point
-    # containment check must notice the enclosed foreign branch point.
+    # cuts [0,2] and [1,3] overlap along the real axis, which the
+    # crossing test does not count; cut [0,2] runs through the foreign
+    # branch point 1, so its spine has no clearance.
     cfg = QDConfigG0(
         zeros=[0.0],
         poles=[1.0, 2.0, 3.0, -1.0, -2.0],
         pairing=[(0, 2), (1, 3), (4, 5)],
     )
     curve = build_cover(cfg)
-    with pytest.raises(GeometryError):
+    with pytest.raises(GeometryError, match="spine has no clearance"):
         build_cycles(curve, pairing=cfg.pairing)
 
 
@@ -256,42 +245,42 @@ def test_pairing_that_leaves_a_point_unmatched_is_rejected():
             build_cycles_robust(curve, pairing=pairing)
 
 
-PRUNED = (cycles._lift, cycles._check_enclosures, cycles._intersections)
-ALL_PAIRS = (all_pairs_lift, all_pairs_enclosures, all_pairs_intersections)
+PRUNED = (cycles._lift, cycles._intersections)
+ALL_PAIRS = (all_pairs_lift, all_pairs_intersections)
 
 
 def _recorded_build(monkeypatch, passes, curve, pairing, factor):
-    """build_cycles with the given lift, enclosure and intersection
-    passes; returns what each pass produced and the error, if any."""
-    lift, enclosures, intersections = passes
+    """build_cycles at the one cap factor with the given lift and
+    intersection passes; returns what each pass produced and the error,
+    if any.  Every lifted system must enclose no stray branch point."""
+    lift, intersections = passes
+    pts = list(curve.branch_points)
     seen = []
 
     def rec_lift(loops, cut_segments):
         lift(loops, cut_segments)
         seen.append([lp.crossings for lp in loops])
-
-    def rec_enclosures(loops, pts, spine_ends):
-        enclosures(loops, pts, spine_ends)
-        seen.append("no stray enclosure")
+        assert all_pairs_enclosures(loops, pts) == []
 
     def rec_intersections(loops):
         inter = intersections(loops)
         seen.append(inter.tolist())
         return inter
 
+    monkeypatch.setattr(cycles, "CAP_FACTORS", (factor,))
     monkeypatch.setattr(cycles, "_lift", rec_lift)
-    monkeypatch.setattr(cycles, "_check_enclosures", rec_enclosures)
     monkeypatch.setattr(cycles, "_intersections", rec_intersections)
     try:
-        build_cycles(curve, pairing=pairing, cap_factor=factor)
+        build_cycles(curve, pairing=pairing)
     except GeometryError as exc:
         seen.append(str(exc))
     return seen
 
 
 def test_disc_pruning_matches_all_pairs_passes(monkeypatch):
-    # every pairing the ladder tries, at every cap factor: crossings,
-    # enclosure verdicts, intersection matrices and errors all agree
+    # every pairing the ladder tries, at every cap factor: the lift
+    # against adjacent cuts only and the disc-pruned intersections agree
+    # with the all-pairs passes, errors included, and nothing is enclosed
     rng = np.random.default_rng(909)
     outcomes = set()
     for cls in ("generic", "clustered", "collinear", "scaled"):
@@ -312,45 +301,69 @@ def test_disc_pruning_matches_all_pairs_passes(monkeypatch):
                         outcomes.add(len(got) if isinstance(got[-1], list)
                                      else got[-1].split()[0])
     # built systems and the rejections these classes meet were compared
-    assert {3, "cuts", "spine", "assembled"} <= outcomes, outcomes
-
-
-def _verdict(pass_, *args):
-    try:
-        out = pass_(*args)
-    except GeometryError as exc:
-        return str(exc)
-    return [lp.crossings for lp in args[0]] if out is None else out.tolist()
+    assert {2, "cuts", "spine", "assembled"} <= outcomes, outcomes
 
 
 def test_pruned_passes_match_all_pairs_on_bare_geometry():
-    # the builder's clearances keep stray enclosures, odd lifts and
-    # crossings far from a loop's own caps out of reach, so random
-    # stadiums among random cuts and points exercise those verdicts
+    # random stadiums lifted over random cuts: the disc-pruned
+    # intersection numbers are the all-pairs ones, meetings far from a
+    # loop's own caps included
     rng = np.random.default_rng(77)
-    verdicts = []
-    for _ in range(60):
+    met = apart = 0
+    for _ in range(300):
         ends = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
         loops = [cycles.Loop(stadium(a, b, *(rng.uniform(0.05, 0.6, 2)
                                             * abs(b - a))), "gap", k)
                  for k, (a, b) in enumerate(ends)]
         cuts = [Segment(*z) for z in rng.normal(size=(3, 2))
                 + 1j * rng.normal(size=(3, 2))]
-        pts = [*ends[0], *(rng.normal(size=4) + 1j * rng.normal(size=4))]
-        for pruned, oracle, args in (
-                (cycles._check_enclosures, all_pairs_enclosures,
-                 (loops[:1], pts, [(0, 1)])),
-                (cycles._lift, all_pairs_lift, (loops, cuts)),
-                (cycles._intersections, all_pairs_intersections, (loops,))):
-            got = _verdict(pruned, *args)
-            assert got == _verdict(oracle, *args)
-            verdicts.append(got if isinstance(got, str) else pruned.__name__)
-            if isinstance(got, str):
-                break
-    # every pass passed and failed somewhere
-    assert {"_check_enclosures", "_lift", "_intersections"} <= set(verdicts)
-    assert {"encloses", "crosses"} <= {v.split()[3] for v in verdicts
-                                       if v.startswith("gap loop")}
+        try:
+            all_pairs_lift(loops, cuts)
+        except GeometryError:
+            continue
+        got = cycles._intersections(loops)
+        assert np.array_equal(got, all_pairs_intersections(loops))
+        met += np.count_nonzero(got)
+        apart += sum(cycles._apart(la.disc, lb.disc) for la in loops
+                     for lb in loops)
+    assert met >= 6 and apart >= 20, (met, apart)
+
+
+def _seg_dist(p, a, b):
+    """Distance from the point p to the segment [a, b]."""
+    d = b - a
+    s = ((p - a) * d.conjugate()).real / (d * d.conjugate()).real
+    return abs(p - (a + min(1.0, max(0.0, s)) * d))
+
+
+def test_caps_keep_within_the_spine_clearance():
+    # the bound build_cycles and PeriodEngine.sigma() rest on: no cap
+    # exceeds 0.45 of its spine's clearance from foreign points and from
+    # cuts the loop may not cross, and the whole stadium keeps inside it
+    rng = np.random.default_rng(4321)
+    binding = 0
+    for cls in ("generic", "clustered", "collinear", "scaled"):
+        for n in (5, 6, 7, 8):
+            for _ in range(2):
+                cyc = build_cycles_robust(build_cover(class_config(rng, cls, n)))
+                pts = list(cyc.curve.branch_points)
+                cuts = [(pts[i], pts[j]) for i, j in cyc.pairs]
+                for lp, (i, j) in zip(cyc.loops, cyc.pairs + cyc.gap_ends):
+                    a, b = pts[i], pts[j]
+                    near = ({lp.index} if lp.kind == "cut"
+                            else {lp.index, lp.index + 1})
+                    clear = min(
+                        [_seg_dist(z, a, b) for k, z in enumerate(pts)
+                         if k not in (i, j)]
+                        + [_seg_dist(e, *c) for k, c in enumerate(cuts)
+                           if k not in near for e in (a, b)])
+                    caps = [lp.pieces[3].radius, lp.pieces[1].radius]
+                    assert max(caps) <= 0.45 * clear
+                    binding += 0.45 * clear in caps
+                    outline = polyline(lp.pieces, 8)
+                    assert max(_seg_dist(z, a, b) for z in outline) < 0.5 * clear
+    # the clearance, not the neighbour distance, bounds some caps
+    assert binding >= 5, binding
 
 
 def test_explicit_pairing_with_poor_rho_is_kept():
@@ -365,19 +378,18 @@ def test_explicit_pairing_with_poor_rho_is_kept():
 
 
 def _spy_attempts(monkeypatch):
-    """Record (pairing, cap factor, system built or error) of every
-    attempt."""
+    """Record (pairing, system built or error) of every attempt."""
     attempts = []
     real = cycles.build_cycles
 
-    def spy(curve, pairing=None, cap_factor=cycles.CAP_FACTOR):
+    def spy(curve, pairing=None):
         key = frozenset(frozenset(p) for p in pairing)
         try:
-            out = real(curve, pairing=pairing, cap_factor=cap_factor)
+            out = real(curve, pairing=pairing)
         except GeometryError as exc:
-            attempts.append((key, cap_factor, exc))
+            attempts.append((key, exc))
             raise
-        attempts.append((key, cap_factor, out))
+        attempts.append((key, out))
         return out
 
     monkeypatch.setattr(cycles, "build_cycles", spy)
@@ -391,10 +403,10 @@ def test_crossing_cuts_are_attempted_once(monkeypatch):
                                                        -1 + 1j, 3.0]))
     with pytest.raises(GeometryError, match="cuts 0 and 1 intersect"):
         build_cycles_robust(curve, pairing=[(1, 2), (3, 4), (0, 5)])
-    assert len(attempts) == 1 and attempts[0][2].cap_free
+    assert len(attempts) == 1
 
 
-def test_ladder_drops_cap_free_faults_and_ranks_by_rho(monkeypatch):
+def test_ladder_tries_each_pairing_once_and_ranks_by_rho(monkeypatch):
     attempts = _spy_attempts(monkeypatch)
     rng = np.random.default_rng(12)
     dropped = rescued = 0
@@ -403,14 +415,12 @@ def test_ladder_drops_cap_free_faults_and_ranks_by_rho(monkeypatch):
             for _ in range(2):
                 del attempts[:]
                 cyc = build_cycles_robust(build_cover(class_config(rng, cls, n)))
-                tried = [key for key, _, _ in attempts]
-                for key, factor, out in attempts:
-                    if isinstance(out, GeometryError) and out.cap_free:
-                        assert tried.count(key) == 1
-                        assert factor == CAP_FACTORS[0]
-                        dropped += 1
+                tried = [key for key, _ in attempts]
+                assert len(set(tried)) == len(tried)
+                dropped += sum(isinstance(out, GeometryError)
+                               for _, out in attempts)
                 # the first clear pairing that built, else the first built
-                built = [out for _, _, out in attempts
+                built = [out for _, out in attempts
                          if not isinstance(out, GeometryError)]
                 clear = [c for c in built if c.spine_rho() >= SPINE_RHO_MIN]
                 assert cyc is (clear[0] if clear else built[0])

@@ -1,11 +1,12 @@
 """Period integrals: elliptic closed forms, normalized bases, cross-routes."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdtau import strata, tau
 from qdtau.bergman import BergmanEvaluator
 from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
-from qdtau.cycles import SPINE_RHO_MIN, build_cycles_robust
+from qdtau.cycles import SPINE_RHO_MIN, GeometryError, build_cycles_robust
 from qdtau.periods import PeriodEngine, Differential, holo_diff, v_diff
 from qdtau.quadrature import QuadratureError
 from test_tau import _genus3_path, _kappa_configs
@@ -322,3 +323,35 @@ def test_collinear_ladder_keeps_every_period_on_the_spine(monkeypatch):
     for branch, kappa in zip((1, -1), strata.principal_kappa(0, COLLINEAR.n)):
         assert abs(conn.euler_pairing(branch) - float(kappa)) < 1e-8
     assert calls == []
+
+
+def _labelled_outcome(config):
+    """Omega, v's homological coordinates and both Euler pairings of
+    the configuration, or its GeometryError's message."""
+    try:
+        conn = tau.build_connection(config)
+        return (conn.pe.period_matrix(), np.concatenate(conn.v_periods()),
+                np.array([conn.euler_pairing(b) for b in tau.BRANCHES]))
+    except GeometryError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+@pytest.mark.parametrize("cls", ["generic", "clustered", "collinear", "scaled"])
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_relabeling_zeros_and_poles_changes_nothing(cls, n, seed, data):
+    # the cycle system is built from the points alone, so Omega is
+    # bit-identical; v's numerator and phi are symmetric functions of the
+    # zeros and poles, which move only by the rounding of their order
+    cfg = class_config(np.random.default_rng(seed), cls, n)
+    moved = QDConfigG0(zeros=data.draw(st.permutations(cfg.zeros)),
+                       poles=data.draw(st.permutations(cfg.poles)))
+    want, got = _labelled_outcome(cfg), _labelled_outcome(moved)
+    if isinstance(want, str):
+        assert got == want
+        return
+    omega, v, euler = want
+    assert np.array_equal(got[0], omega)
+    assert np.abs(got[1] - v).max() <= 1e-12 * np.abs(v).max()
+    assert np.abs(got[2] - euler).max() <= 1e-11 * np.abs(euler).max()

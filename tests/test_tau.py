@@ -189,6 +189,40 @@ def test_basis_change_random_sigmas():
         assert rm < 1e-5
 
 
+def test_basis_change_keeping_alpha_reuses_phi(monkeypatch):
+    # phi's numerator depends on the alpha cycles alone: a sigma with
+    # C = 0 keeps them and reuses the centre's phi loop periods, one with
+    # C != 0 integrates phi again; both match phi integrated afresh
+    integrated = []
+    half = periods.PeriodEngine.spine_half_period
+
+    def spy(engine, diff, loop_idx):
+        if diff.key[0] == "phi":
+            integrated.append((diff.key, loop_idx))
+        return half(engine, diff, loop_idx)
+
+    monkeypatch.setattr(periods.PeriodEngine, "spine_half_period", spy)
+    eye, zero = np.eye(2, dtype=int), np.zeros((2, 2), dtype=int)
+    cached = tau.reduced_loop_periods
+
+    def fresh(engine, fn, key):
+        return cached(engine, fn, key + (object(),))
+
+    b, c = np.array([[1, 2], [2, -1]]), np.array([[1, 1], [1, 0]])
+    for sig, keys in ((np.block([[eye, b], [zero, eye]]), 1),
+                      (np.block([[eye, zero], [c, eye]]), 2)):
+        del integrated[:]
+        got = tau.basis_change_residual(_pole_path, 0.0, sig,
+                                        pairing=REF_PAIRING)
+        loops = {i for _, i in integrated}
+        assert len({k for k, _ in integrated}) == keys
+        assert len(integrated) == keys * len(loops) == keys * 5
+        monkeypatch.setattr(tau, "reduced_loop_periods", fresh)
+        assert tau.basis_change_residual(_pole_path, 0.0, sig,
+                                         pairing=REF_PAIRING) == got
+        monkeypatch.setattr(tau, "reduced_loop_periods", cached)
+
+
 def test_zero_pole_short_schedule():
     fam = tau.zero_pole_family()
     short = tau.DegenerationFamily(fam.name, fam.config, fam.pairing,
