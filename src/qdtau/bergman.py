@@ -94,19 +94,19 @@ class BergmanEvaluator:
         ang = 2 * np.pi * np.arange(g) / g + offset
         return center + rad * np.exp(1j * ang)
 
-    def _alpha_integrals(self, x0):
-        """Vector of alpha_k integrals (in w) of the non-exact part of
-        B0(x0, w)."""
-        g = self.curve.genus
+    def _alpha_integrals(self, probes):
+        """Matrix of alpha_k integrals (in w) of the non-exact part of
+        B0(x0, w), one row per probe x0, from one differential stacked
+        over the probes."""
+        x0 = np.asarray(probes, dtype=complex)[:, None]
         y0 = self.ev.y(x0)
 
-        def fn(w, x0=x0, y0=y0):
+        def fn(w):
             return self._h(x0, w) / (4.0 * y0 * (x0 - w) ** 2)
 
-        diff = Differential(("bergR", complex(x0)), fn)
-        return np.array(
-            [self.pe.combo_period(diff, self.alpha_mat[k]) for k in range(g)]
-        )
+        diff = Differential(("bergR", tuple(x0.ravel().tolist())), fn)
+        return np.array([self.pe.combo_period(diff, row)
+                         for row in self.alpha_mat]).T
 
     def correction(self):
         """The symmetric coefficient matrix C, solved so that every
@@ -122,7 +122,7 @@ class BergmanEvaluator:
             offset += 0.21
         else:
             raise GeometryError("probe matrix ill-conditioned")
-        rint = np.array([self._alpha_integrals(xp) for xp in probes])
+        rint = self._alpha_integrals(probes)
         c = np.linalg.solve(u, -rint)
         scale = max(np.max(np.abs(c)), 1e-30)
         self.correction_defect = np.max(np.abs(c - c.T)) / scale
@@ -161,7 +161,7 @@ class BergmanEvaluator:
     def alpha_residual(self, x0, k):
         """alpha_k integral of Bhat(x0, .) for an off-probe x0; zero up
         to quadrature error when C is right."""
-        base = self._alpha_integrals(x0)[k]
+        base = self._alpha_integrals([x0])[0, k]
         c = self.correction()
         qx = self.q_values(x0) / self.ev.y(x0)
         # alpha_k period of omega_j is delta_jk for the normalized basis

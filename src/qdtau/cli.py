@@ -30,7 +30,7 @@ from .cover_homology import is_symplectic
 from .curves import QDConfigG0
 from .cycles import GeometryError
 from .periods import PeriodEngine
-from .quadrature import QuadratureError
+from .quadrature import SPINE_SIZES, QuadratureError
 
 SCHEMA = "qdtau-report/1"
 
@@ -191,6 +191,10 @@ def cmd_periods(args) -> int:
             "loops": len(pe.cycles.loops),
             "pairing": [list(pr) for pr in pe.cycles.pairs],
             "spine_rho_min": pe.cycles.spine_rho(),
+            # per loop, the size of the first spine rule tried, and the
+            # loops whose spine fell back to the moment-table contour
+            "first_rungs": [SPINE_SIZES[k] for k in pe.first_rungs],
+            "fallback_loops": pe.fallback_loops,
         },
         "checks": [
             gate("omega_symmetric", sym, TOLERANCES["omega_symmetric"]),

@@ -264,17 +264,23 @@ class CycleSystem:
                 return i
         raise KeyError((kind, index))
 
-    def spine_rho(self):
-        """Worst Bernstein parameter rho = |u + sqrt(u-1) sqrt(u+1)|
-        (the root of modulus >= 1) of any foreign branch point in any
-        spine's coordinate u = (z - mid) / half, in one broadcast."""
+    def spine_rhos(self):
+        """Per loop, the worst Bernstein parameter
+        rho = |u + sqrt(u-1) sqrt(u+1)| (the root of modulus >= 1) of
+        any foreign branch point in the loop's spine coordinate
+        u = (z - mid) / half, in one broadcast; loops are the cuts, then
+        the gaps, as are pairs + gap_ends."""
         pts = np.asarray(self.curve.branch_points)
         ends = np.array(self.pairs + self.gap_ends)[:, :, None]
         a, b = pts[ends[:, 0]], pts[ends[:, 1]]
         u = (2.0 * pts - (a + b)) / (b - a)
         rho = np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))
         own = (np.arange(len(pts)) == ends).any(axis=1)
-        return float(np.where(own, np.inf, np.maximum(rho, 1.0 / rho)).min())
+        return np.where(own, np.inf, np.maximum(rho, 1.0 / rho)).min(axis=1)
+
+    def spine_rho(self):
+        """The worst spine_rhos() over every loop."""
+        return float(self.spine_rhos().min())
 
 
 def _seg_dist(p, a, b):

@@ -7,7 +7,13 @@ form's period is twice a spine integral with the inverse-square-root
 endpoint weight, times the loop's orientation sign, which is read off
 the lift (`PeriodEngine.sigma`) without any quadrature.  Only a spine
 whose Jacobi ladder does not settle (a foreign branch point too close)
-falls back to the stadium contour.
+falls back to the stadium contour.  Each ladder starts at the rung the
+loop's worst Bernstein parameter predicts (`quadrature.first_rung`).
+On a loop whose spine failed, one stacked contour integrates the
+loop's moment table (`PeriodEngine.moment_table`), and every form that
+knows its coefficients on that table (polynomial numerators, and phi's
+reduced ones) reads its period off it; only other forms run a contour
+of their own.
 
 Per-loop values are cached, so every cycle period, including those of
 a transformed basis, is an integer combination of cached numbers.  The
@@ -19,32 +25,79 @@ differential.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from math import comb
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .curves import build_cover
 from .cycles import CycleSystem, GeometryError, build_cycles_robust
-from .quadrature import QuadratureError, adaptive_line, spine_integral
+from .quadrature import (QuadratureError, adaptive_line, first_rung,
+                         spine_integral)
 
 
 class Differential(NamedTuple):
     """mu-odd differential f(x) dx / yhat; ``fn`` maps complex arrays
     to complex arrays and must be regular at branch points; a stack of
-    k arrays gives k-vectors of periods, integrated in one pass."""
+    k arrays gives k-vectors of periods, integrated in one pass.
+    ``moments``, if given, maps a loop's LoopGeometry to f's
+    coefficients on that loop's moment table (a (k, rows) stack for a
+    stacked f), the route of its period where the spine fails."""
 
     key: tuple
     fn: Callable
+    moments: Optional[Callable] = None
+
+
+class LoopGeometry(NamedTuple):
+    """A loop's spine coordinate u = (x - mid) / half and the branch
+    points its forms reduce (``close``) or keep explicit (``far``), as
+    index arrays (`PeriodEngine.loop_geometry`).  The loop's moment
+    table holds the periods of u^j dx/yhat for j <= degree (= 2g), then
+    of dx/((x - b) yhat) and of dx/((x - b)^2 yhat) for b in far."""
+
+    mid: complex
+    half: complex
+    close: np.ndarray
+    far: np.ndarray
+    degree: int
+
+    def poly_moments(self, coeffs, c=0.0, s=1.0):
+        """Table coefficients of the polynomial p((x - c)/s), with p's
+        coefficients highest degree first (rows of a stack allowed):
+        its coefficients in u, lowest first, then zeros for the far
+        poles.  (x - c)/s = a + b u, and (a + b u)^j expands
+        binomially."""
+        p = np.asarray(coeffs, dtype=complex)[..., ::-1]
+        a, b = (self.mid - c) / s, self.half / s
+        shift = np.zeros((p.shape[-1], self.degree + 1), dtype=complex)
+        for j in range(p.shape[-1]):
+            for i in range(j + 1):
+                shift[j, i] = comb(j, i) * a ** (j - i) * b ** i
+        u = p @ shift
+        return np.concatenate(
+            [u, np.zeros(u.shape[:-1] + (2 * len(self.far),))], axis=-1)
+
+
+def poly_diff(key, coeffs, fn=None) -> Differential:
+    """f dx / yhat for the polynomial f, coefficients highest degree
+    first (or rows of them for a stack, with ``fn`` evaluating the
+    stack); ``fn`` defaults to Horner's rule."""
+    coeffs = np.asarray(coeffs, dtype=complex)
+    return Differential(key,
+                        fn or (lambda x: np.polyval(coeffs, x)),
+                        lambda geo: geo.poly_moments(coeffs))
 
 
 def holo_diff(j: int) -> Differential:
-    return Differential(("holo", j), lambda x, j=j: np.asarray(x) ** j)
+    return poly_diff(("holo", j), np.eye(j + 1)[0],
+                     lambda x: np.asarray(x) ** j)
 
 
 def holo_basis(g: int) -> Differential:
     """x^j dx / yhat for j < g, stacked."""
-    return Differential(("holo-basis", g),
-                        lambda x: np.asarray(x) ** np.arange(g)[:, None])
+    return poly_diff(("holo-basis", g), np.eye(g)[::-1],
+                     lambda x: np.asarray(x) ** np.arange(g)[:, None])
 
 
 def v_numerator(config):
@@ -57,8 +110,7 @@ def v_numerator(config):
 def v_diff(curve) -> Differential:
     if curve.config is None:
         raise ValueError("v needs a configuration-backed curve")
-    coeffs = v_numerator(curve.config)
-    return Differential(("v",), lambda x: np.polyval(coeffs, x))
+    return poly_diff(("v",), v_numerator(curve.config))
 
 
 def deflate(p, b):
@@ -86,6 +138,13 @@ def pole_reductions(points, k):
     return e1, np.polyadd(q, r * e1)
 
 
+def nearest_distances(pts):
+    """Each point's distance to its nearest neighbour among pts."""
+    gaps = np.abs(pts[:, None] - pts)
+    np.fill_diagonal(gaps, np.inf)
+    return gaps.min(axis=1)
+
+
 class PeriodEngine:
     def __init__(self, cycles: CycleSystem, tol: float = 1e-11):
         self.cycles = cycles
@@ -93,9 +152,16 @@ class PeriodEngine:
         self.ev = cycles.evaluator
         self.tol = tol
         self._scale = max(abs(b) for b in self.curve.branch_points) + 1.0
+        self.first_rungs = [first_rung(rho, tol)
+                            for rho in cycles.spine_rhos()]
         self._loop_cache = {}
         self._spine_cache = {}
         self._sigmas = {}
+        self._points = np.asarray(self.curve.branch_points, dtype=complex)
+        self._nearest = None
+        self._geometry = {}
+        self._tables = {}
+        self._failed = set()
         self._norm = None
 
     @classmethod
@@ -112,40 +178,60 @@ class PeriodEngine:
             return self.cycles.pairs[lp.index]
         return self.cycles.gap_ends[lp.index]
 
-    # spine geometry of a loop: midpoint, half-vector, and whether the
-    # spine lies on a cut (boundary values) or in the open plane
+    def loop_geometry(self, loop_idx) -> LoopGeometry:
+        """The loop's spine coordinate and its close/far split: close
+        are the points nearer its spine than half their nearest-neighbour
+        distance (the spine's ends, and foreign points crowding it).
+        Reducing a pole divides by its distances to the other points, so
+        a pole reduced on every loop would bring coefficients ~1/d^2 near
+        a pinching cut of length d, whose roundoff swamps far loops."""
+        if loop_idx not in self._geometry:
+            if self._nearest is None:
+                self._nearest = nearest_distances(self._points)
+            mid, half = self._spine(loop_idx)
+            u = (self._points - mid) / half
+            close = (np.abs(half * (u - np.clip(u.real, -1, 1)))
+                     < 0.5 * self._nearest)
+            self._geometry[loop_idx] = LoopGeometry(
+                mid, half, np.flatnonzero(close), np.flatnonzero(~close),
+                2 * self.curve.genus)
+        return self._geometry[loop_idx]
+
+    # midpoint and half-vector of the loop's spine
     def _spine(self, loop_idx):
-        lp = self.cycles.loops[loop_idx]
         i, j = self.spine_ends(loop_idx)
         a, b = self.curve.branch_points[i], self.curve.branch_points[j]
-        return (a + b) / 2.0, (b - a) / 2.0, lp.kind == "cut", lp.index
+        return (a + b) / 2.0, (b - a) / 2.0
 
     def _spine_nodes(self, loop_idx, t):
         """(x, sqrt(1 - t^2), yhat) at the spine's rule nodes t, cached
         per (loop, rule size): every differential integrated over the
         loop climbs the same ladder of Gauss-Jacobi rules, and t, the
         nodes of the one (-1/2, -1/2) rule of each size, is fixed by
-        its length."""
+        its length.  A cut loop's spine takes yhat's boundary value."""
         key = (loop_idx, len(t))
         if key not in self._spine_cache:
-            mid, half, on_cut, idx = self._spine(loop_idx)
+            mid, half = self._spine(loop_idx)
+            lp = self.cycles.loops[loop_idx]
             x = mid + t * half
-            if on_cut:
-                y = self.ev.y_oncut(idx, t, +1)
+            if lp.kind == "cut":
+                y = self.ev.y_oncut(lp.index, t, +1)
             else:
                 y = self.ev.y(x)
             self._spine_cache[key] = (x, np.sqrt((1.0 - t) * (1.0 + t)), y)
         return self._spine_cache[key]
 
     def spine_half_period(self, diff: Differential, loop_idx: int):
-        """Integral of f dx/yhat along the loop's spine (one pass)."""
+        """Integral of f dx/yhat along the loop's spine (one pass), from
+        the loop's first rung."""
         half = self._spine(loop_idx)[1]
 
         def g(t):
             x, w, y = self._spine_nodes(loop_idx, t)
             return diff.fn(x) * half * w / y
 
-        val, _ = spine_integral(g, -0.5, -0.5, tol=self.tol)
+        val, _ = spine_integral(g, -0.5, -0.5, tol=self.tol,
+                                start=self.first_rungs[loop_idx])
         return val
 
     def sigma(self, loop_idx: int) -> int:
@@ -178,21 +264,48 @@ class PeriodEngine:
         return self._sigmas[loop_idx]
 
     def loop_period(self, diff: Differential, loop_idx: int):
+        """The loop's period of diff: twice its spine integral times
+        sigma; on a loop whose spine failed once (a foreign branch point
+        too close for the Jacobi ladder), read off the loop's moment
+        table, or for a form without moments its own stadium contour."""
         key = (diff.key, loop_idx)
-        if key not in self._loop_cache:
+        if key in self._loop_cache:
+            return self._loop_cache[key]
+        if loop_idx not in self._failed:
             try:
                 val = 2.0 * self.sigma(loop_idx) * self.spine_half_period(
-                    diff, loop_idx
-                )
+                    diff, loop_idx)
             except QuadratureError:
-                # foreign branch points too close to the spine for the
-                # Jacobi ladder; integrate along the actual stadium
-                val = self.contour_loop_period(
-                    lambda x, sheet: diff.fn(x) / self.ev.y(x, sheet),
-                    loop_idx,
-                )
-            self._loop_cache[key] = val
-        return self._loop_cache[key]
+                self._failed.add(loop_idx)
+        if loop_idx in self._failed and diff.moments is not None:
+            val = (diff.moments(self.loop_geometry(loop_idx))
+                   @ self.moment_table(loop_idx))
+        elif loop_idx in self._failed:
+            val = self.contour_loop_period(
+                lambda x, sheet: diff.fn(x) / self.ev.y(x, sheet), loop_idx)
+        self._loop_cache[key] = val
+        return val
+
+    @property
+    def fallback_loops(self):
+        """Indices of the loops whose spine ladder failed, sorted."""
+        return sorted(self._failed)
+
+    def moment_table(self, loop_idx):
+        """The loop's moment table (`LoopGeometry`), from one stacked
+        stadium contour."""
+        if loop_idx not in self._tables:
+            geo = self.loop_geometry(loop_idx)
+            far = self._points[geo.far]
+
+            def fn(x, sheet):
+                u = (x - geo.mid) / geo.half
+                d = 1.0 / (x - far[:, None])
+                return (np.concatenate([np.vander(u, geo.degree + 1, True).T,
+                                        d, d * d]) / self.ev.y(x, sheet))
+
+            self._tables[loop_idx] = self.contour_loop_period(fn, loop_idx)
+        return self._tables[loop_idx]
 
     def loop_periods(self, diff: Differential):
         return np.array(
@@ -216,9 +329,7 @@ class PeriodEngine:
             q, fb = deflate(f, pts[k])
             term = np.polyadd(q, fb * pole_reductions(pts, k)[0])
             num = np.polyadd(num, 0.5 * bd * term)
-        diff = Differential(("poly", tuple(num)),
-                            lambda x, c=num: np.polyval(c, x))
-        return self.loop_periods(diff)
+        return self.loop_periods(poly_diff(("poly", tuple(num)), num))
 
     def period_matrix_velocity(self, b_dot):
         """d/ds of the period matrix while branch point k moves with
@@ -235,8 +346,11 @@ class PeriodEngine:
         return n @ (d_b - d_a @ omega)
 
     def combo_period(self, diff: Differential, combo):
-        return complex(sum(int(c) * self.loop_period(diff, i)
-                           for i, c in enumerate(combo) if c))
+        """The integer combination of loop periods; a vector for a
+        stacked diff."""
+        val = sum(int(c) * self.loop_period(diff, i)
+                  for i, c in enumerate(combo) if c)
+        return complex(val) if np.ndim(val) == 0 else val
 
     # the loop's stadium contour, sheet by sheet: the fallback of a
     # spine whose ladder does not settle; fn(x, sheet) is the full

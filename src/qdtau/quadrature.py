@@ -6,7 +6,8 @@ Two regimes:
   square-root endpoint behavior: Gauss-Jacobi rules with half-integer
   exponents, which have closed-form Chebyshev-type nodes and weights
   (no root-finding), escalated until two consecutive sizes agree (for
-  every component of a stacked integrand);
+  every component of a stacked integrand), from the rung the spine's
+  Bernstein parameter predicts (`first_rung`);
 - integrals along contour pieces staying away from all singularities:
   24- and 48-point Gauss-Legendre panels compared on each panel and
   bisected where they disagree.  The panel tree is grown breadth-first:
@@ -72,18 +73,32 @@ def jacobi_rule(n: int, alpha: float, beta: float):
     raise ValueError(f"unsupported Jacobi exponents {key}")
 
 
-def spine_integral(g, alpha: float, beta: float, tol: float = 1e-12):
+def first_rung(rho: float, tol: float) -> int:
+    """Index of the SPINE_SIZES rung a ladder starts from: the one
+    before the first size n with rho^(-2n) <= tol, since an n-point rule
+    errs like rho^(-2n) on a spine whose integrand is analytic inside
+    the Bernstein ellipse of parameter rho; the top two rungs when no
+    size meets tol."""
+    fits = [k for k, n in enumerate(SPINE_SIZES) if rho ** (-2.0 * n) <= tol]
+    return max(fits[0] - 1, 0) if fits else len(SPINE_SIZES) - 2
+
+
+def spine_integral(g, alpha: float, beta: float, tol: float = 1e-12,
+                   start: int = 0):
     """Escalating Gauss-Jacobi evaluation of
     integral over [-1,1] of (1-t)^alpha (1+t)^beta g(t) dt.
 
     ``g`` receives a float array of interior nodes and must return
     complex values (or a (k, npts) stack, whose k integrals come back
     as an array); it is smooth whenever the caller extracted the
-    endpoint behavior correctly.  Returns (value, defect-estimate).
+    endpoint behavior correctly.  The ladder climbs SPINE_SIZES from
+    index ``start``, so a ladder that would have settled at rung
+    start + 1 or above returns the full ladder's value bit for bit.
+    Returns (value, defect-estimate).
     """
     prev = None
     last_defect = np.inf
-    for n in SPINE_SIZES:
+    for n in SPINE_SIZES[start:]:
         t, w = jacobi_rule(n, alpha, beta)
         val = np.sum(w * np.asarray(g(t), dtype=complex), axis=-1)
         if prev is not None:

@@ -33,7 +33,8 @@ import numpy as np
 from .curves import QDConfigG0, build_cover
 from .cycles import build_cycles_robust
 from .periods import (Differential, PeriodEngine, deflate,
-                      pole_reductions, v_diff, v_numerator)
+                      nearest_distances, pole_reductions, v_diff,
+                      v_numerator)
 from .bergman import BergmanEvaluator, fraction_sums, partial_fractions
 from .cover_homology import blocks, transform_basis
 
@@ -95,12 +96,6 @@ FFT_POINTS = 64
 FAR_RADIUS = 2.0
 
 
-def _nearest(pts):
-    gaps = np.abs(pts[:, None] - pts)
-    np.fill_diagonal(gaps, np.inf)
-    return gaps.min(axis=1)
-
-
 def principal_parts(fn, points):
     """(poly, c, s, laurent): fn(x) = poly((x - c)/s) + sum over k, j of
     laurent[..., k, j - 1] / (x - points[k])^j for fn (maybe stacked)
@@ -112,7 +107,7 @@ def principal_parts(fn, points):
     pts = np.asarray(points, dtype=complex)
     c = pts.mean()
     s = np.abs(pts - c).max()
-    radii = np.append(0.3 * _nearest(pts), FAR_RADIUS * s)
+    radii = np.append(0.3 * nearest_distances(pts), FAR_RADIUS * s)
     centers = np.append(pts, c)
     roots = np.exp(2j * np.pi * np.arange(FFT_POINTS) / FFT_POINTS)
     modes = np.fft.fft(fn(centers[:, None] + radii[:, None] * roots))
@@ -133,24 +128,17 @@ def reduce_poles(laurent, points, rows):
 def reduced_loop_periods(engine: PeriodEngine, fn, key):
     """Loop periods, shape (k, loops), of the stacked forms
     fn(x)[i] dx/yhat (numerators as in `principal_parts`), cached under
-    ``key``.  Each loop reduces the poles closer to its spine than half
-    their nearest-neighbour distance (its ends, and foreign points
-    crowding it) in the spine coordinate u = (x - mid)/half and keeps
-    the others explicit: reducing a pole divides by its distances to the
-    other points, so one global polynomial has coefficients ~1/d^2 near
-    a pinching cut of length d, whose roundoff swamps far loops."""
+    ``key``.  Each loop reduces the poles its `PeriodEngine.loop_geometry`
+    calls close in the spine coordinate u = (x - mid)/half and keeps the
+    far ones explicit, the terms of its moment table."""
     pts = np.asarray(engine.curve.branch_points, dtype=complex)
     poly, c, s, laurent = principal_parts(fn, pts)
-    nearest = _nearest(pts)
     out = []
     for idx in range(len(engine.cycles.loops)):
-        a, b = pts[list(engine.spine_ends(idx))]
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        u = (pts - mid) / half
-        close = np.abs(half * (u - np.clip(u.real, -1, 1))) < 0.5 * nearest
-        near = reduce_poles(laurent * half ** -np.arange(1.0, 3.0), u,
-                            np.flatnonzero(close))
-        far = np.flatnonzero(~close)
+        geo = engine.loop_geometry(idx)
+        mid, half, far = geo.mid, geo.half, geo.far
+        near = reduce_poles(laurent * half ** -np.arange(1.0, 3.0),
+                            (pts - mid) / half, geo.close)
         coef = np.concatenate([laurent[:, far, 0], laurent[:, far, 1]], axis=1)
 
         def num(x, far=far, near=near, coef=coef, mid=mid, half=half):
@@ -160,7 +148,11 @@ def reduced_loop_periods(engine: PeriodEngine, fn, key):
                     + poly @ np.vander((x - c) / s, m).T
                     + coef @ np.concatenate([d, d * d]))
 
-        out.append(engine.loop_period(Differential(key, num), idx))
+        def moments(geo, near=near, coef=coef):
+            explicit = np.concatenate([near[:, ::-1], coef], axis=1)
+            return geo.poly_moments(poly, c, s) + explicit
+
+        out.append(engine.loop_period(Differential(key, num, moments), idx))
     return np.array(out).T
 
 

@@ -10,7 +10,7 @@ from qdtau.periods import PeriodEngine
 from qdtau.bergman import BergmanEvaluator
 from qdtau.cover_homology import blocks, random_symplectic
 from qdtau.quadrature import adaptive_line
-from test_periods import mobius_model
+from test_periods import class_config, mobius_model
 
 
 REF = dict(zeros=[0.0], poles=[1.0, -1.0, 2.0, -2.0, 0.5])
@@ -33,6 +33,21 @@ def elliptic_bergman():
     curve = hyperelliptic_model(LEMNISCATIC_MODEL)
     pe = PeriodEngine(build_cycles_robust(curve))
     return BergmanEvaluator(pe)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(QDConfigG0(**REF), id="ref"),
+    # a tight cluster of three beside spread points; the stacked ladder
+    # settles a rung above some single probe's
+    pytest.param(class_config(np.random.default_rng(4), "clustered", 6),
+                 id="clustered-n6")])
+def test_stacked_probe_integrals_match_per_probe(config):
+    be = BergmanEvaluator(PeriodEngine.for_config(config))
+    probes = be._probes(0.37)
+    stacked = be._alpha_integrals(probes)
+    single = np.array([be._alpha_integrals([p])[0] for p in probes])
+    assert stacked.shape == (be.curve.genus, be.curve.genus)
+    assert np.abs(stacked - single).max() <= 1e-13 * np.abs(single).max()
 
 
 def test_correction_is_symmetric(ref_bergman):

@@ -3,7 +3,9 @@ import json
 
 import pytest
 
+from qdtau import tau
 from qdtau.cli import main
+from qdtau.quadrature import SPINE_SIZES
 
 REF_CONFIG = {
     "zeros": [[0.0, 0.0]],
@@ -96,6 +98,30 @@ def test_periods_report(ref_config_path, tmp_path):
     # the basis Omega is written in: the given pairing, as built
     assert rep["diagnostics"]["pairing"] == REF_CONFIG["pairing"]
     assert rep["diagnostics"]["spine_rho_min"] > 1.0
+    # every spine settles; each loop's first rule is a ladder size
+    assert rep["diagnostics"]["fallback_loops"] == []
+    rungs = rep["diagnostics"]["first_rungs"]
+    assert len(rungs) == rep["diagnostics"]["loops"]
+    assert set(rungs) <= set(SPINE_SIZES)
+
+
+def test_periods_report_names_fallback_loops(tmp_path):
+    # zero-zero at d = 3.9e-4: the gap loops past the pinching cut fail
+    # their spines and take the moment-table contour; the report says
+    # so, byte for byte the same on a second run
+    fam = tau.zero_zero_family()
+    cfg = fam.config(fam.schedule[8])
+    path = tmp_path / "pinch.json"
+    path.write_text(json.dumps({
+        "zeros": [[z.real, z.imag] for z in cfg.zeros],
+        "poles": [[p.real, p.imag] for p in cfg.poles],
+        "pairing": fam.pairing, "tolerance": 1e-11}))
+    code, rep = run(["periods", "--config", str(path)], tmp_path / "a.json")
+    assert code == 0
+    assert rep["diagnostics"]["fallback_loops"] == [4, 5]
+    assert rep["diagnostics"]["first_rungs"][4:6] == [SPINE_SIZES[-2]] * 2
+    run(["periods", "--config", str(path)], tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
 def test_periods_missing_config(tmp_path):

@@ -8,6 +8,7 @@ from qdtau.bergman import BergmanEvaluator
 from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
 from qdtau.cycles import SPINE_RHO_MIN, GeometryError, build_cycles_robust
 from qdtau.periods import PeriodEngine, Differential, holo_diff, v_diff
+from qdtau.quadrature import SPINE_SIZES
 from qdtau.quadrature import QuadratureError
 from test_tau import _genus3_path, _kappa_configs
 
@@ -355,3 +356,110 @@ def test_relabeling_zeros_and_poles_changes_nothing(cls, n, seed, data):
     assert np.array_equal(got[0], omega)
     assert np.abs(got[1] - v).max() <= 1e-12 * np.abs(v).max()
     assert np.abs(got[2] - euler).max() <= 1e-11 * np.abs(euler).max()
+
+
+# A loop whose spine fails runs one stacked contour, its moment table;
+# polynomial forms and phi's reduced numerator read their periods off
+# it.  The per-differential contour that served them before is the
+# oracle.
+
+def _record_loop_periods(monkeypatch):
+    """Lists of the (diff, loop) pairs asked of any engine and of the
+    loops whose contour ran, filled as the engines work."""
+    seen, contours = [], []
+    loop_period = PeriodEngine.loop_period
+    contour = PeriodEngine.contour_loop_period
+
+    def spy_loop(self, diff, loop_idx):
+        seen.append((diff, loop_idx))
+        return loop_period(self, diff, loop_idx)
+
+    def spy_contour(self, fn, loop_idx, tol=None):
+        contours.append(loop_idx)
+        return contour(self, fn, loop_idx, tol)
+
+    monkeypatch.setattr(PeriodEngine, "loop_period", spy_loop)
+    monkeypatch.setattr(PeriodEngine, "contour_loop_period", spy_contour)
+    return seen, contours
+
+
+def _connection_periods(conn, tangent):
+    """Every form the tau layer integrates: the holomorphic basis, v,
+    v's Rauch velocities along the tangent, and phi."""
+    conn.pe.normalized_basis()
+    conn.v_periods()
+    conn.v_velocities(*tangent)
+    conn.phi_periods(1)
+
+
+def _table_errors(pe, seen, loops):
+    """{form kind: worst max-normalized distance} between each recorded
+    period on the given loops that has moments and the form's own
+    stadium contour."""
+    contour = PeriodEngine.__dict__["contour_loop_period"]
+    worst = {}
+    for diff, idx in list(seen):
+        if idx not in loops or diff.moments is None:
+            continue
+        got = pe._loop_cache[(diff.key, idx)]
+        want = contour(pe, lambda x, sheet, f=diff.fn: f(x) / pe.ev.y(x, sheet),
+                       idx)
+        err = np.abs(got - want).max() / np.abs(want).max()
+        worst[diff.key[0]] = max(worst.get(diff.key[0], 0.0), err)
+    return worst
+
+
+def test_failing_loop_falls_back_once_for_all_its_forms(monkeypatch):
+    # every row of both full schedules: the gap loops past the pinching
+    # cut fail from d = 3.9e-4 (zero-pole) and d = 1.6e-3 (zero-zero)
+    seen, contours = _record_loop_periods(monkeypatch)
+    worst, failing = {}, []
+    for fam in (tau.zero_pole_family(), tau.zero_zero_family()):
+        for d in fam.schedule:
+            del seen[:], contours[:]
+            conn = tau.build_connection(fam.config(d), pairing=fam.pairing)
+            _connection_periods(conn, tau._tangent(fam.config, d, 1e-3 * d))
+            pe = conn.pe
+            assert sorted(contours) == pe.fallback_loops, (fam.name, d)
+            failing.append(len(contours))
+            for kind, err in _table_errors(pe, seen, pe.fallback_loops).items():
+                worst[kind] = max(worst.get(kind, 0.0), err)
+    assert failing == [0] * 8 + [2] * 3 + [0] * 6 + [1] + [2] * 4
+    assert set(worst) == {"holo-basis", "v", "poly", "phi"}
+    assert max(worst.values()) <= 1e-10, worst
+
+
+def test_moment_tables_match_spine_periods(monkeypatch):
+    # the table on every loop whose spine settles, against its spine
+    # periods, over REF and the seeded generic configurations with a
+    # random tangent
+    seen, _ = _record_loop_periods(monkeypatch)
+    rng = np.random.default_rng(11)
+    for config in (QDConfigG0(**REF), *_kappa_configs()):
+        del seen[:]
+        conn = tau.build_connection(config)
+        b_dot = rng.normal(size=(2 * config.n - 4, 2)) @ np.array([1.0, 1.0j])
+        _connection_periods(conn, (b_dot, 0.3))
+        pe = conn.pe
+        kinds = set()
+        for diff, idx in seen:
+            if diff.moments is None or idx in pe.fallback_loops:
+                continue
+            got = diff.moments(pe.loop_geometry(idx)) @ pe.moment_table(idx)
+            want = pe._loop_cache[(diff.key, idx)]
+            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+            kinds.add(diff.key[0])
+        assert kinds == {"holo-basis", "v", "poly", "phi"}
+
+
+def test_first_rungs_follow_the_loop_rho():
+    # each loop's ladder starts where its own worst foreign point lets
+    # the rule meet the engine's tolerance; spine_rho is the worst loop
+    for config in (QDConfigG0(**REF), COLLINEAR, CLUSTERED):
+        pe = PeriodEngine(build_cycles_robust(build_cover(config)))
+        rhos = pe.cycles.spine_rhos()
+        assert len(rhos) == len(pe.cycles.loops) == len(pe.first_rungs)
+        assert pe.cycles.spine_rho() == rhos.min()
+        for rho, k in zip(rhos, pe.first_rungs):
+            fits = rho ** (-2.0 * np.array(SPINE_SIZES)) <= pe.tol
+            assert not fits[k] and fits[k + 1] or k == 0 and fits[0]

@@ -7,8 +7,10 @@ import pytest
 
 from qdtau.quadrature import (
     PANELS_PER_CALL,
+    SPINE_SIZES,
     QuadratureError,
     adaptive_line,
+    first_rung,
     jacobi_rule,
     legendre_rule,
     spine_integral,
@@ -105,6 +107,62 @@ def test_spine_integral_agm_period():
         a, b = (a + b) / 2.0, math.sqrt(a * b)
     assert abs(val - math.pi / a) < 5e-13
     assert abs(val - 2.6220575542921198) < 5e-12
+
+
+def _ladder(f, start=0, tol=1e-12):
+    """(value, defect, index of the rung it settled on) of the ladder
+    on f from the given rung."""
+    sizes = []
+
+    def g(t):
+        sizes.append(len(t))
+        return f(t)
+
+    val, defect = spine_integral(g, -0.5, -0.5, tol=tol, start=start)
+    assert sizes == list(SPINE_SIZES[start:start + len(sizes)])
+    return val, defect, start + len(sizes) - 1
+
+
+@pytest.mark.parametrize("a", [1.5, 1.1, 1.02, 1.005, 1.001])
+def test_started_ladder_is_bit_identical_above_its_start(a):
+    # a stack of a pole beside the interval and a smooth component: a
+    # ladder started at rung k makes the full ladder's comparisons from
+    # rung k + 1 on, so wherever that one settled above k it returns
+    # the same value and defect
+    def f(t):
+        return np.stack([1.0 / (t - a - 0.01j), np.exp(t)])
+
+    full, defect, settled = _ladder(f)
+    assert settled >= 1
+    for k in range(settled):
+        val, got_defect, got_settled = _ladder(f, start=k)
+        assert np.array_equal(val, full) and got_defect == defect
+        assert got_settled == settled
+    if settled < len(SPINE_SIZES) - 1:
+        # started at or past its settling rung it is at least as close
+        val = _ladder(f, start=settled)[0]
+        assert np.abs(val - full).max() <= 1e-10
+
+
+def test_first_rung_predicts_a_settling_rung():
+    # 1/(t - a) is analytic inside the Bernstein ellipse through a, of
+    # parameter rho = a + sqrt(a^2 - 1); the predicted ladder settles
+    # within two rungs of its start, on the closed form
+    for a in (3.0, 1.5, 1.1, 1.02, 1.005):
+        rho = a + math.sqrt(a * a - 1.0)
+        k = first_rung(rho, 1e-12)
+        val, _, settled = _ladder(lambda t: 1.0 / (t - a), start=k)
+        want = -math.pi / math.sqrt(a * a - 1.0)
+        assert abs(val - want) < 1e-11 * abs(want), a
+        assert settled <= k + 2, a
+    assert first_rung(3.0, 1e-12) == 0
+    assert first_rung(math.inf, 1e-11) == 0
+    # no rung meets the tolerance: the top two
+    assert first_rung(1.0, 1e-11) == len(SPINE_SIZES) - 2
+    assert first_rung(1.0 + 1e-9, 1e-11) == len(SPINE_SIZES) - 2
+    rhos = np.geomspace(1.001, 10.0, 50)
+    starts = [first_rung(r, 1e-11) for r in rhos]
+    assert starts == sorted(starts, reverse=True)
 
 
 def test_spine_integral_raises_on_interior_pole():
