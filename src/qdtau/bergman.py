@@ -13,10 +13,13 @@ the normalized holomorphic differentials,
 
     Bhat = B0 + sum_jk C[j,k] omega_j(x) omega_k(w),
 
-kills every alpha period in w.  C is solved at probe points; the
-required alpha integrals of B0 reduce, after dropping the exact part
-dw/(2(x-w)^2), to loop periods of a differential that changes sign
-under the involution in w.
+kills every alpha period in w.  Modulo d(yhat(w)/(w-x)), B0 minus its
+exact part dw/(2(x-w)^2) is P(x,w) dw/(4 yhat(x) yhat(w)), with
+P = R[x,w,w] - dP1 dP2 (dp = (p(w) - p(x))/(w - x), R[x,w,w] = d/dw dR).
+With K[a,b] P's coefficient of x^a w^b and M[b,k] the alpha_k period of
+w^b dw/yhat, b <= 2g, rows a >= g of K M vanish and C = -(1/4) A^T
+(K M)[:g], A = M[:g] (Fay, LNM 352; Buchstaber-Enolskii-Leykin 1997).
+M needs polynomial forms only, read off moment tables where spines fail.
 
 The pullback identity Bhat(P,Q) + Bhat(P, mu Q) = dx dw/(x-w)^2 holds
 for any C, so everything downstream needs only the diagonal-opposite
@@ -34,13 +37,29 @@ import numpy as np
 
 from .cover_homology import transform_basis
 from .cycles import GeometryError
-from .periods import Differential, PeriodEngine
+from .periods import PeriodEngine, holo_basis, poly_diff
 
 
 def partial_fractions(x, points):
     """d = 1/(x - b) for every b in ``points``, on a new first axis."""
     x = np.asarray(x, dtype=complex)
     return 1.0 / (x - points.reshape(points.shape + (1,) * x.ndim))
+
+
+def divided_difference(p):
+    """D[a, b], the coefficient of x^a w^b in (p(w) - p(x)) / (w - x),
+    for p's coefficients highest degree first: that of p's z^(a+b+1)."""
+    c = np.append(np.asarray(p, dtype=complex)[::-1], np.zeros(len(p)))
+    return c[np.add.outer(np.arange(len(p) - 1), np.arange(1, len(p)))]
+
+
+def bivariate_product(p, q):
+    """Coefficients of the product of two polynomials in (x, w), each
+    given as its coefficients of x^a w^b at [a, b]."""
+    out = np.zeros(np.add(p.shape, q.shape) - 1, dtype=complex)
+    for (a, b), c in np.ndenumerate(p):
+        out[a:a + q.shape[0], b:b + q.shape[1]] += c * q
+    return out
 
 
 def fraction_sums(d, rows):
@@ -86,59 +105,44 @@ class BergmanEvaluator:
             self._p1, w
         ) * np.polyval(self._p2, x)
 
-    def _probes(self, offset):
-        pts = np.array(self.curve.branch_points)
-        center = pts.mean()
-        rad = 1.5 * max(abs(pts - center).max(), 1e-6)
+    def alpha_moments(self):
+        """M[b, k], the alpha_k period of w^b dw/yhat for b <= 2g (rows
+        b < g: the holomorphic basis), from the loops the rows use."""
         g = self.curve.genus
-        ang = 2 * np.pi * np.arange(g) / g + offset
-        return center + rad * np.exp(1j * ang)
+        j = np.arange(g, 2 * g + 1)[:, None]
+        forms = (holo_basis(g), poly_diff(("bergman-powers", g),
+                                          np.eye(2 * g + 1)[g::-1],
+                                          lambda x: np.asarray(x) ** j))
+        used = np.flatnonzero(self.alpha_mat.any(axis=0))
+        loops = [np.concatenate([self.pe.loop_period(f, i) for f in forms])
+                 for i in used]
+        return np.array(loops).T @ self.alpha_mat[:, used].T
 
-    def _alpha_integrals(self, probes):
-        """Matrix of alpha_k integrals (in w) of the non-exact part of
-        B0(x0, w), one row per probe x0, from one differential stacked
-        over the probes."""
-        x0 = np.asarray(probes, dtype=complex)[:, None]
-        y0 = self.ev.y(x0)
-
-        def fn(w):
-            return self._h(x0, w) / (4.0 * y0 * (x0 - w) ** 2)
-
-        diff = Differential(("bergR", tuple(x0.ravel().tolist())), fn)
-        return np.array([self.pe.combo_period(diff, row)
-                         for row in self.alpha_mat]).T
+    def kernel_coefficients(self):
+        """K[a, b], P's coefficient of x^a w^b (module docstring)."""
+        rdd = divided_difference(np.polymul(self._p1, self._p2))
+        return (rdd[:-1, 1:] * np.arange(1, rdd.shape[1])
+                - bivariate_product(divided_difference(self._p1),
+                                    divided_difference(self._p2)))
 
     def correction(self):
-        """The symmetric coefficient matrix C, solved so that every
-        alpha period of Bhat in its second argument vanishes."""
+        """The symmetric coefficient matrix C that kills every alpha
+        period of Bhat in its second argument, in closed form (module
+        docstring)."""
         if self._C is not None:
             return self._C
-        offset = 0.37
-        for attempt in range(4):
-            probes = self._probes(offset)
-            u = self.q_values(probes) / self.ev.y(probes)[:, None]
-            if np.linalg.cond(u) < 1e8:
-                break
-            offset += 0.21
-        else:
-            raise GeometryError("probe matrix ill-conditioned")
-        rint = self._alpha_integrals(probes)
-        c = np.linalg.solve(u, -rint)
-        scale = max(np.max(np.abs(c)), 1e-30)
-        self.correction_defect = np.max(np.abs(c - c.T)) / scale
-        if self.correction_defect > 1e-6:
-            raise GeometryError(
-                f"correction matrix asymmetry {self.correction_defect:.2e}"
-            )
+        g = self.curve.genus
+        m = self.alpha_moments()
+        c = -0.25 * m[:g].T @ (self.kernel_coefficients()[:g] @ m)
+        defect = np.max(np.abs(c - c.T)) / max(np.max(np.abs(c)), 1e-30)
+        if defect > 1e-6:
+            raise GeometryError(f"correction matrix asymmetry {defect:.2e}")
+        self.correction_defect = defect
         self._C = 0.5 * (c + c.T)
         # q^T C q = p^T (N^T C N) p over the powers p = (1, x, ...) as
         # one polynomial, highest degree first
-        m = self.N.T @ self._C @ self.N
-        g = m.shape[0]
-        quad = np.zeros(2 * g - 1, dtype=complex)
-        for i in range(g):
-            quad[i:i + g] += m[i]
-        self._quad = quad[::-1]
+        m = (self.N.T @ self._C @ self.N)[:, ::-1]
+        self._quad = np.array([np.trace(m, k) for k in range(1 - g, g)])
         return self._C
 
     # kernel coefficients in the plane chart; sheets are +-1
@@ -159,13 +163,18 @@ class BergmanEvaluator:
         return self.b0_coeff(x, sx, w, sw) + corr
 
     def alpha_residual(self, x0, k):
-        """alpha_k integral of Bhat(x0, .) for an off-probe x0; zero up
-        to quadrature error when C is right."""
-        base = self._alpha_integrals([x0])[0, k]
-        c = self.correction()
-        qx = self.q_values(x0) / self.ev.y(x0)
+        """alpha_k integral of Bhat(x0, .), zero up to quadrature error
+        when C is right.  The non-exact part of B0 is integrated as it
+        stands along the alpha_k loops' stadium contours, so this checks
+        the closed form of C independently; it has no residue at
+        w = x0, so x0 only has to stay off the contours."""
+        y0 = self.ev.y(x0)
+        base = sum(int(c) * self.pe.contour_loop_period(
+            lambda w, s: self._h(x0, w) / (4.0 * y0 * self.ev.y(w, s)
+                                           * (x0 - w) ** 2), i)
+            for i, c in enumerate(self.alpha_mat[k]) if c)
         # alpha_k period of omega_j is delta_jk for the normalized basis
-        return base + complex(qx @ c[:, k])
+        return base + complex(self.q_values(x0) / y0 @ self.correction()[:, k])
 
     # diagonal-opposite coefficient; the projective connections are
     # multiples of it (module docstring)

@@ -143,16 +143,16 @@ def _bergman_identities():
         # summed over the sheets of w, the kernel is dx dw / (x - w)^2
         tot = be.bhat_coeff(x, sx, w, sw) + be.bhat_coeff(x, sx, w, -sw)
         worst = max(worst, abs(tot * (x - w) ** 2 - 1.0))
-    probes = (0.3 + 0.9j, -1.4 + 0.6j, 2.2 - 1.3j)
+    points = (0.3 + 0.9j, -1.4 + 0.6j, 2.2 - 1.3j)
     return {
         "bergman_pullback": worst,
-        "alpha_residual": max(abs(be.alpha_residual(x, k)) for x in probes
+        "alpha_residual": max(abs(be.alpha_residual(x, k)) for x in points
                               for k in range(be.N.shape[0])),
         "correction_defect": be.correction_defect,
         # the closed form -6 t(x) against the kernel's diagonal limit
         "projective_connection": max(
             abs(fd_schwarzian(be, x, 1) + 6.0 * be.t_coeff(x))
-            / max(1.0, abs(6.0 * be.t_coeff(x))) for x in probes),
+            / max(1.0, abs(6.0 * be.t_coeff(x))) for x in points),
     }
 
 

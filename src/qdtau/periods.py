@@ -10,10 +10,10 @@ whose Jacobi ladder does not settle (a foreign branch point too close)
 falls back to the stadium contour.  Each ladder starts at the rung the
 loop's worst Bernstein parameter predicts (`quadrature.first_rung`).
 On a loop whose spine failed, one stacked contour integrates the
-loop's moment table (`PeriodEngine.moment_table`), and every form that
-knows its coefficients on that table (polynomial numerators, and phi's
-reduced ones) reads its period off it; only other forms run a contour
-of their own.
+loop's moment table (`PeriodEngine.moment_table`), and every form reads
+its period off it: each `Differential` carries its coefficients on
+that table (polynomial numerators, and phi's reduced ones), so no form
+runs a contour of its own.
 
 Per-loop values are cached, so every cycle period, including those of
 a transformed basis, is an integer combination of cached numbers.  The
@@ -26,7 +26,7 @@ differential.
 from __future__ import annotations
 
 from math import comb
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -40,13 +40,13 @@ class Differential(NamedTuple):
     """mu-odd differential f(x) dx / yhat; ``fn`` maps complex arrays
     to complex arrays and must be regular at branch points; a stack of
     k arrays gives k-vectors of periods, integrated in one pass.
-    ``moments``, if given, maps a loop's LoopGeometry to f's
-    coefficients on that loop's moment table (a (k, rows) stack for a
-    stacked f), the route of its period where the spine fails."""
+    ``moments`` maps a loop's LoopGeometry to f's coefficients on that
+    loop's moment table (a (k, rows) stack for a stacked f), the route
+    of its period where the spine fails."""
 
     key: tuple
     fn: Callable
-    moments: Optional[Callable] = None
+    moments: Callable
 
 
 class LoopGeometry(NamedTuple):
@@ -267,7 +267,7 @@ class PeriodEngine:
         """The loop's period of diff: twice its spine integral times
         sigma; on a loop whose spine failed once (a foreign branch point
         too close for the Jacobi ladder), read off the loop's moment
-        table, or for a form without moments its own stadium contour."""
+        table."""
         key = (diff.key, loop_idx)
         if key in self._loop_cache:
             return self._loop_cache[key]
@@ -277,12 +277,9 @@ class PeriodEngine:
                     diff, loop_idx)
             except QuadratureError:
                 self._failed.add(loop_idx)
-        if loop_idx in self._failed and diff.moments is not None:
+        if loop_idx in self._failed:
             val = (diff.moments(self.loop_geometry(loop_idx))
                    @ self.moment_table(loop_idx))
-        elif loop_idx in self._failed:
-            val = self.contour_loop_period(
-                lambda x, sheet: diff.fn(x) / self.ev.y(x, sheet), loop_idx)
         self._loop_cache[key] = val
         return val
 
@@ -345,16 +342,9 @@ class PeriodEngine:
         d_b = raw @ self.cycles.beta_mat.T
         return n @ (d_b - d_a @ omega)
 
-    def combo_period(self, diff: Differential, combo):
-        """The integer combination of loop periods; a vector for a
-        stacked diff."""
-        val = sum(int(c) * self.loop_period(diff, i)
-                  for i, c in enumerate(combo) if c)
-        return complex(val) if np.ndim(val) == 0 else val
-
-    # the loop's stadium contour, sheet by sheet: the fallback of a
-    # spine whose ladder does not settle; fn(x, sheet) is the full
-    # coefficient of dx, or a (k, npts) stack of k coefficients
+    # the loop's stadium contour, sheet by sheet: the moment table's
+    # route where a spine's ladder does not settle; fn(x, sheet) is the
+    # full coefficient of dx, or a (k, npts) stack of k coefficients
     def contour_loop_period(self, fn, loop_idx: int, tol=None):
         lp = self.cycles.loops[loop_idx]
         tol = self.tol * self._scale if tol is None else tol

@@ -160,7 +160,7 @@ class TauConnection:
     """Periods of phi+- and v over one symplectic basis.
 
     The kernel evaluator is built lazily: plain v-period work never
-    pays for the probe solve.  phi's numerator is fixed by the kernel
+    pays for the kernel correction.  phi's numerator is fixed by the kernel
     evaluator's alpha rows alone (its alpha-normalized N, C and t), so
     its loop periods are cached in the engine under those rows: a basis
     change that keeps the alpha cycles reuses them.

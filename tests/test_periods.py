@@ -5,9 +5,10 @@ from hypothesis import given, settings, strategies as st
 
 from qdtau import strata, tau
 from qdtau.bergman import BergmanEvaluator
+from qdtau.cover_homology import random_symplectic
 from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
 from qdtau.cycles import SPINE_RHO_MIN, GeometryError, build_cycles_robust
-from qdtau.periods import PeriodEngine, Differential, holo_diff, v_diff
+from qdtau.periods import PeriodEngine, holo_diff, poly_diff, v_diff
 from qdtau.quadrature import SPINE_SIZES
 from qdtau.quadrature import QuadratureError
 from test_tau import _genus3_path, _kappa_configs
@@ -92,10 +93,7 @@ def test_normalized_basis_duality():
     # alpha-periods of the normalized differentials are exactly delta_jk
     check = np.zeros((g, g), dtype=complex)
     for j in range(g):
-        fn = lambda x, N=N, j=j: sum(
-            N[j, m] * x**m for m in range(g)
-        )
-        d = Differential(("dual", j), fn)
+        d = poly_diff(("dual", j), N[j, ::-1])
         check[j] = pe.homological_coordinates(d)[0]
     assert np.max(np.abs(check - np.eye(g))) < 1e-10
 
@@ -394,12 +392,11 @@ def _connection_periods(conn, tangent):
 
 def _table_errors(pe, seen, loops):
     """{form kind: worst max-normalized distance} between each recorded
-    period on the given loops that has moments and the form's own
-    stadium contour."""
+    period on the given loops and the form's own stadium contour."""
     contour = PeriodEngine.__dict__["contour_loop_period"]
     worst = {}
     for diff, idx in list(seen):
-        if idx not in loops or diff.moments is None:
+        if idx not in loops:
             continue
         got = pe._loop_cache[(diff.key, idx)]
         want = contour(pe, lambda x, sheet, f=diff.fn: f(x) / pe.ev.y(x, sheet),
@@ -443,13 +440,35 @@ def test_moment_tables_match_spine_periods(monkeypatch):
         pe = conn.pe
         kinds = set()
         for diff, idx in seen:
-            if diff.moments is None or idx in pe.fallback_loops:
+            if idx in pe.fallback_loops:
                 continue
             got = diff.moments(pe.loop_geometry(idx)) @ pe.moment_table(idx)
             want = pe._loop_cache[(diff.key, idx)]
             assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
             kinds.add(diff.key[0])
-        assert kinds == {"holo-basis", "v", "poly", "phi"}
+        assert kinds == {"holo-basis", "v", "poly", "phi", "bergman-powers"}
+
+
+def test_transformed_kernel_falls_back_once_per_loop(monkeypatch):
+    # a basis move brings the gap loops whose spines fail into the alpha
+    # rows; the moved correction's forms then read those loops' periods
+    # off their moment tables, so the only contours are the tables
+    _, contours = _record_loop_periods(monkeypatch)
+    zz, zp = tau.zero_zero_family(), tau.zero_pole_family()
+    rows = ([(zz, d) for d in zz.schedule[7:]]       # d <= 7.8e-4
+            + [(zp, d) for d in zp.schedule[8:]])    # d <= 3.9e-4
+    for fam, d in rows:
+        conn = tau.build_connection(fam.config(d), pairing=fam.pairing)
+        _connection_periods(conn, tau._tangent(fam.config, d, 1e-3 * d))
+        pe = conn.pe
+        sigma = random_symplectic(pe.curve.genus, np.random.default_rng(3),
+                                  steps=6)
+        tables = set(pe._tables)
+        del contours[:]
+        moved = conn.be.transformed(sigma)
+        moved.correction()
+        assert moved.alpha_mat[:, pe.fallback_loops].any(), (fam.name, d)
+        assert len(contours) == len(set(pe._tables) - tables), (fam.name, d)
 
 
 def test_first_rungs_follow_the_loop_rho():
