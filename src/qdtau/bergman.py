@@ -19,7 +19,8 @@ P = R[x,w,w] - dP1 dP2 (dp = (p(w) - p(x))/(w - x), R[x,w,w] = d/dw dR).
 With K[a,b] P's coefficient of x^a w^b and M[b,k] the alpha_k period of
 w^b dw/yhat, b <= 2g, rows a >= g of K M vanish and C = -(1/4) A^T
 (K M)[:g], A = M[:g] (Fay, LNM 352; Buchstaber-Enolskii-Leykin 1997).
-M needs polynomial forms only, read off moment tables where spines fail.
+M is one stacked polynomial form, read off the powers block of each
+alpha loop's moment table (`qdtau.periods`).
 
 The pullback identity Bhat(P,Q) + Bhat(P, mu Q) = dx dw/(x-w)^2 holds
 for any C, so everything downstream needs only the diagonal-opposite
@@ -37,7 +38,7 @@ import numpy as np
 
 from .cover_homology import transform_basis
 from .cycles import GeometryError
-from .periods import PeriodEngine, holo_basis, poly_diff
+from .periods import PeriodEngine, poly_diff
 
 
 def partial_fractions(x, points):
@@ -109,14 +110,10 @@ class BergmanEvaluator:
         """M[b, k], the alpha_k period of w^b dw/yhat for b <= 2g (rows
         b < g: the holomorphic basis), from the loops the rows use."""
         g = self.curve.genus
-        j = np.arange(g, 2 * g + 1)[:, None]
-        forms = (holo_basis(g), poly_diff(("bergman-powers", g),
-                                          np.eye(2 * g + 1)[g::-1],
-                                          lambda x: np.asarray(x) ** j))
+        powers = poly_diff(("powers", 2 * g), np.eye(2 * g + 1)[::-1])
         used = np.flatnonzero(self.alpha_mat.any(axis=0))
-        loops = [np.concatenate([self.pe.loop_period(f, i) for f in forms])
-                 for i in used]
-        return np.array(loops).T @ self.alpha_mat[:, used].T
+        loops = np.array([self.pe.loop_period(powers, i) for i in used])
+        return loops.T @ self.alpha_mat[:, used].T
 
     def kernel_coefficients(self):
         """K[a, b], P's coefficient of x^a w^b (module docstring)."""

@@ -51,12 +51,21 @@ def _config_inputs(config, **more) -> dict:
             "scale": _cj(config.scale), **more}
 
 
+def _number(v, integer=False):
+    """v itself if it is a JSON number (true and false are not); with
+    ``integer``, int(v) if v's value is an integer (4.9 is refused, not
+    truncated)."""
+    if (isinstance(v, bool) or not isinstance(v, (int, float))
+            or integer and not float(v).is_integer()):
+        raise InputError(f"expected {'an integer' if integer else 'a number'}"
+                         f", got {v!r}")
+    return int(v) if integer else v
+
+
 def _parse_complex(v):
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    if isinstance(v, (int, float)):
-        return complex(v)
-    raise InputError(f"expected [re, im] pair, got {v!r}")
+        return complex(_number(v[0]), _number(v[1]))
+    return complex(_number(v))
 
 
 def load_config(path: str) -> QDConfigG0:
@@ -74,10 +83,10 @@ def load_config(path: str) -> QDConfigG0:
         zeros = [_parse_complex(z) for z in raw["zeros"]]
         poles = [_parse_complex(p) for p in raw["poles"]]
         scale = _parse_complex(raw.get("scale", 1.0))
-        tol = float(raw.get("tolerance", 1e-10))
+        tol = float(_number(raw.get("tolerance", 1e-10)))
         pairing = raw.get("pairing")
         if pairing is not None:
-            pairing = [tuple(int(i) for i in pr) for pr in pairing]
+            pairing = [tuple(_number(i, True) for i in pr) for pr in pairing]
         return QDConfigG0(zeros=zeros, poles=poles, scale=scale,
                           tolerance=tol, pairing=pairing)
     except KeyError as exc:

@@ -29,9 +29,10 @@ CAP_FACTORS = (0.3, 0.18, 0.1, 0.06)
 GAP_CAP_SHRINK = 0.8
 
 # an n-point Gauss-Jacobi rule errs like rho^(-2n) on a spine of
-# Bernstein parameter rho: the top rung meets the engine's default 1e-11
-# from this rho (about 1.022) on
-SPINE_RHO_MIN = 1e-11 ** (-0.5 / SPINE_SIZES[-1])
+# Bernstein parameter rho, and the ladder accepts when two rungs agree,
+# so its defect is the lower rung's error: it settles at the top with
+# the engine's default 1e-11 from this rho (about 1.036) on
+SPINE_RHO_MIN = 1e-11 ** (-0.5 / SPINE_SIZES[-2])
 
 
 class GeometryError(RuntimeError):

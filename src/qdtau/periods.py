@@ -1,31 +1,32 @@
 """Period integrals over the cycle system.
 
-Every differential is integrated as f(x) dx / yhat with f regular at
-the branch points (poles there are first traded for polynomials by the
-exact forms d(yhat/(x-b)^j), `pole_reductions`).  On every loop such a
-form's period is twice a spine integral with the inverse-square-root
-endpoint weight, times the loop's orientation sign, which is read off
-the lift (`PeriodEngine.sigma`) without any quadrature.  Only a spine
-whose Jacobi ladder does not settle (a foreign branch point too close)
-falls back to the stadium contour.  Each ladder starts at the rung the
-loop's worst Bernstein parameter predicts (`quadrature.first_rung`).
-On a loop whose spine failed, one stacked contour integrates the
-loop's moment table (`PeriodEngine.moment_table`), and every form reads
-its period off it: each `Differential` carries its coefficients on
-that table (polynomial numerators, and phi's reduced ones), so no form
-runs a contour of its own.
+The engine integrates moment tables, never forms.  A loop's table
+(`LoopGeometry`) holds the periods of u^k dx/yhat, k <= 2g, in the
+spine coordinate u (the powers block), then, once a form asks for them,
+those of dx/((x - b)^j yhat), j = 1, 2, at the branch points b the loop
+keeps explicit (the far-pole block, `PeriodEngine.loop_split`).  Every
+`Differential` is its coefficient vector on that table, and its loop
+period is that vector times the table: polynomial numerators fill the
+powers block alone, phi's reduced numerator (poles at or crowding the
+spine traded for polynomials by the exact forms d(yhat/(x-b)^j),
+`pole_reductions`) both blocks.
 
-Per-loop values are cached, so every cycle period, including those of
-a transformed basis, is an integer combination of cached numbers.  The
-sheet values on each loop's spine are cached per Gauss-Jacobi rule
-size too: every differential integrated over a loop climbs the same
-ladder of rules, so yhat is evaluated once per node, not once per
-differential.
+Each block is one stacked Gauss-Jacobi spine ladder with the
+inverse-square-root endpoint weight, from the rung the loop's worst
+Bernstein parameter predicts (`quadrature.first_rung`); a loop period
+is twice that spine integral times the loop's orientation sign, which
+is read off the lift (`PeriodEngine.sigma`) without any quadrature.  A
+loop where either block's ladder does not settle (a foreign branch
+point too close) integrates both blocks on one stacked stadium
+contour.
+
+Tables and per-form loop periods are cached, so every cycle period,
+including those of a transformed basis, is an integer combination of
+cached numbers.
 """
 
 from __future__ import annotations
 
-from math import comb
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -37,67 +38,68 @@ from .quadrature import (QuadratureError, adaptive_line, first_rung,
 
 
 class Differential(NamedTuple):
-    """mu-odd differential f(x) dx / yhat; ``fn`` maps complex arrays
-    to complex arrays and must be regular at branch points; a stack of
-    k arrays gives k-vectors of periods, integrated in one pass.
-    ``moments`` maps a loop's LoopGeometry to f's coefficients on that
-    loop's moment table (a (k, rows) stack for a stacked f), the route
-    of its period where the spine fails."""
+    """mu-odd differential f(x) dx / yhat, given by its coefficients on
+    each loop's moment table: ``moments`` maps the loop's LoopGeometry
+    to a vector (a (k, rows) stack for k stacked forms) on the table's
+    powers block alone, or on it and the far-pole block after it."""
 
     key: tuple
-    fn: Callable
     moments: Callable
 
 
+def affine_shift(a, b, n):
+    """S with (a + b u)^j = sum over i of S[j, i] u^i, for j, i < n."""
+    s = np.zeros((n, n), dtype=complex)
+    s[0, 0] = 1.0
+    for j in range(1, n):
+        s[j] = a * s[j - 1]
+        s[j, 1:] += b * s[j - 1, :-1]
+    return s
+
+
 class LoopGeometry(NamedTuple):
-    """A loop's spine coordinate u = (x - mid) / half and the branch
-    points its forms reduce (``close``) or keep explicit (``far``), as
-    index arrays (`PeriodEngine.loop_geometry`).  The loop's moment
-    table holds the periods of u^j dx/yhat for j <= degree (= 2g), then
-    of dx/((x - b) yhat) and of dx/((x - b)^2 yhat) for b in far."""
+    """A loop's spine coordinate u = (x - mid) / half and the degree
+    (2g) of its table's powers block; ``shift`` takes a polynomial's
+    coefficients in x, lowest degree first, to those in u (computed once
+    per loop, `PeriodEngine.loop_geometry`)."""
 
     mid: complex
     half: complex
-    close: np.ndarray
-    far: np.ndarray
     degree: int
+    shift: np.ndarray
 
     def poly_moments(self, coeffs, c=0.0, s=1.0):
-        """Table coefficients of the polynomial p((x - c)/s), with p's
-        coefficients highest degree first (rows of a stack allowed):
-        its coefficients in u, lowest first, then zeros for the far
-        poles.  (x - c)/s = a + b u, and (a + b u)^j expands
-        binomially."""
+        """Powers-block coefficients of the polynomial p((x - c)/s),
+        with p's coefficients highest degree first (rows of a stack
+        allowed): its coefficients in u, lowest first, as
+        (x - c)/s = (mid - c)/s + (half/s) u."""
         p = np.asarray(coeffs, dtype=complex)[..., ::-1]
-        a, b = (self.mid - c) / s, self.half / s
-        shift = np.zeros((p.shape[-1], self.degree + 1), dtype=complex)
-        for j in range(p.shape[-1]):
-            for i in range(j + 1):
-                shift[j, i] = comb(j, i) * a ** (j - i) * b ** i
-        u = p @ shift
-        return np.concatenate(
-            [u, np.zeros(u.shape[:-1] + (2 * len(self.far),))], axis=-1)
+        shift = self.shift if (c, s) == (0.0, 1.0) else affine_shift(
+            (self.mid - c) / s, self.half / s, self.degree + 1)
+        return p @ shift[:p.shape[-1]]
 
 
-def poly_diff(key, coeffs, fn=None) -> Differential:
+def pole_rows(x, far):
+    """The far-pole block's rows at x: 1/(x - b), then 1/(x - b)^2, for
+    b in far."""
+    d = 1.0 / (x - far[:, None])
+    return np.concatenate([d, d * d])
+
+
+def poly_diff(key, coeffs) -> Differential:
     """f dx / yhat for the polynomial f, coefficients highest degree
-    first (or rows of them for a stack, with ``fn`` evaluating the
-    stack); ``fn`` defaults to Horner's rule."""
+    first (or rows of them for a stack)."""
     coeffs = np.asarray(coeffs, dtype=complex)
-    return Differential(key,
-                        fn or (lambda x: np.polyval(coeffs, x)),
-                        lambda geo: geo.poly_moments(coeffs))
+    return Differential(key, lambda geo: geo.poly_moments(coeffs))
 
 
 def holo_diff(j: int) -> Differential:
-    return poly_diff(("holo", j), np.eye(j + 1)[0],
-                     lambda x: np.asarray(x) ** j)
+    return poly_diff(("holo", j), np.eye(j + 1)[0])
 
 
 def holo_basis(g: int) -> Differential:
     """x^j dx / yhat for j < g, stacked."""
-    return poly_diff(("holo-basis", g), np.eye(g)[::-1],
-                     lambda x: np.asarray(x) ** np.arange(g)[:, None])
+    return poly_diff(("holo-basis", g), np.eye(g)[::-1])
 
 
 def v_numerator(config):
@@ -155,11 +157,10 @@ class PeriodEngine:
         self.first_rungs = [first_rung(rho, tol)
                             for rho in cycles.spine_rhos()]
         self._loop_cache = {}
-        self._spine_cache = {}
         self._sigmas = {}
         self._points = np.asarray(self.curve.branch_points, dtype=complex)
-        self._nearest = None
         self._geometry = {}
+        self._splits = {}
         self._tables = {}
         self._failed = set()
         self._norm = None
@@ -171,68 +172,37 @@ class PeriodEngine:
         curve = build_cover(config)
         return cls(build_cycles_robust(curve, pairing=config.pairing), tol)
 
-    def spine_ends(self, loop_idx):
-        """Branch-point indices (i, j) of the ends of the loop's spine."""
-        lp = self.cycles.loops[loop_idx]
-        if lp.kind == "cut":
-            return self.cycles.pairs[lp.index]
-        return self.cycles.gap_ends[lp.index]
-
     def loop_geometry(self, loop_idx) -> LoopGeometry:
-        """The loop's spine coordinate and its close/far split: close
-        are the points nearer its spine than half their nearest-neighbour
-        distance (the spine's ends, and foreign points crowding it).
-        Reducing a pole divides by its distances to the other points, so
-        a pole reduced on every loop would bring coefficients ~1/d^2 near
-        a pinching cut of length d, whose roundoff swamps far loops."""
+        """The loop's spine coordinate: mid and half of the segment
+        between the branch points at its spine's ends."""
         if loop_idx not in self._geometry:
-            if self._nearest is None:
-                self._nearest = nearest_distances(self._points)
-            mid, half = self._spine(loop_idx)
-            u = (self._points - mid) / half
-            close = (np.abs(half * (u - np.clip(u.real, -1, 1)))
-                     < 0.5 * self._nearest)
+            lp = self.cycles.loops[loop_idx]
+            ends = (self.cycles.pairs if lp.kind == "cut"
+                    else self.cycles.gap_ends)[lp.index]
+            a, b = self._points[list(ends)]
+            mid, half = (a + b) / 2.0, (b - a) / 2.0
+            degree = 2 * self.curve.genus
             self._geometry[loop_idx] = LoopGeometry(
-                mid, half, np.flatnonzero(close), np.flatnonzero(~close),
-                2 * self.curve.genus)
+                mid, half, degree, affine_shift(mid, half, degree + 1))
         return self._geometry[loop_idx]
 
-    # midpoint and half-vector of the loop's spine
-    def _spine(self, loop_idx):
-        i, j = self.spine_ends(loop_idx)
-        a, b = self.curve.branch_points[i], self.curve.branch_points[j]
-        return (a + b) / 2.0, (b - a) / 2.0
-
-    def _spine_nodes(self, loop_idx, t):
-        """(x, sqrt(1 - t^2), yhat) at the spine's rule nodes t, cached
-        per (loop, rule size): every differential integrated over the
-        loop climbs the same ladder of Gauss-Jacobi rules, and t, the
-        nodes of the one (-1/2, -1/2) rule of each size, is fixed by
-        its length.  A cut loop's spine takes yhat's boundary value."""
-        key = (loop_idx, len(t))
-        if key not in self._spine_cache:
-            mid, half = self._spine(loop_idx)
-            lp = self.cycles.loops[loop_idx]
-            x = mid + t * half
-            if lp.kind == "cut":
-                y = self.ev.y_oncut(lp.index, t, +1)
-            else:
-                y = self.ev.y(x)
-            self._spine_cache[key] = (x, np.sqrt((1.0 - t) * (1.0 + t)), y)
-        return self._spine_cache[key]
-
-    def spine_half_period(self, diff: Differential, loop_idx: int):
-        """Integral of f dx/yhat along the loop's spine (one pass), from
-        the loop's first rung."""
-        half = self._spine(loop_idx)[1]
-
-        def g(t):
-            x, w, y = self._spine_nodes(loop_idx, t)
-            return diff.fn(x) * half * w / y
-
-        val, _ = spine_integral(g, -0.5, -0.5, tol=self.tol,
-                                start=self.first_rungs[loop_idx])
-        return val
+    def loop_split(self, loop_idx):
+        """(close, far) index arrays of the branch points a form reduces
+        on the loop and those it keeps explicit on the table's far-pole
+        block: close are the points nearer its spine than half their
+        nearest-neighbour distance (the spine's ends, and foreign points
+        crowding it).  Reducing a pole divides by its distances to the
+        other points, so a pole reduced on every loop would bring
+        coefficients ~1/d^2 near a pinching cut of length d, whose
+        roundoff swamps far loops."""
+        if loop_idx not in self._splits:
+            geo = self.loop_geometry(loop_idx)
+            u = (self._points - geo.mid) / geo.half
+            close = (np.abs(geo.half * (u - np.clip(u.real, -1, 1)))
+                     < 0.5 * nearest_distances(self._points))
+            self._splits[loop_idx] = (np.flatnonzero(close),
+                                      np.flatnonzero(~close))
+        return self._splits[loop_idx]
 
     def sigma(self, loop_idx: int) -> int:
         """Orientation factor: loop period = 2*sigma*spine integral,
@@ -264,45 +234,67 @@ class PeriodEngine:
         return self._sigmas[loop_idx]
 
     def loop_period(self, diff: Differential, loop_idx: int):
-        """The loop's period of diff: twice its spine integral times
-        sigma; on a loop whose spine failed once (a foreign branch point
-        too close for the Jacobi ladder), read off the loop's moment
-        table."""
+        """The loop's period of diff: its moment coefficients on the
+        loop times the loop's table."""
         key = (diff.key, loop_idx)
-        if key in self._loop_cache:
-            return self._loop_cache[key]
-        if loop_idx not in self._failed:
-            try:
-                val = 2.0 * self.sigma(loop_idx) * self.spine_half_period(
-                    diff, loop_idx)
-            except QuadratureError:
-                self._failed.add(loop_idx)
-        if loop_idx in self._failed:
-            val = (diff.moments(self.loop_geometry(loop_idx))
-                   @ self.moment_table(loop_idx))
-        self._loop_cache[key] = val
-        return val
+        if key not in self._loop_cache:
+            m = diff.moments(self.loop_geometry(loop_idx))
+            rows = m.shape[-1]
+            self._loop_cache[key] = m @ self.moment_table(loop_idx, rows)[:rows]
+        return self._loop_cache[key]
 
     @property
     def fallback_loops(self):
         """Indices of the loops whose spine ladder failed, sorted."""
         return sorted(self._failed)
 
-    def moment_table(self, loop_idx):
-        """The loop's moment table (`LoopGeometry`), from one stacked
-        stadium contour."""
-        if loop_idx not in self._tables:
-            geo = self.loop_geometry(loop_idx)
-            far = self._points[geo.far]
+    def moment_table(self, loop_idx, rows):
+        """The loop's moment table (module docstring), at least its
+        first ``rows`` rows: each block from one stacked spine ladder,
+        the far-pole block only when asked for; once a ladder fails,
+        the whole table from one stacked stadium contour, for good."""
+        table = self._tables.get(loop_idx, np.zeros(0, dtype=complex))
+        if len(table) < rows:
+            try:
+                while len(table) < rows:
+                    table = np.concatenate(
+                        [table, self._spine_block(loop_idx, len(table) > 0)])
+            except QuadratureError:
+                self._failed.add(loop_idx)
+                table = self.contour_loop_period(self._table_rows(loop_idx),
+                                                 loop_idx)
+            self._tables[loop_idx] = table
+        return table
 
-            def fn(x, sheet):
-                u = (x - geo.mid) / geo.half
-                d = 1.0 / (x - far[:, None])
-                return (np.concatenate([np.vander(u, geo.degree + 1, True).T,
-                                        d, d * d]) / self.ev.y(x, sheet))
+    def _spine_block(self, loop_idx, poles):
+        """The powers block of the loop's table, or with ``poles`` its
+        far-pole block: twice the stacked spine integral, from the
+        loop's first rung, times sigma.  On the spine u = t, and a cut
+        loop's spine takes yhat's boundary value."""
+        geo = self.loop_geometry(loop_idx)
+        lp = self.cycles.loops[loop_idx]
+        far = self._points[self.loop_split(loop_idx)[1]] if poles else None
 
-            self._tables[loop_idx] = self.contour_loop_period(fn, loop_idx)
-        return self._tables[loop_idx]
+        def g(t):
+            x = geo.mid + t * geo.half
+            y = (self.ev.y_oncut(lp.index, t, +1) if lp.kind == "cut"
+                 else self.ev.y(x))
+            rows = (pole_rows(x, far) if poles
+                    else np.vander(t, geo.degree + 1, True).T)
+            return rows * (geo.half * np.sqrt((1.0 - t) * (1.0 + t)) / y)
+
+        val, _ = spine_integral(g, -0.5, -0.5, tol=self.tol,
+                                start=self.first_rungs[loop_idx])
+        return 2.0 * self.sigma(loop_idx) * val
+
+    def _table_rows(self, loop_idx):
+        """fn(x, sheet): both blocks of the loop's table, the stacked
+        integrand of its stadium contour."""
+        geo = self.loop_geometry(loop_idx)
+        far = self._points[self.loop_split(loop_idx)[1]]
+        return lambda x, sheet: np.concatenate(
+            [np.vander((x - geo.mid) / geo.half, geo.degree + 1, True).T,
+             pole_rows(x, far)]) / self.ev.y(x, sheet)
 
     def loop_periods(self, diff: Differential):
         return np.array(
@@ -317,7 +309,7 @@ class PeriodEngine:
         Moving b turns f dx/yhat into f b_dot / (2 (x-b) yhat) dx
         (Rauch's variational formula).  With f = f(b) + (x-b) q and the
         exact-form step of `pole_reductions`, the derivative is again a
-        polynomial over yhat and takes the cached spine route."""
+        polynomial over yhat, read off the cached tables."""
         num = np.asarray(f_dot, dtype=complex)
         pts = self.curve.branch_points
         for k, bd in enumerate(b_dot):

@@ -20,8 +20,10 @@ phi = F dx / yhat with F rational, poles of order at most two only at
 branch points.  FFTs on circles split F into principal parts and a
 polynomial part; on each loop the poles at (or crowding) its spine are
 traded for a polynomial by the exact forms d(yhat / (x - b)^j), the
-pole step of Kedlaya's reduction, and phi's periods take the period
-engine's spine route like any holomorphic form.
+pole step of Kedlaya's reduction, and the others stay explicit, so
+phi's periods are its coefficients on each loop's moment table: the
+reduced polynomial on the powers block, the far principal parts on the
+far-pole block (`qdtau.periods`).
 """
 from __future__ import annotations
 
@@ -128,31 +130,24 @@ def reduce_poles(laurent, points, rows):
 def reduced_loop_periods(engine: PeriodEngine, fn, key):
     """Loop periods, shape (k, loops), of the stacked forms
     fn(x)[i] dx/yhat (numerators as in `principal_parts`), cached under
-    ``key``.  Each loop reduces the poles its `PeriodEngine.loop_geometry`
-    calls close in the spine coordinate u = (x - mid)/half and keeps the
-    far ones explicit, the terms of its moment table."""
+    ``key``.  Each loop reduces the poles its `PeriodEngine.loop_split`
+    calls close, in the spine coordinate u = (x - mid)/half, and keeps
+    the far ones explicit: the form's coefficients on the loop's moment
+    table are the reduced polynomial's on its powers block and the far
+    principal parts on its far-pole block."""
     pts = np.asarray(engine.curve.branch_points, dtype=complex)
     poly, c, s, laurent = principal_parts(fn, pts)
     out = []
     for idx in range(len(engine.cycles.loops)):
         geo = engine.loop_geometry(idx)
-        mid, half, far = geo.mid, geo.half, geo.far
-        near = reduce_poles(laurent * half ** -np.arange(1.0, 3.0),
-                            (pts - mid) / half, geo.close)
-        coef = np.concatenate([laurent[:, far, 0], laurent[:, far, 1]], axis=1)
-
-        def num(x, far=far, near=near, coef=coef, mid=mid, half=half):
-            d = partial_fractions(x, pts[far])
-            m = near.shape[-1]
-            return (near @ np.vander((x - mid) / half, m).T
-                    + poly @ np.vander((x - c) / s, m).T
-                    + coef @ np.concatenate([d, d * d]))
-
-        def moments(geo, near=near, coef=coef):
-            explicit = np.concatenate([near[:, ::-1], coef], axis=1)
-            return geo.poly_moments(poly, c, s) + explicit
-
-        out.append(engine.loop_period(Differential(key, num, moments), idx))
+        close, far = engine.loop_split(idx)
+        near = reduce_poles(laurent * geo.half ** -np.arange(1.0, 3.0),
+                            (pts - geo.mid) / geo.half, close)
+        moments = np.concatenate([geo.poly_moments(poly, c, s) + near[:, ::-1],
+                                  laurent[:, far, 0], laurent[:, far, 1]],
+                                 axis=1)
+        out.append(engine.loop_period(
+            Differential(key, lambda geo, m=moments: m), idx))
     return np.array(out).T
 
 

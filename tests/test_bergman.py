@@ -6,11 +6,11 @@ from qdtau import tau
 from qdtau.checks import fd_schwarzian
 from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
 from qdtau.cycles import GeometryError, build_cycles_robust
-from qdtau.periods import Differential, PeriodEngine
+from qdtau.periods import PeriodEngine
 from qdtau.bergman import BergmanEvaluator
 from qdtau.cover_homology import blocks, random_symplectic
 from qdtau.quadrature import QuadratureError, adaptive_line
-from test_periods import class_config, mobius_model
+from test_periods import class_config, mobius_model, spine_half
 
 
 REF = dict(zeros=[0.0], poles=[1.0, -1.0, 2.0, -2.0, 0.5])
@@ -62,8 +62,7 @@ def probe_correction(be):
 
     def period(i):
         try:
-            return 2.0 * pe.sigma(i) * pe.spine_half_period(
-                Differential(("bergR",), fn, None), i)
+            return 2.0 * pe.sigma(i) * spine_half(pe, i, fn)
         except QuadratureError:
             return pe.contour_loop_period(lambda w, s: fn(w) / ev.y(w, s), i)
 

@@ -141,6 +141,26 @@ def test_periods_malformed_config(tmp_path, capsys):
         assert rejected(["periods", "--config", str(p)], capsys), text
 
 
+def test_config_refuses_fractional_indices_and_booleans(tmp_path, capsys):
+    # each of these used to run as the reference configuration and exit
+    # 0: fractional pairing indices were truncated, and true read as 1
+    poles = REF_CONFIG["poles"]
+    bad = [dict(REF_CONFIG, pairing=[[4.9, 2], [0, 5.2], [1, 3]]),
+           dict(REF_CONFIG, pairing=[[4, 2], [0, 5], [True, 3]]),
+           dict(REF_CONFIG, zeros=[[0.0, False]]),
+           dict(REF_CONFIG, poles=[[True, 0.0]] + poles[1:]),
+           dict(REF_CONFIG, tolerance=True)]
+    p = tmp_path / "bad.json"
+    for cfg in bad:
+        p.write_text(json.dumps(cfg))
+        assert rejected(["periods", "--config", str(p)], capsys), cfg
+    # an index written as an integral float is still that index
+    p.write_text(json.dumps(dict(REF_CONFIG, pairing=[[4.0, 2], [0, 5],
+                                                      [1, 3]])))
+    assert main(["periods", "--config", str(p), "--out",
+                 str(tmp_path / "out.json")]) == 0
+
+
 def test_periods_invalid_geometry(tmp_path):
     cfg = dict(REF_CONFIG, zeros=[[1.0, 0.0]])  # zero collides with a pole
     del cfg["pairing"]

@@ -3,14 +3,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdtau import strata, tau
+from qdtau import checks, periods, strata, tau
 from qdtau.bergman import BergmanEvaluator
-from qdtau.cover_homology import random_symplectic
+from qdtau.cover_homology import random_symplectic, transform_basis
 from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
 from qdtau.cycles import SPINE_RHO_MIN, GeometryError, build_cycles_robust
-from qdtau.periods import PeriodEngine, holo_diff, poly_diff, v_diff
-from qdtau.quadrature import SPINE_SIZES
-from qdtau.quadrature import QuadratureError
+from qdtau.periods import (PeriodEngine, holo_diff, poly_diff, v_diff,
+                           v_numerator)
+from qdtau.quadrature import SPINE_SIZES, QuadratureError, spine_integral
 from test_tau import _genus3_path, _kappa_configs
 
 
@@ -25,6 +25,23 @@ def mobius_model(points, x0):
     k^2 = prod(x0 - b)."""
     model = [1.0 / (b - x0) for b in points] + [0.0]
     return model, np.sqrt(complex(np.prod([x0 - b for b in points])))
+
+
+def spine_half(pe, loop_idx, num):
+    """The loop's spine integral of num(x) dx/yhat by its own
+    Gauss-Jacobi ladder from the loop's first rung (the loop period is
+    twice this times sigma), independent of the engine's tables; num
+    maps x to a value or a stack of them."""
+    geo = pe.loop_geometry(loop_idx)
+    lp = pe.cycles.loops[loop_idx]
+
+    def g(t):
+        x = geo.mid + t * geo.half
+        y = pe.ev.y_oncut(lp.index, t, +1) if lp.kind == "cut" else pe.ev.y(x)
+        return num(x) * geo.half * np.sqrt((1.0 - t) * (1.0 + t)) / y
+
+    return spine_integral(g, -0.5, -0.5, tol=pe.tol,
+                          start=pe.first_rungs[loop_idx])[0]
 
 
 def _engine(points, pairing=None):
@@ -108,7 +125,8 @@ def test_reference_v_periods():
 def test_spine_and_contour_routes_agree():
     pe = _ref_engine()
     d = v_diff(pe.cycles.curve)
-    fn = lambda x, sheet: d.fn(x) / pe.ev.y(x, sheet)
+    num = v_numerator(QDConfigG0(**REF))
+    fn = lambda x, sheet: np.polyval(num, x) / pe.ev.y(x, sheet)
     for idx in range(len(pe.cycles.loops)):
         fast = pe.loop_period(d, idx)
         slow = pe.contour_loop_period(fn, idx, tol=1e-10)
@@ -118,7 +136,6 @@ def test_spine_and_contour_routes_agree():
 def test_v_squares_to_quadratic_differential():
     cfg = QDConfigG0(**REF, scale=0.7 - 0.3j)
     curve = build_cover(cfg)
-    d = v_diff(curve)
     ev = build_cycles_robust(curve).evaluator
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -126,7 +143,7 @@ def test_v_squares_to_quadratic_differential():
         num = np.prod([x - z for z in cfg.zeros])
         den = np.prod([x - p for p in cfg.poles])
         q = cfg.scale * num / den
-        val = d.fn(x) / ev.y(x)
+        val = np.polyval(v_numerator(cfg), x) / ev.y(x)
         assert abs(val * val - q) < 1e-9 * max(1.0, abs(q))
 
 
@@ -154,8 +171,8 @@ def test_period_cache_reuse():
 
 
 def test_spine_cache_keeps_loop_periods_bit_identical():
-    # a warm engine reuses the sheet values at every rung; a fresh one
-    # computes them for its first differential alone
+    # a warm engine reads every form off its cached tables; a fresh one
+    # integrates them for its first differential alone
     cfg = QDConfigG0(zeros=[0.3 + 0.2j, -0.4 - 0.1j],
                      poles=[2.0, -2.0, -1.0 - 1.5j, -1.0 + 1.5j,
                             1.0 + 1.5j, 1.0 - 1.5j])
@@ -164,7 +181,7 @@ def test_spine_cache_keeps_loop_periods_bit_identical():
     diffs = [holo_diff(j) for j in range(curve.genus)] + [v_diff(curve)]
     for d in diffs:
         warm.loop_periods(d)
-    assert warm._spine_cache
+    assert sorted(warm._tables) == list(range(len(warm.cycles.loops)))
     for d in diffs[::-1]:
         fresh = PeriodEngine(build_cycles_robust(curve))
         assert np.array_equal(fresh.loop_periods(d), warm.loop_periods(d))
@@ -181,7 +198,7 @@ CLUSTERED = QDConfigG0(zeros=[-1.325 - 2.362j],
 
 def test_v_periods_on_clustered_config_take_the_spine(monkeypatch):
     pe = PeriodEngine(build_cycles_robust(build_cover(CLUSTERED)))
-    pe.normalized_basis()  # the holomorphic basis fills the spine cache
+    pe.normalized_basis()  # the holomorphic basis fills the tables
     contour = PeriodEngine.contour_loop_period
     calls = []
 
@@ -193,7 +210,9 @@ def test_v_periods_on_clustered_config_take_the_spine(monkeypatch):
     d = v_diff(pe.curve)
     got = pe.loop_periods(d)
     assert calls == []
-    want = np.array([contour(pe, lambda x, sheet: d.fn(x) / pe.ev.y(x, sheet), i)
+    num = v_numerator(CLUSTERED)
+    want = np.array([contour(pe, lambda x, sheet: np.polyval(num, x)
+                             / pe.ev.y(x, sheet), i)
                      for i in range(len(pe.cycles.loops))])
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
@@ -207,12 +226,11 @@ def calibrated_sigma(pe, loop_idx):
     negligible; None where no such j exists.  A spine whose ladder does
     not settle raises QuadratureError."""
     for j in range(pe.curve.genus):
-        diff = holo_diff(j)
-        spine = pe.spine_half_period(diff, loop_idx)
+        spine = spine_half(pe, loop_idx, lambda x: x ** j)
         if abs(spine) < 1e-8:
             continue
         contour = pe.contour_loop_period(
-            lambda x, sheet, d=diff: d.fn(x) / pe.ev.y(x, sheet), loop_idx,
+            lambda x, sheet: x ** j / pe.ev.y(x, sheet), loop_idx,
             tol=1e-6 * abs(spine))
         ratio = contour / (2.0 * spine)
         sig = 1 if ratio.real > 0 else -1
@@ -356,10 +374,13 @@ def test_relabeling_zeros_and_poles_changes_nothing(cls, n, seed, data):
     assert np.abs(got[2] - euler).max() <= 1e-11 * np.abs(euler).max()
 
 
-# A loop whose spine fails runs one stacked contour, its moment table;
-# polynomial forms and phi's reduced numerator read their periods off
-# it.  The per-differential contour that served them before is the
-# oracle.
+# Every period is a form's coefficients on its loop's moment table times
+# the table; a loop whose ladder fails runs one stacked contour for the
+# whole table.  The oracle integrates each form from its own definition:
+# a polynomial numerator by np.polyval on its own spine ladder (on the
+# stadium contour where that ladder fails), phi's unreduced numerator
+# (`tau.phi_numerators`), whose poles sit at the spine's ends, on the
+# contour.
 
 def _record_loop_periods(monkeypatch):
     """Lists of the (diff, loop) pairs asked of any engine and of the
@@ -383,26 +404,47 @@ def _record_loop_periods(monkeypatch):
 
 def _connection_periods(conn, tangent):
     """Every form the tau layer integrates: the holomorphic basis, v,
-    v's Rauch velocities along the tangent, and phi."""
+    v's Rauch velocities along the tangent, and phi (with the kernel's
+    powers)."""
     conn.pe.normalized_basis()
     conn.v_periods()
     conn.v_velocities(*tangent)
     conn.phi_periods(1)
 
 
-def _table_errors(pe, seen, loops):
+def _numerator(conn, key):
+    """num(x), the numerator (a stack) of the form cached under key,
+    from the form's definition."""
+    g = conn.pe.curve.genus
+    if key[0] == "phi":
+        return tau.phi_numerators(conn.be, conn.config)
+    coeffs = {"holo-basis": lambda: np.eye(g)[::-1],
+              "powers": lambda: np.eye(2 * g + 1)[::-1],
+              "v": lambda: [v_numerator(conn.config)],
+              "poly": lambda: [np.array(key[1])]}[key[0]]()
+    return lambda x: np.array([np.polyval(c, x) for c in coeffs])
+
+
+def _oracle_errors(conn, seen, loops):
     """{form kind: worst max-normalized distance} between each recorded
-    period on the given loops and the form's own stadium contour."""
-    contour = PeriodEngine.__dict__["contour_loop_period"]
-    worst = {}
-    for diff, idx in list(seen):
+    period on the given loops and the form integrated from its
+    definition."""
+    pe, worst = conn.pe, {}
+    for (key, idx), diff in {(d.key, i): d for d, i in seen}.items():
         if idx not in loops:
             continue
-        got = pe._loop_cache[(diff.key, idx)]
-        want = contour(pe, lambda x, sheet, f=diff.fn: f(x) / pe.ev.y(x, sheet),
-                       idx)
-        err = np.abs(got - want).max() / np.abs(want).max()
-        worst[diff.key[0]] = max(worst.get(diff.key[0], 0.0), err)
+        num, want = _numerator(conn, key), None
+        if key[0] != "phi":
+            try:
+                want = 2.0 * pe.sigma(idx) * spine_half(pe, idx, num)
+            except QuadratureError:
+                pass
+        if want is None:
+            want = pe.contour_loop_period(
+                lambda x, sheet: num(x) / pe.ev.y(x, sheet), idx)
+        got = pe._loop_cache[(key, idx)]
+        err = np.abs(got - np.squeeze(want)).max() / np.abs(want).max()
+        worst[key[0]] = max(worst.get(key[0], 0.0), err)
     return worst
 
 
@@ -419,7 +461,8 @@ def test_failing_loop_falls_back_once_for_all_its_forms(monkeypatch):
             pe = conn.pe
             assert sorted(contours) == pe.fallback_loops, (fam.name, d)
             failing.append(len(contours))
-            for kind, err in _table_errors(pe, seen, pe.fallback_loops).items():
+            for kind, err in _oracle_errors(conn, seen,
+                                            pe.fallback_loops).items():
                 worst[kind] = max(worst.get(kind, 0.0), err)
     assert failing == [0] * 8 + [2] * 3 + [0] * 6 + [1] + [2] * 4
     assert set(worst) == {"holo-basis", "v", "poly", "phi"}
@@ -427,9 +470,9 @@ def test_failing_loop_falls_back_once_for_all_its_forms(monkeypatch):
 
 
 def test_moment_tables_match_spine_periods(monkeypatch):
-    # the table on every loop whose spine settles, against its spine
-    # periods, over REF and the seeded generic configurations with a
-    # random tangent
+    # the table on every loop whose spine settles, against each form
+    # integrated from its definition, over REF and the seeded generic
+    # configurations with a random tangent
     seen, _ = _record_loop_periods(monkeypatch)
     rng = np.random.default_rng(11)
     for config in (QDConfigG0(**REF), *_kappa_configs()):
@@ -438,21 +481,53 @@ def test_moment_tables_match_spine_periods(monkeypatch):
         b_dot = rng.normal(size=(2 * config.n - 4, 2)) @ np.array([1.0, 1.0j])
         _connection_periods(conn, (b_dot, 0.3))
         pe = conn.pe
-        kinds = set()
-        for diff, idx in seen:
-            if idx in pe.fallback_loops:
-                continue
-            got = diff.moments(pe.loop_geometry(idx)) @ pe.moment_table(idx)
-            want = pe._loop_cache[(diff.key, idx)]
-            assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
-            kinds.add(diff.key[0])
-        assert kinds == {"holo-basis", "v", "poly", "phi", "bergman-powers"}
+        loops = set(range(len(pe.cycles.loops))) - set(pe.fallback_loops)
+        errors = _oracle_errors(conn, seen, loops)
+        assert set(errors) == {"holo-basis", "v", "poly", "phi", "powers"}
+        assert max(errors.values()) <= 1e-10, errors
+
+
+def test_each_loop_integrates_its_table_once(monkeypatch):
+    # a connection, a basis change and v's homological coordinates on one
+    # engine integrate tables, not forms: at most one spine ladder per
+    # table block (each loop's powers and far poles), and one contour per
+    # loop whose ladder failed
+    _, contours = _record_loop_periods(monkeypatch)
+    ladders = []
+    ladder = periods.spine_integral
+
+    def spy(*args, **kwargs):
+        ladders.append(args)
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(periods, "spine_integral", spy)
+    zz = tau.zero_zero_family()
+    for config, pairing in ((QDConfigG0(**REF), None),
+                            (zz.config(zz.schedule[8]), zz.pairing)):
+        del ladders[:], contours[:]
+        conn = tau.build_connection(config, pairing=pairing)
+        pe = conn.pe
+        conn.euler_pairing(1)
+        b_dot, c_dot = tau._tangent(checks.pole_path(config), 0.0)
+        dv = conn.v_velocities(b_dot, c_dot)
+        sig = random_symplectic(pe.curve.genus, np.random.default_rng(3),
+                                steps=6)
+        am2, bm2 = transform_basis(sig, conn.alpha_mat, conn.beta_mat)
+        moved = tau.TauConnection(pe, config, conn.be.transformed(sig),
+                                  am2, bm2)
+        for c in (conn, moved):
+            c.dlog_tau(-1, dv)
+        pe.period_matrix_velocity(b_dot)
+        pe.homological_coordinates()
+        assert len(ladders) <= 2 * len(pe.cycles.loops)
+        assert len(contours) == len(pe.fallback_loops)
+    assert pe.fallback_loops  # the zero-zero row's gap loops fail
 
 
 def test_transformed_kernel_falls_back_once_per_loop(monkeypatch):
     # a basis move brings the gap loops whose spines fail into the alpha
-    # rows; the moved correction's forms then read those loops' periods
-    # off their moment tables, so the only contours are the tables
+    # rows; the moved correction reads those loops' periods off their
+    # tables, so it runs a contour only for a loop that fails anew
     _, contours = _record_loop_periods(monkeypatch)
     zz, zp = tau.zero_zero_family(), tau.zero_pole_family()
     rows = ([(zz, d) for d in zz.schedule[7:]]       # d <= 7.8e-4
@@ -463,12 +538,13 @@ def test_transformed_kernel_falls_back_once_per_loop(monkeypatch):
         pe = conn.pe
         sigma = random_symplectic(pe.curve.genus, np.random.default_rng(3),
                                   steps=6)
-        tables = set(pe._tables)
+        failed = set(pe.fallback_loops)
         del contours[:]
         moved = conn.be.transformed(sigma)
         moved.correction()
         assert moved.alpha_mat[:, pe.fallback_loops].any(), (fam.name, d)
-        assert len(contours) == len(set(pe._tables) - tables), (fam.name, d)
+        assert len(contours) == len(set(pe.fallback_loops) - failed), \
+            (fam.name, d)
 
 
 def test_first_rungs_follow_the_loop_rho():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qdtau.cycles import SPINE_RHO_MIN
 from qdtau.quadrature import (
     PANELS_PER_CALL,
     SPINE_SIZES,
@@ -94,6 +95,22 @@ def test_spine_integral_escalates_near_singularity():
     want = -math.pi / math.sqrt(a * a - 1.0)
     val, _ = spine_integral(lambda t: 1.0 / (t - a), -0.5, -0.5, tol=1e-12)
     assert abs(val - want) < 1e-10 * abs(want)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.2])
+def test_spine_rho_min_is_where_the_ladder_settles(theta):
+    # the ladder's defect is the error of the rung below the top, so on
+    # 1/(t - z) with z on the Bernstein ellipse of parameter rho it fails
+    # at 1e-11 for rho = 1.034 and settles for rho = 1.04, either side of
+    # the threshold the cycle builder asks of every spine
+    def pole(rho):
+        z = (rho * np.exp(1j * theta) + np.exp(-1j * theta) / rho) / 2.0
+        return lambda t: 1.0 / (t - z)
+
+    assert 1.034 < SPINE_RHO_MIN < 1.04
+    with pytest.raises(QuadratureError):
+        spine_integral(pole(1.034), -0.5, -0.5, tol=1e-11)
+    spine_integral(pole(1.04), -0.5, -0.5, tol=1e-11)
 
 
 def test_spine_integral_agm_period():

@@ -194,14 +194,15 @@ def test_basis_change_keeping_alpha_reuses_phi(monkeypatch):
     # C = 0 keeps them and reuses the centre's phi loop periods, one with
     # C != 0 integrates phi again; both match phi integrated afresh
     integrated = []
-    half = periods.PeriodEngine.spine_half_period
+    loop_period = periods.PeriodEngine.loop_period
 
     def spy(engine, diff, loop_idx):
-        if diff.key[0] == "phi":
+        if (diff.key[0] == "phi"
+                and (diff.key, loop_idx) not in engine._loop_cache):
             integrated.append((diff.key, loop_idx))
-        return half(engine, diff, loop_idx)
+        return loop_period(engine, diff, loop_idx)
 
-    monkeypatch.setattr(periods.PeriodEngine, "spine_half_period", spy)
+    monkeypatch.setattr(periods.PeriodEngine, "loop_period", spy)
     eye, zero = np.eye(2, dtype=int), np.zeros((2, 2), dtype=int)
     cached = tau.reduced_loop_periods
 
