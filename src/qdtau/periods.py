@@ -5,24 +5,28 @@ The engine integrates moment tables, never forms.  A loop's table
 spine coordinate u (the powers block), then, once a form asks for them,
 those of dx/((x - b)^j yhat), j = 1, 2, at the branch points b the loop
 keeps explicit (the far-pole block, `PeriodEngine.loop_split`).  Every
-`Differential` is its coefficient vector on that table, and its loop
-period is that vector times the table: polynomial numerators fill the
-powers block alone, phi's reduced numerator (poles at or crowding the
-spine traded for polynomials by the exact forms d(yhat/(x-b)^j),
-`pole_reductions`) both blocks.
+polynomial `Differential` is its coefficient vector on the powers block,
+and its loop period is that vector times the table.  Forms with poles
+at the branch points (phi) go through the engine's reduction map
+(`PeriodEngine.reduction_map`): its column for a loop folds the poles
+at or crowding the spine, traded for polynomials in u by the exact
+forms d(yhat/(x-b)^j) (`pole_reductions`), and the far-pole rows into
+the loop's table, so all of such a form's loop periods are one product
+of its principal parts with that map.
 
 Each block is one stacked Gauss-Jacobi spine ladder with the
 inverse-square-root endpoint weight, from the rung the loop's worst
-Bernstein parameter predicts (`quadrature.first_rung`); a loop period
-is twice that spine integral times the loop's orientation sign, which
-is read off the lift (`PeriodEngine.sigma`) without any quadrature.  A
-loop where either block's ladder does not settle (a foreign branch
-point too close) integrates both blocks on one stacked stadium
-contour.
+Bernstein parameter predicts (`quadrature.first_rung`); the two blocks
+share the sheet weight yhat at every rung they both reach.  A loop
+period is twice that spine integral times the loop's orientation sign,
+which is read off the lift (`PeriodEngine.sigma`) without any
+quadrature.  A loop where either block's ladder does not settle (a
+foreign branch point too close) integrates both blocks on one stacked
+stadium contour.
 
-Tables and per-form loop periods are cached, so every cycle period,
-including those of a transformed basis, is an integer combination of
-cached numbers.
+Tables, the reduction map and every form's loop periods are cached, so
+every cycle period, including those of a transformed basis, is an
+integer combination of cached numbers.
 """
 
 from __future__ import annotations
@@ -38,18 +42,19 @@ from .quadrature import (QuadratureError, adaptive_line, first_rung,
 
 
 class Differential(NamedTuple):
-    """mu-odd differential f(x) dx / yhat, given by its coefficients on
-    each loop's moment table: ``moments`` maps the loop's LoopGeometry
-    to a vector (a (k, rows) stack for k stacked forms) on the table's
-    powers block alone, or on it and the far-pole block after it."""
+    """mu-odd differential f(x) dx / yhat for a polynomial f, given by
+    its coefficients on each loop's moment table: ``moments`` maps the
+    loop's LoopGeometry to a vector (a (k, rows) stack for k stacked
+    forms) on the table's powers block."""
 
     key: tuple
     moments: Callable
 
 
 def affine_shift(a, b, n):
-    """S with (a + b u)^j = sum over i of S[j, i] u^i, for j, i < n."""
-    s = np.zeros((n, n), dtype=complex)
+    """S with (a + b u)^j = sum over i of S[j, i] u^i, for j, i < n;
+    for arrays a and b, S[j, i] is an array of their shape."""
+    s = np.zeros((n, n) + getattr(a, "shape", ()), dtype=complex)
     s[0, 0] = 1.0
     for j in range(1, n):
         s[j] = a * s[j - 1]
@@ -116,28 +121,54 @@ def v_diff(curve) -> Differential:
 
 
 def deflate(p, b):
-    """(q, r) with p = (x - b) q + r, by synthetic division."""
-    q = np.empty(len(p) - 1, dtype=complex)
+    """(q, r) with p = (x - b) q + r, by synthetic division; p may be a
+    stack of polynomials (along the last axis, highest degree first)
+    and b an array of divisors, broadcast against the stack."""
+    p = np.asarray(p)
+    q = np.empty(np.broadcast_shapes(p.shape[:-1], np.shape(b))
+                 + (p.shape[-1] - 1,), dtype=complex)
     acc = 0.0
-    for i in range(len(q)):
-        acc = acc * b + p[i]
-        q[i] = acc
-    return q, acc * b + p[-1]
+    for i in range(q.shape[-1]):
+        acc = acc * b + p[..., i]
+        q[..., i] = acc
+    return q, acc * b + p[..., -1]
 
 
-def pole_reductions(points, k):
-    """(e_1, e_2): dx / ((x - b)^j yhat) = e_j dx / yhat modulo d(yhat /
-    (x - b)^j), b = points[k], yhat^2 = prod(x - points).  With
-    R = (x - b) S, W = (S - S(b)) / (x - b) (S(b) as a product):
-    1 / ((x-b)^j yhat) = [S'/(2j - 1) - W] / (S(b) (x-b)^(j-1) yhat)."""
+def pole_reductions(points, rows=None):
+    """E[i, j - 1], coefficients highest degree first, with
+    dx / ((x - b)^j yhat) = E[i, j - 1] dx / yhat modulo d(yhat /
+    (x - b)^j), for b = points[k], k = rows[i] (every point by default)
+    and yhat^2 = prod(x - points); ``points`` may also hold one point
+    set per row.  With R = (x - b) S_k and W = (S_k - S_k(b)) / (x - b):
+    1 / ((x-b)^j yhat) = [S_k'/(2j - 1) - W] / (S_k(b) (x-b)^(j-1) yhat).
+    Every S_k comes from one product over the points that skips point k
+    in row k, and the divisions run on the whole stack."""
     pts = np.asarray(points, dtype=complex)
-    b, others = pts[k], np.delete(pts, k)
-    s = np.poly(others)
-    sb = np.prod(b - others)
-    w, ds = deflate(s, b)[0], np.polyder(s)
-    e1 = (ds - w) / sb
-    q, r = deflate((ds / 3.0 - w) / sb, b)
-    return e1, np.polyadd(q, r * e1)
+    n = pts.shape[-1]
+    rows = np.arange(n) if rows is None else np.asarray(rows)
+    pts = np.broadcast_to(pts, (len(rows), n))
+    skip = rows[:, None] == np.arange(n)
+    b = pts[skip]
+    roots = np.where(skip, 0.0, pts)
+    sb = np.where(skip, 1.0, b[:, None] - pts).prod(axis=1)
+    s = np.zeros((len(rows), n), dtype=complex)
+    s[:, 0] = 1.0
+    for i in range(n):
+        s[:, 1:] -= roots[:, i:i + 1] * s[:, :-1]
+    ds = s[:, :-1] * np.arange(n - 1, 0, -1)
+    w = deflate(s, b)[0]
+    e1 = (ds - w) / sb[:, None]
+    q, r = deflate((ds / 3.0 - w) / sb[:, None], b)
+    e2 = r[:, None] * e1
+    e2[:, 1:] += q
+    return np.stack([e1, e2], axis=1)
+
+
+def frame(points):
+    """(c, s): the points' centroid and their largest distance from it,
+    the frame of `tau.principal_parts`' polynomial part."""
+    c = points.mean()
+    return c, np.abs(points - c).max()
 
 
 def nearest_distances(pts):
@@ -162,8 +193,12 @@ class PeriodEngine:
         self._geometry = {}
         self._splits = {}
         self._tables = {}
+        self._weights = {}
         self._failed = set()
         self._norm = None
+        self._reduction = None
+        self._reduced = {}
+        self._x_reductions = None
 
     @classmethod
     def for_config(cls, config, tol: float = 1e-11) -> "PeriodEngine":
@@ -270,21 +305,30 @@ class PeriodEngine:
         """The powers block of the loop's table, or with ``poles`` its
         far-pole block: twice the stacked spine integral, from the
         loop's first rung, times sigma.  On the spine u = t, and a cut
-        loop's spine takes yhat's boundary value."""
+        loop's spine takes yhat's boundary value.  The weight
+        half sqrt(1 - t^2) / yhat is kept per rung, so the far-pole
+        ladder evaluates yhat only on rungs the powers ladder did not
+        reach.  The far-pole block completes the table, so the weights
+        go once it settles."""
         geo = self.loop_geometry(loop_idx)
         lp = self.cycles.loops[loop_idx]
         far = self._points[self.loop_split(loop_idx)[1]] if poles else None
+        weights = self._weights.setdefault(loop_idx, {})
 
         def g(t):
             x = geo.mid + t * geo.half
-            y = (self.ev.y_oncut(lp.index, t, +1) if lp.kind == "cut"
-                 else self.ev.y(x))
+            if len(t) not in weights:
+                y = (self.ev.y_oncut(lp.index, t, +1) if lp.kind == "cut"
+                     else self.ev.y(x))
+                weights[len(t)] = geo.half * np.sqrt((1.0 - t) * (1.0 + t)) / y
             rows = (pole_rows(x, far) if poles
                     else np.vander(t, geo.degree + 1, True).T)
-            return rows * (geo.half * np.sqrt((1.0 - t) * (1.0 + t)) / y)
+            return rows * weights[len(t)]
 
         val, _ = spine_integral(g, -0.5, -0.5, tol=self.tol,
                                 start=self.first_rungs[loop_idx])
+        if poles:
+            del self._weights[loop_idx]
         return 2.0 * self.sigma(loop_idx) * val
 
     def _table_rows(self, loop_idx):
@@ -301,35 +345,82 @@ class PeriodEngine:
             [self.loop_period(diff, i) for i in range(len(self.cycles.loops))]
         )
 
+    def reduction_map(self):
+        """M, shape (2g + 1 + 2 len(points), loops): the loop periods of
+        forms F dx/yhat whose `tau.principal_parts` are (poly, laurent)
+        are [poly, laurent flattened] @ M.  A loop's column folds into
+        its moment table the polynomial part's shift from (x - c)/s
+        (`frame`) to u, the principal parts at the points the loop
+        reduces (`pole_reductions` in u, where 1/(x - b)^j =
+        half^-j / (u - beta)^j; one stack for every loop), and those at
+        the points it keeps, which are far-pole rows.  Built once per
+        engine."""
+        if self._reduction is None:
+            c, s = frame(self._points)
+            loops = range(len(self.cycles.loops))
+            mids, halves = np.array([(g.mid, g.half) for g in
+                                     map(self.loop_geometry, loops)]).T
+            degree = 2 * self.curve.genus
+            monomials = affine_shift((mids - c) / s, halves / s,
+                                     degree + 1)[::-1]
+            splits = [self.loop_split(i) for i in loops]
+            owner = np.repeat(loops, [len(close) for close, _ in splits])
+            red = pole_reductions(
+                ((self._points - mids[:, None]) / halves[:, None])[owner],
+                np.concatenate([close for close, _ in splits]))[..., ::-1]
+            cols = []
+            for idx, (close, far) in enumerate(splits):
+                table = self.moment_table(idx, degree + 1 + 2 * len(far))
+                powers = table[:degree + 1]
+                laurent = np.empty((len(self._points), 2), dtype=complex)
+                laurent[close] = ((red[owner == idx] @ powers)
+                                  * halves[idx] ** -np.arange(1.0, 3.0))
+                laurent[far] = table[degree + 1:].reshape(2, -1).T
+                cols.append(np.concatenate([monomials[..., idx] @ powers,
+                                            laurent.ravel()]))
+            self._reduction = np.array(cols).T
+        return self._reduction
+
+    def reduced_periods(self, key, poly, laurent):
+        """Loop periods, shape (k, loops), of the k stacked forms whose
+        principal parts are (poly, laurent) (`reduction_map`), cached
+        under ``key``, which must fix them."""
+        if key not in self._reduced:
+            parts = laurent.reshape(laurent.shape[:-2] + (-1,))
+            self._reduced[key] = (np.concatenate([poly, parts], axis=-1)
+                                  @ self.reduction_map())
+        return self._reduced[key]
+
     def period_velocities(self, f, f_dot, b_dot):
         """d/ds of every loop period of f(x) dx/yhat, for a polynomial f
-        (coefficients highest degree first) whose coefficients move
-        with velocity f_dot while branch point k moves with b_dot[k].
+        (coefficients highest degree first, or rows of a stack) whose
+        coefficients move with velocity f_dot while branch point k moves
+        with b_dot[k]; shape (loops,), or (loops, rows) for a stack.
 
         Moving b turns f dx/yhat into f b_dot / (2 (x-b) yhat) dx
         (Rauch's variational formula).  With f = f(b) + (x-b) q and the
-        exact-form step of `pole_reductions`, the derivative is again a
-        polynomial over yhat, read off the cached tables."""
-        num = np.asarray(f_dot, dtype=complex)
-        pts = self.curve.branch_points
-        for k, bd in enumerate(b_dot):
-            if bd == 0:
-                continue
-            q, fb = deflate(f, pts[k])
-            term = np.polyadd(q, fb * pole_reductions(pts, k)[0])
-            num = np.polyadd(num, 0.5 * bd * term)
-        return self.loop_periods(poly_diff(("poly", tuple(num)), num))
+        exact-form step of `pole_reductions` (computed once per engine
+        for every point), the derivative is again a polynomial over
+        yhat, read off the cached tables."""
+        if self._x_reductions is None:
+            self._x_reductions = pole_reductions(self._points)[:, 0]
+        moving = np.flatnonzero(b_dot)
+        bd = 0.5 * np.asarray(b_dot, dtype=complex)[moving]
+        q, fb = deflate(np.asarray(f, dtype=complex)[..., None, :],
+                        self._points[moving])
+        num = (fb * bd) @ self._x_reductions[moving]
+        num[..., num.shape[-1] - q.shape[-1]:] += bd @ q
+        f_dot = np.asarray(f_dot, dtype=complex)
+        num[..., num.shape[-1] - f_dot.shape[-1]:] += f_dot
+        return self.loop_periods(
+            poly_diff(("poly", num.shape, num.tobytes()), num))
 
     def period_matrix_velocity(self, b_dot):
         """d/ds of the period matrix while branch point k moves with
         b_dot[k]: Omega = A^-1 B gives dOmega = N (dB - dA Omega)."""
         g = self.curve.genus
         n, omega = self.normalized_basis()
-        zero = np.zeros(g)
-        raw = np.array([
-            self.period_velocities(np.eye(g)[g - 1 - j], zero, b_dot)
-            for j in range(g)
-        ])
+        raw = self.period_velocities(np.eye(g)[::-1], np.zeros(1), b_dot).T
         d_a = raw @ self.cycles.alpha_mat.T
         d_b = raw @ self.cycles.beta_mat.T
         return n @ (d_b - d_a @ omega)
@@ -380,6 +471,9 @@ class PeriodEngine:
             raise GeometryError(f"period matrix asymmetry {defect:.2e}")
         self.omega_defect = defect
         omega = 0.5 * (omega + omega.T)
+        # Riemann's second bilinear relation, Im Omega > 0: recorded for
+        # `qdtau periods`, never raised
+        self.omega_imag_min_eig = float(np.linalg.eigvalsh(omega.imag).min())
         out = (N, omega)
         if default:
             self._norm = out

@@ -18,12 +18,13 @@ and leaves the even branch alone.
 
 phi = F dx / yhat with F rational, poles of order at most two only at
 branch points.  FFTs on circles split F into principal parts and a
-polynomial part; on each loop the poles at (or crowding) its spine are
-traded for a polynomial by the exact forms d(yhat / (x - b)^j), the
-pole step of Kedlaya's reduction, and the others stay explicit, so
-phi's periods are its coefficients on each loop's moment table: the
-reduced polynomial on the powers block, the far principal parts on the
-far-pole block (`qdtau.periods`).
+polynomial part, and phi's loop periods are one product of those with
+the engine's reduction map (`PeriodEngine.reduction_map`).  That map
+depends on the branch points and the loops alone, never on the form:
+on each loop the poles at (or crowding) its spine are traded for a
+polynomial by the exact forms d(yhat / (x - b)^j), the pole step of
+Kedlaya's reduction, and the others stay explicit as the far-pole rows
+of the loop's moment table (`qdtau.periods`).
 """
 from __future__ import annotations
 
@@ -34,9 +35,8 @@ import numpy as np
 
 from .curves import QDConfigG0, build_cover
 from .cycles import build_cycles_robust
-from .periods import (Differential, PeriodEngine, deflate,
-                      nearest_distances, pole_reductions, v_diff,
-                      v_numerator)
+from .periods import (PeriodEngine, deflate, frame, nearest_distances,
+                      v_diff, v_numerator)
 from .bergman import BergmanEvaluator, fraction_sums, partial_fractions
 from .cover_homology import blocks, transform_basis
 
@@ -107,8 +107,7 @@ def principal_parts(fn, points):
     circle of radius 0.3 nearest-neighbour distances around each point;
     poly: the nonnegative ones on |x - c| = FAR_RADIUS * s."""
     pts = np.asarray(points, dtype=complex)
-    c = pts.mean()
-    s = np.abs(pts - c).max()
+    c, s = frame(pts)
     radii = np.append(0.3 * nearest_distances(pts), FAR_RADIUS * s)
     centers = np.append(pts, c)
     roots = np.exp(2j * np.pi * np.arange(FFT_POINTS) / FFT_POINTS)
@@ -120,35 +119,15 @@ def principal_parts(fn, points):
     return poly, c, s, laurent
 
 
-def reduce_poles(laurent, points, rows):
-    """P with P dx/yhat = the principal parts laurent[..., k, :] at
-    points[k], k in rows, modulo exact forms."""
-    return sum(laurent[..., k, :] @ np.array(pole_reductions(points, k))
-               for k in rows)
-
-
 def reduced_loop_periods(engine: PeriodEngine, fn, key):
     """Loop periods, shape (k, loops), of the stacked forms
     fn(x)[i] dx/yhat (numerators as in `principal_parts`), cached under
-    ``key``.  Each loop reduces the poles its `PeriodEngine.loop_split`
-    calls close, in the spine coordinate u = (x - mid)/half, and keeps
-    the far ones explicit: the form's coefficients on the loop's moment
-    table are the reduced polynomial's on its powers block and the far
-    principal parts on its far-pole block."""
-    pts = np.asarray(engine.curve.branch_points, dtype=complex)
-    poly, c, s, laurent = principal_parts(fn, pts)
-    out = []
-    for idx in range(len(engine.cycles.loops)):
-        geo = engine.loop_geometry(idx)
-        close, far = engine.loop_split(idx)
-        near = reduce_poles(laurent * geo.half ** -np.arange(1.0, 3.0),
-                            (pts - geo.mid) / geo.half, close)
-        moments = np.concatenate([geo.poly_moments(poly, c, s) + near[:, ::-1],
-                                  laurent[:, far, 0], laurent[:, far, 1]],
-                                 axis=1)
-        out.append(engine.loop_period(
-            Differential(key, lambda geo, m=moments: m), idx))
-    return np.array(out).T
+    ``key``: their principal parts times the engine's reduction map,
+    which reduces on each loop the poles its `PeriodEngine.loop_split`
+    calls close and keeps the far ones as far-pole rows."""
+    poly, _c, _s, laurent = principal_parts(
+        fn, np.asarray(engine.curve.branch_points, dtype=complex))
+    return engine.reduced_periods(key, poly, laurent)
 
 
 class TauConnection:

@@ -101,6 +101,7 @@ def test_reference_period_matrix():
     assert np.all(np.linalg.eigvalsh(om.imag) > 0)
     assert np.max(np.abs(om - REF_OMEGA)) < 1e-6
     assert pe.omega_defect < 1e-8
+    assert pe.omega_imag_min_eig == np.linalg.eigvalsh(om.imag).min()
 
 
 def test_normalized_basis_duality():
@@ -383,21 +384,28 @@ def test_relabeling_zeros_and_poles_changes_nothing(cls, n, seed, data):
 # contour.
 
 def _record_loop_periods(monkeypatch):
-    """Lists of the (diff, loop) pairs asked of any engine and of the
-    loops whose contour ran, filled as the engines work."""
+    """Lists of the (form key, loop) pairs asked of any engine, a key
+    of reduced forms (phi) standing for every loop, and of the loops
+    whose contour ran, filled as the engines work."""
     seen, contours = [], []
     loop_period = PeriodEngine.loop_period
+    reduced = PeriodEngine.reduced_periods
     contour = PeriodEngine.contour_loop_period
 
     def spy_loop(self, diff, loop_idx):
-        seen.append((diff, loop_idx))
+        seen.append((diff.key, loop_idx))
         return loop_period(self, diff, loop_idx)
+
+    def spy_reduced(self, key, poly, laurent):
+        seen.extend((key, i) for i in range(len(self.cycles.loops)))
+        return reduced(self, key, poly, laurent)
 
     def spy_contour(self, fn, loop_idx, tol=None):
         contours.append(loop_idx)
         return contour(self, fn, loop_idx, tol)
 
     monkeypatch.setattr(PeriodEngine, "loop_period", spy_loop)
+    monkeypatch.setattr(PeriodEngine, "reduced_periods", spy_reduced)
     monkeypatch.setattr(PeriodEngine, "contour_loop_period", spy_contour)
     return seen, contours
 
@@ -421,7 +429,8 @@ def _numerator(conn, key):
     coeffs = {"holo-basis": lambda: np.eye(g)[::-1],
               "powers": lambda: np.eye(2 * g + 1)[::-1],
               "v": lambda: [v_numerator(conn.config)],
-              "poly": lambda: [np.array(key[1])]}[key[0]]()
+              "poly": lambda: np.frombuffer(key[2], dtype=complex).reshape(
+                  (-1, key[1][-1]))}[key[0]]()
     return lambda x: np.array([np.polyval(c, x) for c in coeffs])
 
 
@@ -430,7 +439,7 @@ def _oracle_errors(conn, seen, loops):
     period on the given loops and the form integrated from its
     definition."""
     pe, worst = conn.pe, {}
-    for (key, idx), diff in {(d.key, i): d for d, i in seen}.items():
+    for key, idx in set(seen):
         if idx not in loops:
             continue
         num, want = _numerator(conn, key), None
@@ -442,7 +451,8 @@ def _oracle_errors(conn, seen, loops):
         if want is None:
             want = pe.contour_loop_period(
                 lambda x, sheet: num(x) / pe.ev.y(x, sheet), idx)
-        got = pe._loop_cache[(key, idx)]
+        got = (pe._reduced[key][:, idx] if key[0] == "phi"
+               else pe._loop_cache[(key, idx)])
         err = np.abs(got - np.squeeze(want)).max() / np.abs(want).max()
         worst[key[0]] = max(worst.get(key[0], 0.0), err)
     return worst

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdtau import periods, strata, tau
+from qdtau import kernels, periods, strata, tau
 from qdtau.bergman import fraction_sums, partial_fractions
 from qdtau.curves import QDConfigG0
 from qdtau.cover_homology import random_symplectic
@@ -192,17 +192,16 @@ def test_basis_change_random_sigmas():
 def test_basis_change_keeping_alpha_reuses_phi(monkeypatch):
     # phi's numerator depends on the alpha cycles alone: a sigma with
     # C = 0 keeps them and reuses the centre's phi loop periods, one with
-    # C != 0 integrates phi again; both match phi integrated afresh
-    integrated = []
-    loop_period = periods.PeriodEngine.loop_period
+    # C != 0 reduces phi again; both match phi computed afresh
+    applied = []
+    reduced = periods.PeriodEngine.reduced_periods
 
-    def spy(engine, diff, loop_idx):
-        if (diff.key[0] == "phi"
-                and (diff.key, loop_idx) not in engine._loop_cache):
-            integrated.append((diff.key, loop_idx))
-        return loop_period(engine, diff, loop_idx)
+    def spy(engine, key, poly, laurent):
+        if key[0] == "phi" and key not in engine._reduced:
+            applied.append(key)
+        return reduced(engine, key, poly, laurent)
 
-    monkeypatch.setattr(periods.PeriodEngine, "loop_period", spy)
+    monkeypatch.setattr(periods.PeriodEngine, "reduced_periods", spy)
     eye, zero = np.eye(2, dtype=int), np.zeros((2, 2), dtype=int)
     cached = tau.reduced_loop_periods
 
@@ -212,12 +211,11 @@ def test_basis_change_keeping_alpha_reuses_phi(monkeypatch):
     b, c = np.array([[1, 2], [2, -1]]), np.array([[1, 1], [1, 0]])
     for sig, keys in ((np.block([[eye, b], [zero, eye]]), 1),
                       (np.block([[eye, zero], [c, eye]]), 2)):
-        del integrated[:]
+        del applied[:]
         got = tau.basis_change_residual(_pole_path, 0.0, sig,
                                         pairing=REF_PAIRING)
-        loops = {i for _, i in integrated}
-        assert len({k for k, _ in integrated}) == keys
-        assert len(integrated) == keys * len(loops) == keys * 5
+        # one application of the reduction map per key
+        assert len(set(applied)) == len(applied) == keys
         monkeypatch.setattr(tau, "reduced_loop_periods", fresh)
         assert tau.basis_change_residual(_pole_path, 0.0, sig,
                                          pairing=REF_PAIRING) == got
@@ -495,9 +493,177 @@ def test_pole_exact_forms_reduce_to_zero(j):
         poly, c, scale, laurent = tau.principal_parts(
             lambda x: np.polyval(num, x) / (x - b) ** j, pts)
         beta = (pts - c) / scale
-        reduced = poly + tau.reduce_poles(
-            laurent * scale ** -np.arange(1.0, 3.0), beta, range(len(pts)))
+        reduced = poly + ((laurent * scale ** -np.arange(1.0, 3.0)).ravel()
+                          @ periods.pole_reductions(beta).reshape(
+                              2 * len(pts), -1))
         assert np.abs(reduced).max() <= 1e-12 * np.abs(num).sum()
+
+
+# the stacked reductions and the reduction map against the scalar,
+# per-loop route they replace, kept here as oracles
+
+def scalar_deflate(p, b):
+    """(q, r) with p = (x - b) q + r, one polynomial, in p's precision."""
+    q = np.empty(len(p) - 1, dtype=np.result_type(p, b, 1j))
+    acc = 0.0
+    for i in range(len(q)):
+        acc = acc * b + p[i]
+        q[i] = acc
+    return q, acc * b + p[-1]
+
+
+def scalar_pole_reductions(points, k):
+    """(e_1, e_2) of `periods.pole_reductions` for the one point k."""
+    pts = np.asarray(points)
+    b, others = pts[k], np.delete(pts, k)
+    s = np.poly(others)
+    sb = np.prod(b - others)
+    w, ds = scalar_deflate(s, b)[0], np.polyder(s)
+    e1 = (ds - w) / sb
+    q, r = scalar_deflate((ds / 3.0 - w) / sb, b)
+    return e1, np.polyadd(q, r * e1)
+
+
+def per_loop_reduced_periods(engine, fn):
+    """reduced_loop_periods loop by loop: the close principal parts
+    reduced point by point in the loop's u, then the loop's coefficients
+    on its moment table."""
+    pts = np.asarray(engine.curve.branch_points, dtype=complex)
+    poly, c, s, laurent = tau.principal_parts(fn, pts)
+    out = []
+    for idx in range(len(engine.cycles.loops)):
+        geo = engine.loop_geometry(idx)
+        close, far = engine.loop_split(idx)
+        beta = (pts - geo.mid) / geo.half
+        scaled = laurent * geo.half ** -np.arange(1.0, 3.0)
+        near = sum(scaled[:, k, :] @ np.array(scalar_pole_reductions(beta, k))
+                   for k in close)
+        moments = np.concatenate([geo.poly_moments(poly, c, s) + near[:, ::-1],
+                                  laurent[:, far, 0], laurent[:, far, 1]],
+                                 axis=1)
+        out.append(moments @ engine.moment_table(idx, moments.shape[-1]))
+    return np.array(out).T
+
+
+def _reduction_cases():
+    return [(ref_config(), REF_PAIRING), (_ZZ.config(0.1), _ZZ.pairing),
+            *((cfg, None) for cfg in _kappa_configs())]
+
+
+def test_stacked_deflate_matches_row_by_row():
+    # numpy's array loops round complex products differently from its
+    # scalar ones, so the two agree to rounding: within a few ulps of
+    # Horner's running mass, sum |p_i| |b|^(m - i) at step m
+    rng = np.random.default_rng(5)
+    p = rng.normal(size=(3, 4, 7)) + 1j * rng.normal(size=(3, 4, 7))
+    b = rng.normal(size=4) + 1j * rng.normal(size=4)
+    q, r = periods.deflate(p, b)
+    for i, k in np.ndindex(3, 4):
+        want = np.append(*scalar_deflate(p[i, k], b[k]))
+        mass = np.append(*scalar_deflate(np.abs(p[i, k]), abs(b[k]))).real
+        got = np.append(q[i, k], r[i, k])
+        assert (np.abs(got - want) <= 1e-15 * mass).all()
+
+
+def test_pole_reductions_reduce_exact_forms_on_every_loop():
+    # d(yhat / (u - b)^j) = N / (u - b)^j du / yhat, with
+    # N = [(u - b) S'/2 + (1/2 - j) S] and R = (u - b) S, for every
+    # point b in every loop's spine coordinate u: N's polynomial part
+    # plus its reduced principal parts (read off N's Taylor coefficients
+    # at b by synthetic division) vanish.  Far points sit up to ~9
+    # half-spans away, where the monomial coefficients cancel: the
+    # scalar form (`scalar_pole_reductions`) leaves residuals up to
+    # 3.2e-12 of N's mass there as well
+    for config, pairing in _reduction_cases():
+        pe = tau.build_connection(config, pairing=pairing).pe
+        pts = np.array(pe.curve.branch_points, dtype=complex)
+        for idx in range(len(pe.cycles.loops)):
+            geo = pe.loop_geometry(idx)
+            beta = (pts - geo.mid) / geo.half
+            red = periods.pole_reductions(beta)
+            for k, b in enumerate(beta):
+                s = np.poly(np.delete(beta, k))
+                for j in (1, 2):
+                    num = np.polyadd(np.polymul([0.5, -0.5 * b],
+                                                np.polyder(s)),
+                                     (0.5 - j) * s)
+                    q, a0 = scalar_deflate(num, b)
+                    if j == 1:
+                        rest = q + a0 * red[k, 0]
+                    else:
+                        q, a1 = scalar_deflate(q, b)
+                        rest = a1 * red[k, 0] + a0 * red[k, 1]
+                        rest[1:] += q
+                    assert (np.abs(rest).max()
+                            <= 1e-11 * np.abs(num).sum()), (idx, k, j)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs extended-precision long double")
+def test_pole_reductions_match_the_scalar_form():
+    # the rows the program reduces (each loop's close points in u, every
+    # point in x) within 1e-13 of the largest entry of every point's
+    # reductions, against the scalar form in extended precision: in
+    # double precision the scalar form itself errs by up to 7.6e-14 of
+    # that entry on these rows (and 3.5e-12 on far points in u), so two
+    # double-precision routes can disagree by their sum
+    for config, pairing in _reduction_cases():
+        pe = tau.build_connection(config, pairing=pairing).pe
+        pts = np.array(pe.curve.branch_points, dtype=complex)
+        frames = [((pts - pe.loop_geometry(i).mid) / pe.loop_geometry(i).half,
+                   pe.loop_split(i)[0]) for i in range(len(pe.cycles.loops))]
+        for beta, rows in frames + [(pts, np.arange(len(pts)))]:
+            want = np.array([scalar_pole_reductions(
+                beta.astype(np.clongdouble), k) for k in range(len(beta))])
+            got = periods.pole_reductions(beta, rows)
+            assert (np.abs(got - want[rows]).max()
+                    <= 1e-13 * np.abs(want).max())
+
+
+def test_reduction_map_matches_per_loop_route():
+    # phi's periods through the engine's reduction map against the
+    # per-loop route, on REF, every row of both full schedules (their
+    # fallback loops included) and the seeded generic configurations
+    configs = [(ref_config(), REF_PAIRING),
+               *((fam.config(d), fam.pairing)
+                 for fam in (_ZP, _ZZ) for d in fam.schedule),
+               *((cfg, None) for cfg in _kappa_configs())]
+    fallbacks = 0
+    for config, pairing in configs:
+        conn = tau.build_connection(config, pairing=pairing)
+        fn = tau.phi_numerators(conn.be, conn.config)
+        got = tau.reduced_loop_periods(conn.pe, fn, ("phi-test",))
+        want = per_loop_reduced_periods(conn.pe, fn)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        fallbacks += len(conn.pe.fallback_loops)
+    assert fallbacks == 15
+
+
+def test_phi_periods_reuse_the_tables(monkeypatch):
+    # after v's periods and the kernel correction, phi's periods evaluate
+    # yhat nowhere on REF: each far-pole ladder runs on rungs its loop's
+    # powers ladder already weighed, and each table block takes one
+    # ladder
+    points, ladders = [], []
+    for name, pos in (("eval_sheet1", 0), ("eval_oncut", 1)):
+        def counted(*args, _kernel=getattr(kernels, name), _pos=pos):
+            points.append(np.size(args[_pos]))
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    ladder = periods.spine_integral
+
+    def spy(*args, **kwargs):
+        ladders.append(args)
+        return ladder(*args, **kwargs)
+
+    monkeypatch.setattr(periods, "spine_integral", spy)
+    conn = tau.build_connection(ref_config(), pairing=REF_PAIRING)
+    conn.v_periods()
+    conn.be.correction()
+    del points[:]
+    conn.phi_periods(1)
+    assert sum(points) == 0
+    assert len(ladders) <= 2 * len(conn.pe.cycles.loops)
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
