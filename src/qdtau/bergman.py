@@ -19,8 +19,8 @@ P = R[x,w,w] - dP1 dP2 (dp = (p(w) - p(x))/(w - x), R[x,w,w] = d/dw dR).
 With K[a,b] P's coefficient of x^a w^b and M[b,k] the alpha_k period of
 w^b dw/yhat, b <= 2g, rows a >= g of K M vanish and C = -(1/4) A^T
 (K M)[:g], A = M[:g] (Fay, LNM 352; Buchstaber-Enolskii-Leykin 1997).
-M is one stacked polynomial form, read off the powers block of each
-alpha loop's moment table (`qdtau.periods`).
+M is the basis w^b, converted once to the engine's frame
+(`PeriodEngine.frame_poly`), times the engine's power map.
 
 The pullback identity Bhat(P,Q) + Bhat(P, mu Q) = dx dw/(x-w)^2 holds
 for any C, so everything downstream needs only the diagonal-opposite
@@ -38,7 +38,7 @@ import numpy as np
 
 from .cover_homology import transform_basis
 from .cycles import GeometryError
-from .periods import PeriodEngine, poly_diff
+from .periods import PeriodEngine
 
 
 def partial_fractions(x, points):
@@ -108,12 +108,10 @@ class BergmanEvaluator:
 
     def alpha_moments(self):
         """M[b, k], the alpha_k period of w^b dw/yhat for b <= 2g (rows
-        b < g: the holomorphic basis), from the loops the rows use."""
-        g = self.curve.genus
-        powers = poly_diff(("powers", 2 * g), np.eye(2 * g + 1)[::-1])
-        used = np.flatnonzero(self.alpha_mat.any(axis=0))
-        loops = np.array([self.pe.loop_period(powers, i) for i in used])
-        return loops.T @ self.alpha_mat[:, used].T
+        b < g: the holomorphic basis)."""
+        powers = np.eye(2 * self.curve.genus + 1)[::-1]
+        return (self.pe.loop_periods(self.pe.frame_poly(powers))
+                @ self.alpha_mat.T)
 
     def kernel_coefficients(self):
         """K[a, b], P's coefficient of x^a w^b (module docstring)."""
@@ -199,7 +197,7 @@ class BergmanEvaluator:
     def transformed(self, sigma):
         """Evaluator for the symplectically transformed cycle basis
         (sigma acts as alpha' = D alpha + C beta, beta' = B alpha +
-        A beta); reuses the engine's cached loop periods."""
+        A beta); reuses the engine's power map."""
         am2, bm2 = transform_basis(sigma, self.alpha_mat,
                                    self.pe.cycles.beta_mat)
         return BergmanEvaluator(self.pe, alpha_mat=am2, beta_mat=bm2)

@@ -23,7 +23,7 @@ from .bergman import BergmanEvaluator
 from .cover_homology import random_symplectic
 from .curves import QDConfigG0, hyperelliptic_model
 from .cycles import GeometryError, build_cycles_robust
-from .periods import PeriodEngine, holo_diff, v_diff
+from .periods import PeriodEngine, v_numerator
 from .quadrature import QuadratureError
 
 # the reference five-pole configuration and its cut pairing
@@ -86,8 +86,8 @@ def _period_engine():
     # and [0, 1] onto the loop around cut 1, [1/2, 1]
     cycles = build_cycles_robust(
         hyperelliptic_model([0.0, 1.0 / 3.0, 0.5, 1.0]))
-    per = PeriodEngine(cycles).loop_period(holo_diff(0),
-                                           cycles.loop_index("cut", 1))
+    pe = PeriodEngine(cycles)
+    per = pe.frame_poly([1.0]) @ pe.loop_period(cycles.loop_index("cut", 1))
     a, b = math.sqrt(2.0), 1.0
     for _ in range(64):
         a, b = 0.5 * (a + b), math.sqrt(a * b)
@@ -199,8 +199,8 @@ def _transversality_constant():
         c = fam.config(d)
         pe = PeriodEngine.for_config(QDConfigG0(
             zeros=c.zeros, poles=c.poles, scale=scale, pairing=fam.pairing))
-        t_val = pe.loop_period(v_diff(pe.cycles.curve),
-                               fam.collapsing_loop(pe.cycles))
+        t_val = (pe.frame_poly(v_numerator(pe.curve.config))
+                 @ pe.loop_period(fam.collapsing_loop(pe.cycles)))
         # the colliding zero and pole sit d apart: |t| -> pi sqrt|c| d
         ratio = abs(t_val) / d / (math.pi * math.sqrt(abs(scale)))
         worst = max(worst, abs(ratio - 1.0))

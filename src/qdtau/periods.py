@@ -1,18 +1,26 @@
 """Period integrals over the cycle system.
 
-The engine integrates moment tables, never forms.  A loop's table
-(`LoopGeometry`) holds the periods of u^k dx/yhat, k <= 2g, in the
-spine coordinate u (the powers block), then, once a form asks for them,
-those of dx/((x - b)^j yhat), j = 1, 2, at the branch points b the loop
-keeps explicit (the far-pole block, `PeriodEngine.loop_split`).  Every
-polynomial `Differential` is its coefficient vector on the powers block,
-and its loop period is that vector times the table.  Forms with poles
-at the branch points (phi) go through the engine's reduction map
-(`PeriodEngine.reduction_map`): its column for a loop folds the poles
-at or crowding the spine, traded for polynomials in u by the exact
-forms d(yhat/(x-b)^j) (`pole_reductions`), and the far-pole rows into
-the loop's table, so all of such a form's loop periods are one product
-of its principal parts with that map.
+Every form is F dx/yhat with one representation: a polynomial part in
+the frame z = (x - c)/s (`frame`: the branch points' centroid c and
+largest distance s from it), coefficients highest degree first, degree
+at most 2g, plus principal parts at the branch points b, the
+coefficients of 1/(x - b)^j, j = 1, 2 (`tau.principal_parts`).  All of
+a form's loop periods are its parts times two maps the engine builds
+once (`PeriodEngine.loop_periods`): the power map P, every loop's
+periods of z^k dx/yhat, and, only once a form has poles, the pole map
+L, every loop's periods of dx/((x - b)^j yhat).  A polynomial held in x
+converts once (`PeriodEngine.frame_poly`).
+
+Both maps are read off each loop's moment table: the periods of
+u^k dx/yhat, k <= 2g, in the loop's spine coordinate u (`LoopGeometry`;
+the powers block), then, once L is asked for, those of
+dx/((x - b)^j yhat) at the branch points b the loop keeps explicit (the
+far-pole block, `PeriodEngine.loop_split`).  A loop's column of P
+shifts z's powers to u's (`affine_shift`).  Its column of L trades the
+poles at or crowding its spine for polynomials in u by the exact forms
+d(yhat/(x - b)^j) (`pole_reductions`), the pole step of Kedlaya's
+reduction, and reads the far ones off the far-pole block.  Neither map
+depends on a form.
 
 Each block is one stacked Gauss-Jacobi spine ladder with the
 inverse-square-root endpoint weight, from the rung the loop's worst
@@ -24,14 +32,14 @@ quadrature.  A loop where either block's ladder does not settle (a
 foreign branch point too close) integrates both blocks on one stacked
 stadium contour.
 
-Tables, the reduction map and every form's loop periods are cached, so
-every cycle period, including those of a transformed basis, is an
-integer combination of cached numbers.
+Tables and both maps are cached, so every cycle period, including
+those of a transformed basis, is an integer combination of cached
+numbers.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,16 +47,6 @@ from .curves import build_cover
 from .cycles import CycleSystem, GeometryError, build_cycles_robust
 from .quadrature import (QuadratureError, adaptive_line, first_rung,
                          spine_integral)
-
-
-class Differential(NamedTuple):
-    """mu-odd differential f(x) dx / yhat for a polynomial f, given by
-    its coefficients on each loop's moment table: ``moments`` maps the
-    loop's LoopGeometry to a vector (a (k, rows) stack for k stacked
-    forms) on the table's powers block."""
-
-    key: tuple
-    moments: Callable
 
 
 def affine_shift(a, b, n):
@@ -63,25 +61,10 @@ def affine_shift(a, b, n):
 
 
 class LoopGeometry(NamedTuple):
-    """A loop's spine coordinate u = (x - mid) / half and the degree
-    (2g) of its table's powers block; ``shift`` takes a polynomial's
-    coefficients in x, lowest degree first, to those in u (computed once
-    per loop, `PeriodEngine.loop_geometry`)."""
+    """A loop's spine coordinate u = (x - mid) / half."""
 
     mid: complex
     half: complex
-    degree: int
-    shift: np.ndarray
-
-    def poly_moments(self, coeffs, c=0.0, s=1.0):
-        """Powers-block coefficients of the polynomial p((x - c)/s),
-        with p's coefficients highest degree first (rows of a stack
-        allowed): its coefficients in u, lowest first, as
-        (x - c)/s = (mid - c)/s + (half/s) u."""
-        p = np.asarray(coeffs, dtype=complex)[..., ::-1]
-        shift = self.shift if (c, s) == (0.0, 1.0) else affine_shift(
-            (self.mid - c) / s, self.half / s, self.degree + 1)
-        return p @ shift[:p.shape[-1]]
 
 
 def pole_rows(x, far):
@@ -91,33 +74,11 @@ def pole_rows(x, far):
     return np.concatenate([d, d * d])
 
 
-def poly_diff(key, coeffs) -> Differential:
-    """f dx / yhat for the polynomial f, coefficients highest degree
-    first (or rows of them for a stack)."""
-    coeffs = np.asarray(coeffs, dtype=complex)
-    return Differential(key, lambda geo: geo.poly_moments(coeffs))
-
-
-def holo_diff(j: int) -> Differential:
-    return poly_diff(("holo", j), np.eye(j + 1)[0])
-
-
-def holo_basis(g: int) -> Differential:
-    """x^j dx / yhat for j < g, stacked."""
-    return poly_diff(("holo-basis", g), np.eye(g)[::-1])
-
-
 def v_numerator(config):
     """f = sqrt(scale) * prod(x - z_i) (highest degree first) with
     v = sqrt(scale) yhat dx / m = f dx / yhat, as R = Z m."""
     return np.sqrt(complex(config.scale)) * np.poly(
         np.array(config.zeros, dtype=complex))
-
-
-def v_diff(curve) -> Differential:
-    if curve.config is None:
-        raise ValueError("v needs a configuration-backed curve")
-    return poly_diff(("v",), v_numerator(curve.config))
 
 
 def deflate(p, b):
@@ -166,8 +127,11 @@ def pole_reductions(points, rows=None):
 
 def frame(points):
     """(c, s): the points' centroid and their largest distance from it,
-    the frame of `tau.principal_parts`' polynomial part."""
-    c = points.mean()
+    the frame z = (x - c)/s of every polynomial part (module
+    docstring).  The centroid sums the points in sorted order, so the
+    frame, and every period, is bit for bit the same however they are
+    labelled."""
+    c = np.sort(points).mean()
     return c, np.abs(points - c).max()
 
 
@@ -187,18 +151,26 @@ class PeriodEngine:
         self._scale = max(abs(b) for b in self.curve.branch_points) + 1.0
         self.first_rungs = [first_rung(rho, tol)
                             for rho in cycles.spine_rhos()]
-        self._loop_cache = {}
         self._sigmas = {}
         self._points = np.asarray(self.curve.branch_points, dtype=complex)
-        self._geometry = {}
+        self._degree = 2 * self.curve.genus
+        ends = np.array([(cycles.pairs if lp.kind == "cut"
+                          else cycles.gap_ends)[lp.index]
+                         for lp in cycles.loops])
+        a, b = self._points[ends].T
+        self._mids, self._halves = (a + b) / 2.0, (b - a) / 2.0
+        self.frame = frame(self._points)
+        c, s = self.frame
+        # z's powers, highest first, in every loop's u: [k, i, loop]
+        self._shifts = affine_shift((self._mids - c) / s, self._halves / s,
+                                    self._degree + 1)[::-1]
         self._splits = {}
         self._tables = {}
         self._weights = {}
         self._failed = set()
         self._norm = None
-        self._reduction = None
-        self._reduced = {}
-        self._x_reductions = None
+        self._power_map = None
+        self._pole_map = None
 
     @classmethod
     def for_config(cls, config, tol: float = 1e-11) -> "PeriodEngine":
@@ -210,16 +182,7 @@ class PeriodEngine:
     def loop_geometry(self, loop_idx) -> LoopGeometry:
         """The loop's spine coordinate: mid and half of the segment
         between the branch points at its spine's ends."""
-        if loop_idx not in self._geometry:
-            lp = self.cycles.loops[loop_idx]
-            ends = (self.cycles.pairs if lp.kind == "cut"
-                    else self.cycles.gap_ends)[lp.index]
-            a, b = self._points[list(ends)]
-            mid, half = (a + b) / 2.0, (b - a) / 2.0
-            degree = 2 * self.curve.genus
-            self._geometry[loop_idx] = LoopGeometry(
-                mid, half, degree, affine_shift(mid, half, degree + 1))
-        return self._geometry[loop_idx]
+        return LoopGeometry(self._mids[loop_idx], self._halves[loop_idx])
 
     def loop_split(self, loop_idx):
         """(close, far) index arrays of the branch points a form reduces
@@ -268,15 +231,13 @@ class PeriodEngine:
             self._sigmas[loop_idx] = -sign if lp.kind == "cut" else sign
         return self._sigmas[loop_idx]
 
-    def loop_period(self, diff: Differential, loop_idx: int):
-        """The loop's period of diff: its moment coefficients on the
-        loop times the loop's table."""
-        key = (diff.key, loop_idx)
-        if key not in self._loop_cache:
-            m = diff.moments(self.loop_geometry(loop_idx))
-            rows = m.shape[-1]
-            self._loop_cache[key] = m @ self.moment_table(loop_idx, rows)[:rows]
-        return self._loop_cache[key]
+    def loop_period(self, loop_idx: int):
+        """The loop's column of the power map: its periods of
+        z^k dx/yhat, k = 2g, ..., 0, the frame's powers shifted to u
+        times its table's powers block."""
+        rows = self._degree + 1
+        return self._shifts[..., loop_idx] @ self.moment_table(
+            loop_idx, rows)[:rows]
 
     @property
     def fallback_loops(self):
@@ -322,7 +283,7 @@ class PeriodEngine:
                      else self.ev.y(x))
                 weights[len(t)] = geo.half * np.sqrt((1.0 - t) * (1.0 + t)) / y
             rows = (pole_rows(x, far) if poles
-                    else np.vander(t, geo.degree + 1, True).T)
+                    else np.vander(t, self._degree + 1, True).T)
             return rows * weights[len(t)]
 
         val, _ = spine_integral(g, -0.5, -0.5, tol=self.tol,
@@ -337,90 +298,97 @@ class PeriodEngine:
         geo = self.loop_geometry(loop_idx)
         far = self._points[self.loop_split(loop_idx)[1]]
         return lambda x, sheet: np.concatenate(
-            [np.vander((x - geo.mid) / geo.half, geo.degree + 1, True).T,
+            [np.vander((x - geo.mid) / geo.half, self._degree + 1, True).T,
              pole_rows(x, far)]) / self.ev.y(x, sheet)
 
-    def loop_periods(self, diff: Differential):
-        return np.array(
-            [self.loop_period(diff, i) for i in range(len(self.cycles.loops))]
-        )
+    def frame_poly(self, coeffs):
+        """The frame coefficients (module docstring) of the polynomial
+        with coefficients ``coeffs`` in x, highest degree first (rows of
+        a stack allowed), of degree at most 2g: x = c + s z."""
+        p = np.asarray(coeffs, dtype=complex)[..., ::-1]
+        shift = affine_shift(*self.frame, self._degree + 1)
+        return (p @ shift[:p.shape[-1]])[..., ::-1]
 
-    def reduction_map(self):
-        """M, shape (2g + 1 + 2 len(points), loops): the loop periods of
-        forms F dx/yhat whose `tau.principal_parts` are (poly, laurent)
-        are [poly, laurent flattened] @ M.  A loop's column folds into
-        its moment table the polynomial part's shift from (x - c)/s
-        (`frame`) to u, the principal parts at the points the loop
-        reduces (`pole_reductions` in u, where 1/(x - b)^j =
-        half^-j / (u - beta)^j; one stack for every loop), and those at
-        the points it keeps, which are far-pole rows.  Built once per
+    def power_map(self):
+        """P, shape (2g + 1, loops): column i is `loop_period(i)`.
+        Built once per engine."""
+        if self._power_map is None:
+            self._power_map = np.array(
+                [self.loop_period(i) for i in range(len(self.cycles.loops))]).T
+        return self._power_map
+
+    def pole_map(self):
+        """L, shape (2 len(points), loops): row 2k + j - 1 holds every
+        loop's period of dx/((x - b_k)^j yhat).  A loop's column reduces
+        the points it calls close in its u, where 1/(x - b)^j =
+        half^-j / (u - beta)^j (`pole_reductions`; one stack for every
+        loop), on its powers block, and reads the others off its
+        far-pole block, which nothing else asks for.  Built once per
         engine."""
-        if self._reduction is None:
-            c, s = frame(self._points)
+        if self._pole_map is None:
             loops = range(len(self.cycles.loops))
-            mids, halves = np.array([(g.mid, g.half) for g in
-                                     map(self.loop_geometry, loops)]).T
-            degree = 2 * self.curve.genus
-            monomials = affine_shift((mids - c) / s, halves / s,
-                                     degree + 1)[::-1]
             splits = [self.loop_split(i) for i in loops]
             owner = np.repeat(loops, [len(close) for close, _ in splits])
+            beta = ((self._points - self._mids[:, None])
+                    / self._halves[:, None])
             red = pole_reductions(
-                ((self._points - mids[:, None]) / halves[:, None])[owner],
+                beta[owner],
                 np.concatenate([close for close, _ in splits]))[..., ::-1]
+            rows = self._degree + 1
             cols = []
             for idx, (close, far) in enumerate(splits):
-                table = self.moment_table(idx, degree + 1 + 2 * len(far))
-                powers = table[:degree + 1]
+                table = self.moment_table(idx, rows + 2 * len(far))
                 laurent = np.empty((len(self._points), 2), dtype=complex)
-                laurent[close] = ((red[owner == idx] @ powers)
-                                  * halves[idx] ** -np.arange(1.0, 3.0))
-                laurent[far] = table[degree + 1:].reshape(2, -1).T
-                cols.append(np.concatenate([monomials[..., idx] @ powers,
-                                            laurent.ravel()]))
-            self._reduction = np.array(cols).T
-        return self._reduction
+                laurent[close] = ((red[owner == idx] @ table[:rows])
+                                  * self._halves[idx] ** -np.arange(1.0, 3.0))
+                laurent[far] = table[rows:].reshape(2, -1).T
+                cols.append(laurent.ravel())
+            self._pole_map = np.array(cols).T
+        return self._pole_map
 
-    def reduced_periods(self, key, poly, laurent):
-        """Loop periods, shape (k, loops), of the k stacked forms whose
-        principal parts are (poly, laurent) (`reduction_map`), cached
-        under ``key``, which must fix them."""
-        if key not in self._reduced:
-            parts = laurent.reshape(laurent.shape[:-2] + (-1,))
-            self._reduced[key] = (np.concatenate([poly, parts], axis=-1)
-                                  @ self.reduction_map())
-        return self._reduced[key]
+    def loop_periods(self, poly, laurent=None):
+        """Loop periods, shape (..., loops), of the forms whose
+        polynomial part in the frame is poly (2g + 1 coefficients,
+        highest degree first; rows of a stack allowed) and whose
+        principal parts are laurent, shape (..., points, 2), with
+        laurent[..., k, j - 1] the coefficient of 1/(x - b_k)^j:
+        poly @ P, plus laurent @ L when there are poles."""
+        out = np.asarray(poly) @ self.power_map()
+        if laurent is not None:
+            out = out + (laurent.reshape(laurent.shape[:-2] + (-1,))
+                         @ self.pole_map())
+        return out
 
     def period_velocities(self, f, f_dot, b_dot):
-        """d/ds of every loop period of f(x) dx/yhat, for a polynomial f
-        (coefficients highest degree first, or rows of a stack) whose
+        """d/ds of every loop period of f(z) dx/yhat, for f in the frame
+        (as in `loop_periods`, rows of a stack allowed) whose
         coefficients move with velocity f_dot while branch point k moves
-        with b_dot[k]; shape (loops,), or (loops, rows) for a stack.
+        with b_dot[k]; shape (..., loops).
 
-        Moving b turns f dx/yhat into f b_dot / (2 (x-b) yhat) dx
-        (Rauch's variational formula).  With f = f(b) + (x-b) q and the
-        exact-form step of `pole_reductions` (computed once per engine
-        for every point), the derivative is again a polynomial over
-        yhat, read off the cached tables."""
-        if self._x_reductions is None:
-            self._x_reductions = pole_reductions(self._points)[:, 0]
+        Moving b turns f dx/yhat into f b_dot dx / (2 (x - b) yhat)
+        (Rauch's variational formula).  With x - b = s (z - w) and
+        f = f(w) + (z - w) q, that is the polynomial q b_dot / (2s) plus
+        the simple pole f(w) b_dot / 2 at b, so the velocities go
+        through the pole map as phi's periods do."""
+        c, s = self.frame
         moving = np.flatnonzero(b_dot)
         bd = 0.5 * np.asarray(b_dot, dtype=complex)[moving]
-        q, fb = deflate(np.asarray(f, dtype=complex)[..., None, :],
-                        self._points[moving])
-        num = (fb * bd) @ self._x_reductions[moving]
-        num[..., num.shape[-1] - q.shape[-1]:] += bd @ q
-        f_dot = np.asarray(f_dot, dtype=complex)
-        num[..., num.shape[-1] - f_dot.shape[-1]:] += f_dot
-        return self.loop_periods(
-            poly_diff(("poly", num.shape, num.tobytes()), num))
+        f = np.asarray(f, dtype=complex)
+        q, fw = deflate(f[..., None, :], (self._points[moving] - c) / s)
+        poly = np.array(f_dot, dtype=complex)
+        poly[..., 1:] += (bd / s) @ q
+        laurent = np.zeros(f.shape[:-1] + (len(self._points), 2),
+                           dtype=complex)
+        laurent[..., moving, 0] = fw * bd
+        return self.loop_periods(poly, laurent if moving.size else None)
 
     def period_matrix_velocity(self, b_dot):
         """d/ds of the period matrix while branch point k moves with
         b_dot[k]: Omega = A^-1 B gives dOmega = N (dB - dA Omega)."""
         g = self.curve.genus
         n, omega = self.normalized_basis()
-        raw = self.period_velocities(np.eye(g)[::-1], np.zeros(1), b_dot).T
+        f = self.frame_poly(np.eye(g)[::-1])
+        raw = self.period_velocities(f, np.zeros_like(f), b_dot)
         d_a = raw @ self.cycles.alpha_mat.T
         d_b = raw @ self.cycles.beta_mat.T
         return n @ (d_b - d_a @ omega)
@@ -459,7 +427,7 @@ class PeriodEngine:
         g = self.curve.genus
         am = self.cycles.alpha_mat if alpha_mat is None else alpha_mat
         bm = self.cycles.beta_mat if beta_mat is None else beta_mat
-        raw = self.loop_periods(holo_basis(g)).T
+        raw = self.loop_periods(self.frame_poly(np.eye(g)[::-1]))
         A = raw @ am.T  # A[j, l] = alpha_l period of x^j dx/yhat
         if np.linalg.cond(A) > 1e12:
             raise GeometryError("alpha-period matrix is numerically singular")
@@ -482,7 +450,12 @@ class PeriodEngine:
     def period_matrix(self):
         return self.normalized_basis()[1]
 
-    def homological_coordinates(self, diff=None):
-        """(alpha periods, beta periods) of v by default."""
-        vals = self.loop_periods(v_diff(self.curve) if diff is None else diff)
+    def homological_coordinates(self, poly=None):
+        """(alpha periods, beta periods) of the form with polynomial
+        part poly in the frame (`loop_periods`), v by default."""
+        if poly is None:
+            if self.curve.config is None:
+                raise ValueError("v needs a configuration-backed curve")
+            poly = self.frame_poly(v_numerator(self.curve.config))
+        vals = self.loop_periods(poly)
         return self.cycles.alpha_mat @ vals, self.cycles.beta_mat @ vals

@@ -17,14 +17,17 @@ symplectic basis change shifts the odd branch by 48 dlog det(C Omega + D)
 and leaves the even branch alone.
 
 phi = F dx / yhat with F rational, poles of order at most two only at
-branch points.  FFTs on circles split F into principal parts and a
-polynomial part, and phi's loop periods are one product of those with
-the engine's reduction map (`PeriodEngine.reduction_map`).  That map
-depends on the branch points and the loops alone, never on the form:
-on each loop the poles at (or crowding) its spine are traded for a
-polynomial by the exact forms d(yhat / (x - b)^j), the pole step of
-Kedlaya's reduction, and the others stay explicit as the far-pole rows
-of the loop's moment table (`qdtau.periods`).
+branch points.  FFTs on circles split F into the engine's one
+representation of a form, a polynomial part in the frame of the branch
+points and principal parts at them, and phi's loop periods are those
+times the engine's power and pole maps (`PeriodEngine.loop_periods`).
+Both maps depend on the branch points and the loops alone, never on
+the form: on each loop the poles at (or crowding) its spine are traded
+for a polynomial by the exact forms d(yhat / (x - b)^j), the pole step
+of Kedlaya's reduction, and the others stay explicit as the far-pole
+rows of the loop's moment table (`qdtau.periods`).  v's Rauch
+velocities take the same route: moving a branch point gives v's
+derivative a simple pole there.
 """
 from __future__ import annotations
 
@@ -36,7 +39,7 @@ import numpy as np
 from .curves import QDConfigG0, build_cover
 from .cycles import build_cycles_robust
 from .periods import (PeriodEngine, deflate, frame, nearest_distances,
-                      v_diff, v_numerator)
+                      v_numerator)
 from .bergman import BergmanEvaluator, fraction_sums, partial_fractions
 from .cover_homology import blocks, transform_basis
 
@@ -99,13 +102,15 @@ FAR_RADIUS = 2.0
 
 
 def principal_parts(fn, points):
-    """(poly, c, s, laurent): fn(x) = poly((x - c)/s) + sum over k, j of
+    """(poly, laurent): fn(x) = poly((x - c)/s) + sum over k, j of
     laurent[..., k, j - 1] / (x - points[k])^j for fn (maybe stacked)
     rational with poles of order j <= 2 only at the points and degree
-    <= len(points) - 2 at infinity (phi's: g - 1); c, s: centroid and
-    radius of the points.  laurent: the -1, -2 Fourier modes of fn on a
-    circle of radius 0.3 nearest-neighbour distances around each point;
-    poly: the nonnegative ones on |x - c| = FAR_RADIUS * s."""
+    <= len(points) - 2 at infinity (phi's: g - 1), with (c, s) the
+    points' `periods.frame` and poly highest degree first: the form as
+    `PeriodEngine.loop_periods` takes it.  laurent: the -1, -2 Fourier
+    modes of fn on a circle of radius 0.3 nearest-neighbour distances
+    around each point; poly: the nonnegative ones on
+    |x - c| = FAR_RADIUS * s."""
     pts = np.asarray(points, dtype=complex)
     c, s = frame(pts)
     radii = np.append(0.3 * nearest_distances(pts), FAR_RADIUS * s)
@@ -116,28 +121,22 @@ def principal_parts(fn, points):
     top = len(pts) - 2
     poly = modes[..., -1, top::-1] / FAR_RADIUS ** np.arange(top, -1, -1)
     laurent = modes[..., :-1, :-3:-1] * radii[:-1, None] ** [1, 2]
-    return poly, c, s, laurent
+    return poly, laurent
 
 
-def reduced_loop_periods(engine: PeriodEngine, fn, key):
+def reduced_loop_periods(engine: PeriodEngine, fn):
     """Loop periods, shape (k, loops), of the stacked forms
-    fn(x)[i] dx/yhat (numerators as in `principal_parts`), cached under
-    ``key``: their principal parts times the engine's reduction map,
-    which reduces on each loop the poles its `PeriodEngine.loop_split`
-    calls close and keeps the far ones as far-pole rows."""
-    poly, _c, _s, laurent = principal_parts(
-        fn, np.asarray(engine.curve.branch_points, dtype=complex))
-    return engine.reduced_periods(key, poly, laurent)
+    fn(x)[i] dx/yhat (numerators as in `principal_parts`): their
+    principal parts times the engine's power and pole maps."""
+    return engine.loop_periods(*principal_parts(
+        fn, np.asarray(engine.curve.branch_points, dtype=complex)))
 
 
 class TauConnection:
     """Periods of phi+- and v over one symplectic basis.
 
     The kernel evaluator is built lazily: plain v-period work never
-    pays for the kernel correction.  phi's numerator is fixed by the kernel
-    evaluator's alpha rows alone (its alpha-normalized N, C and t), so
-    its loop periods are cached in the engine under those rows: a basis
-    change that keeps the alpha cycles reuses them.
+    pays for the kernel correction.
     """
 
     def __init__(self, engine: PeriodEngine, config: QDConfigG0,
@@ -156,17 +155,21 @@ class TauConnection:
         return self._be
 
     def v_periods(self):
-        vals = self.pe.loop_periods(v_diff(self.pe.cycles.curve))
+        vals = self.pe.loop_periods(self.pe.frame_poly(
+            v_numerator(self.config)))
         return self.alpha_mat @ vals, self.beta_mat @ vals
 
     def v_velocities(self, b_dot, c_dot):
         """d/ds of every loop period of v = sqrt(c) Z(x) dx/yhat,
         Z = prod(x - z_i), while branch point k (zeros, then poles)
-        moves with velocity b_dot[k] and the scale with c_dot."""
-        f = v_numerator(self.config)
+        moves with velocity b_dot[k] and the scale with c_dot.  Moving
+        z_i divides v's numerator by -(x - z_i) = -s (z - w_i) in the
+        frame z = (x - c)/s, w_i = (z_i - c)/s."""
+        c, s = self.pe.frame
+        f = self.pe.frame_poly(v_numerator(self.config))
         f_dot = (c_dot / (2.0 * self.config.scale)) * f
         for z, zd in zip(self.config.zeros, b_dot):
-            f_dot = np.polysub(f_dot, zd * deflate(f, z)[0])
+            f_dot[1:] -= (zd / s) * deflate(f, (z - c) / s)[0]
         return self.pe.period_velocities(f, f_dot, b_dot)
 
     def dlog_tau(self, branch: int, dv) -> complex:
@@ -182,8 +185,7 @@ class TauConnection:
         them together."""
         if not self._phi:
             vals = reduced_loop_periods(
-                self.pe, phi_numerators(self.be, self.config),
-                ("phi", self.be.alpha_mat.tobytes()))
+                self.pe, phi_numerators(self.be, self.config))
             for b, v in zip(BRANCHES, vals):
                 self._phi[b] = (self.alpha_mat @ v, self.beta_mat @ v)
         return self._phi[branch]
@@ -339,7 +341,7 @@ def degeneration_rows(family: DegenerationFamily, branches=(1, -1)):
         conn = build_connection(family.config(d), pairing=family.pairing)
         pe = conn.pe
         idx = family.collapsing_loop(pe.cycles)
-        t_here = pe.loop_period(v_diff(pe.cycles.curve), idx)
+        t_here = pe.loop_periods(pe.frame_poly(v_numerator(conn.config)))[idx]
         dv = conn.v_velocities(*_tangent(family.config, d, 1e-3 * d))
         dt = dv[idx]
         row = {"d": d, "t": complex(t_here), "dt": complex(dt)}
@@ -353,17 +355,23 @@ def degeneration_rows(family: DegenerationFamily, branches=(1, -1)):
 
 def fit_exponent(ds, gammas, tail=8):
     """Extrapolate gamma(d) = gamma_inf + C d^p over the power grid;
-    the best-residual power wins.  Returns (gamma_inf, p, residual)."""
+    the best-residual power wins.  Residuals within roundoff
+    (64 eps |gamma|) of the best tie, as every power fits two points
+    exactly; among ties the power whose correction |C| d_min^p is least
+    wins, for two points the largest p.  Returns (gamma_inf, p,
+    residual)."""
     ds = np.asarray(ds, dtype=float)[-tail:]
     gs = np.asarray(gammas, dtype=float)[-tail:]
-    best = None
+    fits = []
     for p in P_GRID:
         design = np.vstack([np.ones_like(ds), ds**p]).T
         coef, *_ = np.linalg.lstsq(design, gs, rcond=None)
         resid = float(np.linalg.norm(design @ coef - gs))
-        if best is None or resid < best[2]:
-            best = (float(coef[0]), p, resid)
-    return best
+        fits.append((float(coef[0]), p, resid, abs(coef[1]) * ds.min()**p))
+    floor = (min(fit[2] for fit in fits)
+             + 64.0 * np.finfo(float).eps * np.linalg.norm(gs))
+    return min((fit for fit in fits if fit[2] <= floor),
+               key=lambda fit: fit[3])[:3]
 
 
 def degeneration_exponent(family: DegenerationFamily, branches=(1, -1)):

@@ -1,4 +1,6 @@
 """Period integrals: elliptic closed forms, normalized bases, cross-routes."""
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,8 +10,7 @@ from qdtau.bergman import BergmanEvaluator
 from qdtau.cover_homology import random_symplectic, transform_basis
 from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
 from qdtau.cycles import SPINE_RHO_MIN, GeometryError, build_cycles_robust
-from qdtau.periods import (PeriodEngine, holo_diff, poly_diff, v_diff,
-                           v_numerator)
+from qdtau.periods import PeriodEngine, v_numerator
 from qdtau.quadrature import SPINE_SIZES, QuadratureError, spine_integral
 from test_tau import _genus3_path, _kappa_configs
 
@@ -50,11 +51,16 @@ def _engine(points, pairing=None):
     return PeriodEngine(cyc)
 
 
+def _dx_alpha_period(pe):
+    """The first alpha period of dx/yhat."""
+    return pe.homological_coordinates(pe.frame_poly([1.0]))[0][0]
+
+
 def test_elliptic_agm_alpha_period():
     # three points sent to infinity; 1 + 1j gives a non-collinear model
     for x0 in (-1.0, 3.0, 1.0 + 1.0j):
         model, k = mobius_model([0.0, 1.0, 2.0], x0)
-        per = _engine(model).homological_coordinates(holo_diff(0))[0][0]
+        per = _dx_alpha_period(_engine(model))
         assert abs(abs(per) / abs(k) - AGM_PERIOD) < 1e-10 * AGM_PERIOD, x0
 
 
@@ -71,7 +77,7 @@ def test_lemniscatic_half_period():
     # y^2 = x^3 - x: real half-period 1.31102877714606...; it is
     # x(x-1)(x-2) shifted by one, so x0 = -2 gives the model of x0 = -1
     model, k = mobius_model([-1.0, 0.0, 1.0], -2.0)
-    per = _engine(model).homological_coordinates(holo_diff(0))[0][0]
+    per = _dx_alpha_period(_engine(model))
     # quarter of the alpha-period of dx/y is omega_1
     assert abs(abs(per) / (4 * abs(k)) - 1.3110287771460603) < 1e-12
 
@@ -111,8 +117,7 @@ def test_normalized_basis_duality():
     # alpha-periods of the normalized differentials are exactly delta_jk
     check = np.zeros((g, g), dtype=complex)
     for j in range(g):
-        d = poly_diff(("dual", j), N[j, ::-1])
-        check[j] = pe.homological_coordinates(d)[0]
+        check[j] = pe.homological_coordinates(pe.frame_poly(N[j, ::-1]))[0]
     assert np.max(np.abs(check - np.eye(g))) < 1e-10
 
 
@@ -125,11 +130,11 @@ def test_reference_v_periods():
 
 def test_spine_and_contour_routes_agree():
     pe = _ref_engine()
-    d = v_diff(pe.cycles.curve)
     num = v_numerator(QDConfigG0(**REF))
     fn = lambda x, sheet: np.polyval(num, x) / pe.ev.y(x, sheet)
+    periods_v = pe.loop_periods(pe.frame_poly(num))
     for idx in range(len(pe.cycles.loops)):
-        fast = pe.loop_period(d, idx)
+        fast = periods_v[idx]
         slow = pe.contour_loop_period(fn, idx, tol=1e-10)
         assert abs(fast - slow) < 1e-8 * max(1.0, abs(slow))
 
@@ -165,10 +170,12 @@ def test_random_configs_period_matrix_properties():
 
 def test_period_cache_reuse():
     pe = _ref_engine()
-    d = v_diff(pe.cycles.curve)
-    first = pe.loop_period(d, 0)
-    again = pe.loop_period(d, 0)
-    assert first == again  # identical object from the cache, not a re-solve
+    v = pe.frame_poly(v_numerator(QDConfigG0(**REF)))
+    first = pe.loop_periods(v)
+    again = pe.loop_periods(v)
+    assert np.array_equal(first, again)
+    # one power map per engine: its cached object, not a re-solve
+    assert pe.power_map() is pe.power_map()
 
 
 def test_spine_cache_keeps_loop_periods_bit_identical():
@@ -179,13 +186,14 @@ def test_spine_cache_keeps_loop_periods_bit_identical():
                             1.0 + 1.5j, 1.0 - 1.5j])
     curve = build_cover(cfg)
     warm = PeriodEngine(build_cycles_robust(curve))
-    diffs = [holo_diff(j) for j in range(curve.genus)] + [v_diff(curve)]
-    for d in diffs:
-        warm.loop_periods(d)
+    polys = [warm.frame_poly(np.eye(j + 1)[0]) for j in range(curve.genus)]
+    polys.append(warm.frame_poly(v_numerator(cfg)))
+    for p in polys:
+        warm.loop_periods(p)
     assert sorted(warm._tables) == list(range(len(warm.cycles.loops)))
-    for d in diffs[::-1]:
+    for p in polys[::-1]:
         fresh = PeriodEngine(build_cycles_robust(curve))
-        assert np.array_equal(fresh.loop_periods(d), warm.loop_periods(d))
+        assert np.array_equal(fresh.loop_periods(p), warm.loop_periods(p))
 
 
 # three branch points in a disc of radius ~0.3 beside three spread ones:
@@ -208,10 +216,9 @@ def test_v_periods_on_clustered_config_take_the_spine(monkeypatch):
         return contour(self, fn, loop_idx, tol)
 
     monkeypatch.setattr(PeriodEngine, "contour_loop_period", spy)
-    d = v_diff(pe.curve)
-    got = pe.loop_periods(d)
-    assert calls == []
     num = v_numerator(CLUSTERED)
+    got = pe.loop_periods(pe.frame_poly(num))
+    assert calls == []
     want = np.array([contour(pe, lambda x, sheet: np.polyval(num, x)
                              / pe.ev.y(x, sheet), i)
                      for i in range(len(pe.cycles.loops))])
@@ -375,37 +382,48 @@ def test_relabeling_zeros_and_poles_changes_nothing(cls, n, seed, data):
     assert np.abs(got[2] - euler).max() <= 1e-11 * np.abs(euler).max()
 
 
-# Every period is a form's coefficients on its loop's moment table times
-# the table; a loop whose ladder fails runs one stacked contour for the
-# whole table.  The oracle integrates each form from its own definition:
-# a polynomial numerator by np.polyval on its own spine ladder (on the
-# stadium contour where that ladder fails), phi's unreduced numerator
-# (`tau.phi_numerators`), whose poles sit at the spine's ends, on the
-# contour.
+# Every period is a form's parts times the engine's power and pole maps,
+# read off each loop's moment table; a loop whose ladder fails runs one
+# stacked contour for the whole table.  The oracle integrates each form
+# from its own definition: a polynomial numerator in x by np.polyval on
+# its own spine ladder (on the stadium contour where that ladder
+# fails); phi's unreduced numerator (`tau.phi_numerators`) and the
+# Rauch velocity f_dot + f sum b_dot / (2 (x - b)), whose poles sit at
+# the spine's ends, on the contour.
+
+# the form each caller of `PeriodEngine.loop_periods` integrates
+_KINDS = {"normalized_basis": "holo-basis", "alpha_moments": "powers",
+          "v_periods": "v", "reduced_loop_periods": "phi"}
+
 
 def _record_loop_periods(monkeypatch):
-    """Lists of the (form key, loop) pairs asked of any engine, a key
-    of reduced forms (phi) standing for every loop, and of the loops
-    whose contour ran, filled as the engines work."""
+    """Lists of the (form kind, parts, loop periods) computed by any
+    engine, and of the loops whose contour ran, filled as the engines
+    work.  A velocity's parts are period_velocities' (f, f_dot, b_dot),
+    every other form's are loop_periods' (poly, laurent)."""
     seen, contours = [], []
-    loop_period = PeriodEngine.loop_period
-    reduced = PeriodEngine.reduced_periods
+    loop_periods = PeriodEngine.loop_periods
+    velocities = PeriodEngine.period_velocities
     contour = PeriodEngine.contour_loop_period
 
-    def spy_loop(self, diff, loop_idx):
-        seen.append((diff.key, loop_idx))
-        return loop_period(self, diff, loop_idx)
+    def spy_loops(self, poly, laurent=None):
+        out = loop_periods(self, poly, laurent)
+        kind = _KINDS.get(sys._getframe(1).f_code.co_name)
+        if kind is not None:
+            seen.append((kind, (poly, laurent), out))
+        return out
 
-    def spy_reduced(self, key, poly, laurent):
-        seen.extend((key, i) for i in range(len(self.cycles.loops)))
-        return reduced(self, key, poly, laurent)
+    def spy_velocities(self, f, f_dot, b_dot):
+        out = velocities(self, f, f_dot, b_dot)
+        seen.append(("poly", (f, f_dot, b_dot), out))
+        return out
 
     def spy_contour(self, fn, loop_idx, tol=None):
         contours.append(loop_idx)
         return contour(self, fn, loop_idx, tol)
 
-    monkeypatch.setattr(PeriodEngine, "loop_period", spy_loop)
-    monkeypatch.setattr(PeriodEngine, "reduced_periods", spy_reduced)
+    monkeypatch.setattr(PeriodEngine, "loop_periods", spy_loops)
+    monkeypatch.setattr(PeriodEngine, "period_velocities", spy_velocities)
     monkeypatch.setattr(PeriodEngine, "contour_loop_period", spy_contour)
     return seen, contours
 
@@ -420,17 +438,29 @@ def _connection_periods(conn, tangent):
     conn.phi_periods(1)
 
 
-def _numerator(conn, key):
-    """num(x), the numerator (a stack) of the form cached under key,
-    from the form's definition."""
-    g = conn.pe.curve.genus
-    if key[0] == "phi":
+def _numerator(conn, kind, parts):
+    """num(x), the numerator (a stack) of the recorded form, from the
+    form's definition."""
+    pe = conn.pe
+    g = pe.curve.genus
+    if kind == "phi":
         return tau.phi_numerators(conn.be, conn.config)
+    if kind == "poly":
+        f, f_dot, b_dot = parts
+        c, s = pe.frame
+        pts = np.array(pe.curve.branch_points)[:, None]
+
+        def velocity(x):
+            z = (x - c) / s
+            rauch = (np.asarray(b_dot)[:, None] / (2.0 * (x - pts))).sum(0)
+            return np.array([np.polyval(d, z) + np.polyval(p, z) * rauch
+                             for p, d in zip(np.atleast_2d(f),
+                                             np.atleast_2d(f_dot))])
+
+        return velocity
     coeffs = {"holo-basis": lambda: np.eye(g)[::-1],
               "powers": lambda: np.eye(2 * g + 1)[::-1],
-              "v": lambda: [v_numerator(conn.config)],
-              "poly": lambda: np.frombuffer(key[2], dtype=complex).reshape(
-                  (-1, key[1][-1]))}[key[0]]()
+              "v": lambda: [v_numerator(conn.config)]}[kind]()
     return lambda x: np.array([np.polyval(c, x) for c in coeffs])
 
 
@@ -439,22 +469,21 @@ def _oracle_errors(conn, seen, loops):
     period on the given loops and the form integrated from its
     definition."""
     pe, worst = conn.pe, {}
-    for key, idx in set(seen):
-        if idx not in loops:
-            continue
-        num, want = _numerator(conn, key), None
-        if key[0] != "phi":
-            try:
-                want = 2.0 * pe.sigma(idx) * spine_half(pe, idx, num)
-            except QuadratureError:
-                pass
-        if want is None:
-            want = pe.contour_loop_period(
-                lambda x, sheet: num(x) / pe.ev.y(x, sheet), idx)
-        got = (pe._reduced[key][:, idx] if key[0] == "phi"
-               else pe._loop_cache[(key, idx)])
-        err = np.abs(got - np.squeeze(want)).max() / np.abs(want).max()
-        worst[key[0]] = max(worst.get(key[0], 0.0), err)
+    for kind, parts, out in seen:
+        num = _numerator(conn, kind, parts)
+        for idx in loops:
+            want = None
+            if kind not in ("phi", "poly"):
+                try:
+                    want = 2.0 * pe.sigma(idx) * spine_half(pe, idx, num)
+                except QuadratureError:
+                    pass
+            if want is None:
+                want = pe.contour_loop_period(
+                    lambda x, sheet: num(x) / pe.ev.y(x, sheet), idx)
+            err = (np.abs(out[..., idx] - np.squeeze(want)).max()
+                   / np.abs(want).max())
+            worst[kind] = max(worst.get(kind, 0.0), err)
     return worst
 
 
@@ -475,7 +504,7 @@ def test_failing_loop_falls_back_once_for_all_its_forms(monkeypatch):
                                             pe.fallback_loops).items():
                 worst[kind] = max(worst.get(kind, 0.0), err)
     assert failing == [0] * 8 + [2] * 3 + [0] * 6 + [1] + [2] * 4
-    assert set(worst) == {"holo-basis", "v", "poly", "phi"}
+    assert set(worst) == {"holo-basis", "v", "poly", "phi", "powers"}
     assert max(worst.values()) <= 1e-10, worst
 
 
@@ -568,3 +597,42 @@ def test_first_rungs_follow_the_loop_rho():
         for rho, k in zip(rhos, pe.first_rungs):
             fits = rho ** (-2.0 * np.array(SPINE_SIZES)) <= pe.tol
             assert not fits[k] and fits[k + 1] or k == 0 and fits[0]
+
+
+# Omega is holomorphic in the branch points, so along b + s delta with
+# complex s its derivative at s = 0 is the Cauchy average
+# (1 / (N r)) sum over k of Omega(r w^k) w^-k, w = exp(2 pi i / N), up
+# to O(r^N) and the engines' error over r.  delta is the moving pole's
+# nearest-neighbour distance, so the side engines keep the points apart
+
+# seeds 1-3 read at most 1.6e-11 (clustered), 4.0e-12 (generic) and
+# 6.4e-11 (scaled)
+CAUCHY_BOUND = {"clustered": 1e-10, "generic": 2e-11, "scaled": 2e-10}
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("cls", sorted(CAUCHY_BOUND))
+def test_period_matrix_velocity_matches_cauchy_average(cls, n):
+    worst = 0.0
+    for seed in (1, 2, 3):
+        cfg = class_config(np.random.default_rng(seed), cls, n)
+        pts = np.array(cfg.branch_points())
+        delta = np.sort(np.abs(pts - pts[-1]))[1]
+        *rest, last = cfg.poles
+
+        def moved(s):
+            return QDConfigG0(zeros=cfg.zeros,
+                              poles=(*rest, last + delta * s))
+
+        pe = PeriodEngine.for_config(moved(0.0))
+        b_dot = np.zeros(len(pts), dtype=complex)
+        b_dot[-1] = delta
+        exact = pe.period_matrix_velocity(b_dot)
+        pairing = [tuple(map(int, pr)) for pr in pe.cycles.pairs]
+        count, r = 8, 1e-2
+        roots = np.exp(2j * np.pi * np.arange(count) / count)
+        cauchy = sum(PeriodEngine(build_cycles_robust(
+            build_cover(moved(r * w)), pairing=pairing)).period_matrix() / w
+            for w in roots) / (count * r)
+        worst = max(worst, np.abs(exact - cauchy).max() / np.abs(exact).max())
+    assert worst <= CAUCHY_BOUND[cls], worst
