@@ -208,7 +208,8 @@ def _transversality_constant():
 
 
 # criterion 6's stated tolerances; each value is also gated at 1e-6
-# ("_tight"), near the accuracy achieved (at most 2e-11)
+# ("_tight"), near the accuracy achieved (at most 3.6e-11, gamma- on
+# zero-pole)
 GAMMA_STATED = {"gamma_plus_zero-pole": 0.05, "gamma_minus_zero-pole": 0.05,
                 "gamma_plus_zero-zero": 0.1, "gamma_minus_zero-zero": 0.1}
 

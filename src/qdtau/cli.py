@@ -200,9 +200,11 @@ def cmd_periods(args) -> int:
             "loops": len(pe.cycles.loops),
             "pairing": [list(pr) for pr in pe.cycles.pairs],
             "spine_rho_min": pe.cycles.spine_rho(),
-            # per loop, the size of the first spine rule tried, and the
-            # loops whose spine fell back to the moment-table contour
+            # per loop, the size of the first spine rule tried and the
+            # defect its ladders settled with (null for a loop whose
+            # spine fell back to the contour); the loops that fell back
             "first_rungs": [SPINE_SIZES[k] for k in pe.first_rungs],
+            "loop_defects": pe.loop_defects,
             "fallback_loops": pe.fallback_loops,
         },
         "checks": [

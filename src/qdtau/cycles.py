@@ -23,16 +23,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import CoverCurve, SheetedEval
-from .quadrature import SPINE_SIZES
 
 CAP_FACTORS = (0.3, 0.18, 0.1, 0.06)
 GAP_CAP_SHRINK = 0.8
 
 # an n-point Gauss-Jacobi rule errs like rho^(-2n) on a spine of
 # Bernstein parameter rho, and the ladder accepts when two rungs agree,
-# so its defect is the lower rung's error: it settles at the top with
-# the engine's default 1e-11 from this rho (about 1.036) on
-SPINE_RHO_MIN = 1e-11 ** (-0.5 / SPINE_SIZES[-2])
+# so its defect is the lower rung's error: the 356-point rung meets the
+# engine's default 1e-11 from this rho (about 1.036) on.  The pairings
+# are ranked against it; the rungs above 576 serve pinched spines
+SPINE_RHO_MIN = 1e-11 ** (-0.5 / 356)
 
 
 class GeometryError(RuntimeError):

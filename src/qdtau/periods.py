@@ -28,9 +28,10 @@ Bernstein parameter predicts (`quadrature.first_rung`); the two blocks
 share the sheet weight yhat at every rung they both reach.  A loop
 period is twice that spine integral times the loop's orientation sign,
 which is read off the lift (`PeriodEngine.sigma`) without any
-quadrature.  A loop where either block's ladder does not settle (a
-foreign branch point too close) integrates both blocks on one stacked
-stadium contour.
+quadrature.  The ladder reaches 2,440 points, which settles every loop
+of the collision families' rows down to d = 3.9e-4; a loop where
+either block's ladder still does not settle (a foreign branch point
+closer yet) integrates both blocks on one stacked stadium contour.
 
 Tables and both maps are cached, so every cycle period, including
 those of a transformed basis, is an integer combination of cached
@@ -168,6 +169,7 @@ class PeriodEngine:
         self._tables = {}
         self._weights = {}
         self._failed = set()
+        self._defects = {}
         self._norm = None
         self._power_map = None
         self._pole_map = None
@@ -244,6 +246,14 @@ class PeriodEngine:
         """Indices of the loops whose spine ladder failed, sorted."""
         return sorted(self._failed)
 
+    @property
+    def loop_defects(self):
+        """Per loop, the largest defect of its table's spine ladders
+        (the last two rungs' difference, in units of its periods); None
+        for a loop whose table came from the contour or is not built."""
+        return [None if i in self._failed else self._defects.get(i)
+                for i in range(len(self.cycles.loops))]
+
     def moment_table(self, loop_idx, rows):
         """The loop's moment table (module docstring), at least its
         first ``rows`` rows: each block from one stacked spine ladder,
@@ -286,8 +296,10 @@ class PeriodEngine:
                     else np.vander(t, self._degree + 1, True).T)
             return rows * weights[len(t)]
 
-        val, _ = spine_integral(g, -0.5, -0.5, tol=self.tol,
-                                start=self.first_rungs[loop_idx])
+        val, defect = spine_integral(g, -0.5, -0.5, tol=self.tol,
+                                     start=self.first_rungs[loop_idx])
+        self._defects[loop_idx] = max(self._defects.get(loop_idx, 0.0),
+                                      2.0 * defect)
         if poles:
             del self._weights[loop_idx]
         return 2.0 * self.sigma(loop_idx) * val

@@ -7,7 +7,7 @@ Two regimes:
   exponents, which have closed-form Chebyshev-type nodes and weights
   (no root-finding), escalated until two consecutive sizes agree (for
   every component of a stacked integrand), from the rung the spine's
-  Bernstein parameter predicts (`first_rung`);
+  Bernstein parameter predicts (`first_rung`), up to 2,440 points;
 - integrals along contour pieces staying away from all singularities:
   24- and 48-point Gauss-Legendre panels compared on each panel and
   bisected where they disagree.  The panel tree is grown breadth-first:
@@ -26,8 +26,11 @@ from functools import lru_cache
 
 import numpy as np
 
-# escalation ladder for the spine rules
-SPINE_SIZES = (12, 20, 32, 52, 84, 136, 220, 356, 576)
+# escalation ladder for the spine rules, each size about 1.618 times
+# the last.  The rungs above 576 serve spines crowded by a pinching
+# pair: at the engine's 1e-11 they settle every loop of the collision
+# families' rows down to rho = 1.0166, and not those at rho <= 1.0142
+SPINE_SIZES = (12, 20, 32, 52, 84, 136, 220, 356, 576, 932, 1508, 2440)
 
 # contour panels per integrand call: 64 panels of 24 + 48 nodes are
 # 4,608 points, past which numpy's per-point cost no longer falls while

@@ -204,12 +204,20 @@ def build_connection(config: QDConfigG0, pairing=None) -> TauConnection:
     return TauConnection(PeriodEngine(cycles), config)
 
 
-def _tangent(make_config, s, h=1e-5):
-    """(branch-point velocities, scale velocity) of the path at s, by a
-    central difference of its coordinates only; no engine is built."""
-    lo, hi = make_config(s - h), make_config(s + h)
-    b_dot = np.subtract(hi.branch_points(), lo.branch_points()) / (2.0 * h)
-    return b_dot, (hi.scale - lo.scale) / (2.0 * h)
+def _tangent(make_config, s, h=1e-2):
+    """(branch-point velocities, scale velocity) of the path at s, by the
+    sixth-order central difference of its coordinates only; no engine
+    is built.  On an affine path it is exact but for rounding, about
+    |b| eps / (h |b_dot|), and on the scaling path scale exp(s) it errs
+    by about h^6 / 140 relative: both under 1e-12 at the default h.  A
+    coordinate that does not move gets velocity exactly 0."""
+    diff = 0.0
+    for k, weight in enumerate((45.0, -9.0, 1.0), 1):
+        lo, hi = make_config(s - k * h), make_config(s + k * h)
+        diff = diff + weight * np.subtract(
+            [*hi.branch_points(), hi.scale], [*lo.branch_points(), lo.scale])
+    diff = diff / (60.0 * h)
+    return diff[:-1], complex(diff[-1])
 
 
 def dlog_tau_along(make_config, s: float, branches=(1, -1), pairing=None,

@@ -1,11 +1,15 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from qdtau import tau
-from qdtau.cli import main
-from qdtau.quadrature import SPINE_SIZES
+from qdtau.cli import load_config, main
+from qdtau.curves import build_cover
+from qdtau.cycles import build_cycles_robust
+from qdtau.periods import PeriodEngine
+from qdtau.quadrature import SPINE_SIZES, first_rung
 
 REF_CONFIG = {
     "zeros": [[0.0, 0.0]],
@@ -103,14 +107,35 @@ def test_periods_report(ref_config_path, tmp_path):
     rungs = rep["diagnostics"]["first_rungs"]
     assert len(rungs) == rep["diagnostics"]["loops"]
     assert set(rungs) <= set(SPINE_SIZES)
+    assert_loop_defects_accepted(rep, load_config(ref_config_path))
+
+
+def assert_loop_defects_accepted(rep, config):
+    """The report's loop defects are null exactly on its fallback loops,
+    and each other one is within the acceptance bound of its loop's
+    ladders: every spine value v is accepted with a defect of at most
+    tol max(1, |v|), and a table entry is 2 v."""
+    defects = rep["diagnostics"]["loop_defects"]
+    assert ([i for i, e in enumerate(defects) if e is None]
+            == rep["diagnostics"]["fallback_loops"])
+    pe = PeriodEngine.for_config(config, config.tolerance)
+    for i, defect in enumerate(defects):
+        if defect is not None:
+            # the powers block, the only one `periods` asks for
+            table = pe.moment_table(i, 1)
+            assert 0.0 <= defect <= config.tolerance * max(
+                2.0, np.abs(table).max()), i
 
 
 def test_periods_report_names_fallback_loops(tmp_path):
-    # zero-zero at d = 3.9e-4: the gap loops past the pinching cut fail
-    # their spines and take the moment-table contour; the report says
-    # so, byte for byte the same on a second run
+    # zero-zero at d = 4.9e-5, a row past the schedule's last: the gap
+    # loops past the pinching cut start where their rho predicts, and
+    # one of them fails its powers block's spine even on the top rung
+    # and takes the moment-table contour; the report says so, byte for
+    # byte the same on a second run.  (On the schedule's rows only the
+    # far-pole blocks, which `periods` never asks for, fall back.)
     fam = tau.zero_zero_family()
-    cfg = fam.config(fam.schedule[8])
+    cfg = fam.config(fam.schedule[-1] / 2.0)
     path = tmp_path / "pinch.json"
     path.write_text(json.dumps({
         "zeros": [[z.real, z.imag] for z in cfg.zeros],
@@ -118,8 +143,12 @@ def test_periods_report_names_fallback_loops(tmp_path):
         "pairing": fam.pairing, "tolerance": 1e-11}))
     code, rep = run(["periods", "--config", str(path)], tmp_path / "a.json")
     assert code == 0
-    assert rep["diagnostics"]["fallback_loops"] == [4, 5]
-    assert rep["diagnostics"]["first_rungs"][4:6] == [SPINE_SIZES[-2]] * 2
+    assert rep["diagnostics"]["fallback_loops"] == [5]
+    rhos = build_cycles_robust(build_cover(cfg),
+                               pairing=fam.pairing).spine_rhos()
+    assert rep["diagnostics"]["first_rungs"][4:6] == [
+        SPINE_SIZES[first_rung(rho, 1e-11)] for rho in rhos[4:6]]
+    assert_loop_defects_accepted(rep, load_config(str(path)))
     run(["periods", "--config", str(path)], tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
