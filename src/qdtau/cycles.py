@@ -1,24 +1,32 @@
 """Cut systems, stadium contours, and a symplectic homology basis.
 
 Branch points, always an even number of them, are joined pairwise by
-straight cuts.  Around every cut and every gap between consecutive cuts
-we place a stadium-shaped loop: two circular caps joined by tangent
-segments.  Loops are lifted to the double cover by tracking cut
-crossings, intersection numbers are counted at same-sheet transversal
-crossings, and the alpha/beta basis comes out as integer combinations
-of the loops, verified against the standard symplectic form exactly.
-Caps stay inside each spine's clearance, so a loop encloses no foreign
-branch point and crosses only the cuts it must (`build_cycles`); pieces
-whose bounding discs are disjoint are never tested for crossings.
-`build_cycles_robust` tries three pairings, each once, and prefers the
-first whose spines keep clear of foreign branch points.
+straight cuts C_0, C_1, ..., ordered by midpoint; gap k joins the head
+of cut k to the tail of cut k + 1.  Around every cut and every gap we
+place a stadium-shaped loop: two circular caps joined by tangent
+segments.  Caps stay inside each spine's clearance (`build_cycles`),
+so a cut loop crosses no cut and its lift lies on sheet +1, while gap
+loop G_k crosses cuts k and k + 1 once each.  The chain
+C_0 G_0 C_1 G_1 ... then fixes every intersection number from the
+order of those two crossings, as Molin & Neurohr (Math. Comp. 2019)
+read theirs off a tree of branch points: <C_k, G_k> = -e_k and
+<C_{k+1}, G_k> = e_k, where e_k = -1 when G_k's lift crosses cut k
+first and +1 otherwise, and every other pair meets at 0 once no two
+gap spines cross.  The alpha/beta basis comes out as integer
+combinations of the loops, verified against the standard symplectic
+form exactly.  Only gap loops' stadiums are drawn to build it; a cut
+loop's is drawn when a contour first needs it.  `build_cycles_robust`
+tries three pairings, each once, prefers the first whose spines keep
+clear of foreign branch points, and records why it passed over the
+others.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,9 +44,9 @@ SPINE_RHO_MIN = 1e-11 ** (-0.5 / 356)
 
 
 class GeometryError(RuntimeError):
-    """Configuration defeats the contour builder (crossing cuts, a spine
-    without clearance, tangencies, or an intersection pattern that is
-    not the standard chain)."""
+    """Configuration defeats the contour builder (crossing cuts or gap
+    spines, a spine without clearance, or a gap loop whose lift does not
+    cross its two adjacent cuts once each)."""
 
 
 @dataclass(frozen=True)
@@ -98,27 +106,22 @@ def stadium(a, b, ra, rb):
 
 @dataclass
 class Loop:
-    pieces: list
+    """The stadium around the spine from branch point a to b, with cap
+    ra at a and rb at b, drawn on first use; crossings are its lift's
+    cut crossings [(piece_idx, s, cut_idx)], ordered along the loop
+    (none on a cut loop)."""
     kind: str  # "cut" or "gap"
     index: int
-    # filled in by the builder:
-    crossings: list = None  # [(piece_idx, s, cut_idx)] ordered along loop
+    caps: tuple  # (a, b, ra, rb)
+    crossings: list = field(default_factory=list)
 
-    def __post_init__(self):
-        # discs holding the stadium, which lies within max(ra, rb) of its
-        # spine [a, b], and each of its pieces
-        ca, cb = self.pieces[3], self.pieces[1]
-        self.disc = ((ca.center + cb.center) / 2.0, abs(cb.center - ca.center)
-                     / 2.0 + max(ca.radius, cb.radius))
-        self.piece_discs = [_piece_disc(p) for p in self.pieces]
+    @cached_property
+    def pieces(self):
+        return stadium(*self.caps)
 
     def sheet_at(self, piece_idx, s):
         """Sheet of the lift at parameter s of the given piece."""
-        k = 0
-        for pi, cs, _ in self.crossings:
-            if (pi, cs) < (piece_idx, s):
-                k += 1
-        return 1 if k % 2 == 0 else -1
+        return (-1) ** sum((pi, cs) < (piece_idx, s) for pi, cs, _ in self.crossings)
 
 
 # crossing primitives; parameters are accepted only strictly inside
@@ -182,60 +185,32 @@ def _arc_param(arc, z):
     return None
 
 
-def _arc_arc(a1, a2):
-    d = a2.center - a1.center
-    dist = abs(d)
-    r1, r2 = a1.radius, a2.radius
-    if dist < 1e-14 or dist > r1 + r2 or dist < abs(r1 - r2):
-        return []
-    # radical line construction
-    h2 = r1 * r1 - ((dist * dist + r1 * r1 - r2 * r2) / (2 * dist)) ** 2
-    if h2 <= 0:
-        return []
-    half = math.sqrt(h2)
-    mid = a1.center + d / dist * ((dist * dist + r1 * r1 - r2 * r2) / (2 * dist))
-    perp = 1j * d / dist
-    out = []
-    for z in (mid + half * perp, mid - half * perp):
-        t1 = _arc_param(a1, z)
-        t2 = _arc_param(a2, z)
-        if t1 is not None and t2 is not None:
-            out.append((t1, t2))
-    return out
-
-
 def piece_crossings(p, q):
-    """[(s_on_p, t_on_q)] interior transversal crossings."""
-    if isinstance(p, Segment) and isinstance(q, Segment):
-        return _seg_seg(p, q)
-    if isinstance(p, Segment) and isinstance(q, Arc):
+    """[(s_on_p, t_on_q)] interior transversal crossings of two pieces,
+    at least one of them a segment."""
+    if isinstance(q, Arc):
         return _seg_arc(p, q)
-    if isinstance(p, Arc) and isinstance(q, Segment):
+    if isinstance(p, Arc):
         return [(s, t) for t, s in _seg_arc(q, p)]
-    return _arc_arc(p, q)
+    return _seg_seg(p, q)
 
 
-def _piece_disc(p):
-    """(centre, radius) of a disc holding the piece."""
-    if isinstance(p, Segment):
-        return (p.a + p.b) / 2.0, abs(p.b - p.a) / 2.0
-    return p.center, p.radius
-
-
-def _apart(d1, d2):
-    """Whether discs (centre, radius) are disjoint beyond rounding."""
-    return abs(d1[0] - d2[0]) > (d1[1] + d2[1]) * (1.0 + 1e-9)
-
-
-def loop_loop_crossings(la: Loop, lb: Loop):
-    """[(i, s, j, t)]: piece i of la meets piece j of lb at parameters
-    s, t; piece pairs with disjoint discs are not tested."""
-    out = []
-    for i, (p, dp) in enumerate(zip(la.pieces, la.piece_discs)):
-        for j, (q, dq) in enumerate(zip(lb.pieces, lb.piece_discs)):
-            if not _apart(dp, dq):
-                out.extend((i, s, j, t) for s, t in piece_crossings(p, q))
-    return out
+def _spine_crossings(a, b):
+    """Whether segments [a_i, b_i] and [a_j, b_j] cross, for every i, j
+    in one broadcast: `_seg_seg`'s test, same margins and parallel
+    threshold, in the same real arithmetic."""
+    d = b - a
+    ax, ay = d.real[:, None], d.imag[:, None]
+    bx, by = -d.real, -d.imag
+    det = ax * by - ay * bx
+    rhs = a - a[:, None]
+    length = np.hypot(d.real, d.imag)
+    norm = np.maximum(length[:, None], length)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (rhs.real * by - rhs.imag * bx) / det
+        t = (ax * rhs.imag - ay * rhs.real) / det
+    return ((np.abs(det) >= 1e-12 * norm * norm) & (_MARGIN < s) & (s < 1 - _MARGIN)
+            & (_MARGIN < t) & (t < 1 - _MARGIN))
 
 
 class CycleSystem:
@@ -245,11 +220,17 @@ class CycleSystem:
     alpha_mat and beta_mat have one row per basis cycle and one column
     per loop; every period of a basis cycle is the matching integer
     combination of per-loop periods.  pairs and gap_ends hold the
-    branch-point indices at the ends of each cut and gap spine.
+    branch-point indices at the ends of each cut and gap spine.  sigmas
+    holds each loop's orientation factor (`PeriodEngine.sigma`):
+    -1 on a cut loop, e_k on gap loop k.  cap_factor is the entry of
+    CAP_FACTORS the caps were drawn at, and rejected the pairings
+    `build_cycles_robust` passed over, in the order tried, each with
+    its spine_rho() if that fell below SPINE_RHO_MIN, else the text of
+    its GeometryError.
     """
 
     def __init__(self, curve, evaluator, loops, alpha_mat, beta_mat,
-                 pairs, gap_ends):
+                 pairs, gap_ends, sigmas, cap_factor):
         self.curve = curve
         self.evaluator = evaluator
         self.loops = loops
@@ -257,6 +238,9 @@ class CycleSystem:
         self.beta_mat = beta_mat
         self.pairs = pairs
         self.gap_ends = gap_ends
+        self.sigmas = sigmas
+        self.cap_factor = cap_factor
+        self.rejected = []
         self.genus = alpha_mat.shape[0]
 
     def loop_index(self, kind, index):
@@ -326,77 +310,53 @@ def _sweep_pairing(points):
     return [(order[2 * k], order[2 * k + 1]) for k in range(len(points) // 2)]
 
 
-def _lift(loops, cut_segments):
-    """Order each loop's cut crossings along the loop: the lift starts
-    on sheet +1 and flips at every crossing.  Only gap loop k's
-    adjacent cuts k and k + 1 are tested: the caps keep every other
-    crossing out of reach (`build_cycles`)."""
-    for lp in loops:
-        near = () if lp.kind == "cut" else (lp.index, lp.index + 1)
-        cr = sorted((pi, s, ci) for pi, piece in enumerate(lp.pieces) for ci in near
+def _lift(gaps, cut_segments):
+    """Order each gap loop's crossings of its adjacent cuts k and k + 1
+    along the loop, where the lift starts on sheet +1 and flips at every
+    crossing; it must cross each once.  No other cut is in reach
+    (`build_cycles`).  Returns each gap's e_k: -1 when its lift crosses
+    cut k first, +1 when cut k + 1."""
+    signs = []
+    for lp in gaps:
+        k = lp.index
+        cr = sorted((pi, s, ci) for pi, piece in enumerate(lp.pieces)
+                    for ci in (k, k + 1)
                     for s, _t in piece_crossings(piece, cut_segments[ci]))
-        if len(cr) % 2:
-            raise GeometryError(
-                f"{lp.kind} loop {lp.index} crosses cuts an odd number of times")
+        crossed = [ci for *_, ci in cr]
+        if sorted(crossed) != [k, k + 1]:
+            raise GeometryError(f"gap loop {k} crosses cuts {crossed}, "
+                                f"not {k} and {k + 1} once each")
         lp.crossings = cr
+        signs.append(-1 if crossed[0] == k else 1)
+    return np.array(signs, dtype=int)
 
 
-def _intersections(loops):
-    """Surface intersection numbers between lifted loops, counted at
-    same-sheet crossings; loops with disjoint discs meet nowhere."""
-    inter = np.zeros((len(loops), len(loops)), dtype=int)
-    for a, la in enumerate(loops):
-        for b, lb in enumerate(loops[a + 1:], a + 1):
-            if _apart(la.disc, lb.disc):
-                continue
-            for pi, s, qj, t in loop_loop_crossings(la, lb):
-                if la.sheet_at(pi, s) == lb.sheet_at(qj, t):
-                    da, db = la.pieces[pi].tangent(s), lb.pieces[qj].tangent(t)
-                    cross = (da.conjugate() * db).imag
-                    if cross == 0:
-                        raise GeometryError("tangential loop crossing")
-                    inter[a, b] += 1 if cross > 0 else -1
+def _chain_intersections(e):
+    """Intersection numbers of the lifted loops, cuts then gaps, from
+    each gap's e_k: <C_k, G_k> = -e_k, <C_{k+1}, G_k> = e_k, all other
+    pairs 0."""
+    ncuts = len(e) + 1
+    k = np.arange(len(e))
+    inter = np.zeros((2 * ncuts - 1, 2 * ncuts - 1), dtype=int)
+    inter[k, ncuts + k] = -e
+    inter[k + 1, ncuts + k] = e
     return inter - inter.T
 
 
-def _stadiums(pts, pairs, gap_ends, radii, clamps):
-    """Cut loops, then gap loops: each cap at its point's radius, a gap's
-    at GAP_CAP_SHRINK of the cut cap it shares, none above its spine's
-    clamp."""
-    loops = []
-    cut_cap = {}
-    for k, (i, j) in enumerate(pairs):
-        ra, rb = min(radii[i], clamps[k]), min(radii[j], clamps[k])
-        cut_cap[i], cut_cap[j] = ra, rb
-        loops.append(Loop(stadium(pts[i], pts[j], ra, rb), "cut", k))
-    for k, (i, j) in enumerate(gap_ends):
-        cl = clamps[len(pairs) + k]
-        ra = min(GAP_CAP_SHRINK * cut_cap[i], cl)
-        rb = min(GAP_CAP_SHRINK * cut_cap[j], cl)
-        loops.append(Loop(stadium(pts[i], pts[j], ra, rb), "gap", k))
-    return loops
-
-
-def _symplectic_basis(loops, ncuts, g):
+def _symplectic_basis(inter, ncuts, g):
     """(alpha_mat, beta_mat) of the lifted loops, certified by their
-    exact intersection numbers."""
-    inter = _intersections(loops)
-
+    exact intersection numbers inter."""
     # normalize signs along the chain C1 G1 C2 G2 ... so consecutive
     # pairs intersect at +1; loop k is cut k, loop ncuts + k gap k
     chain = [i for k in range(ncuts) for i in (k, ncuts + k)][:-1]
-    signs = np.zeros(len(loops), dtype=int)
+    signs = np.zeros(len(inter), dtype=int)
     signs[0] = 1
     for a, b in zip(chain, chain[1:]):
-        raw = inter[a, b]
-        if abs(raw) != 1:
-            raise GeometryError(
-                f"chain neighbors intersect at {raw}; expected a simple chain")
-        signs[b] = signs[a] * raw
+        signs[b] = signs[a] * inter[a, b]
 
     # basis as integer loop combinations
-    alpha_mat = np.zeros((g, len(loops)), dtype=int)
-    beta_mat = np.zeros((g, len(loops)), dtype=int)
+    alpha_mat = np.zeros((g, len(inter)), dtype=int)
+    beta_mat = np.zeros((g, len(inter)), dtype=int)
     for i in range(g):
         alpha_mat[i, i + 1] = signs[i + 1]
         beta_mat[i, ncuts:ncuts + i + 1] = -signs[ncuts:ncuts + i + 1]
@@ -404,7 +364,7 @@ def _symplectic_basis(loops, ncuts, g):
     # exact symplectic verification of the assembled basis
     big = np.vstack([alpha_mat, beta_mat])
     gram = big @ inter @ big.T
-    want = np.kron([[0, 1], [-1, 0]], np.eye(g, dtype=int))
+    want = np.eye(2 * g, k=g, dtype=int) - np.eye(2 * g, k=-g, dtype=int)
     if not np.array_equal(gram, want):
         raise GeometryError(
             f"assembled basis is not symplectic; intersection gram:\n{gram}")
@@ -419,17 +379,21 @@ def build_cycles(curve: CoverCurve, pairing=None) -> CycleSystem:
     cut but a cut loop's own and gap k's neighbours k and k + 1.  A
     cut the spine does not cross is nearest it at an end of one of the
     two, and the cut's ends are foreign points, so only the spine's
-    ends are measured against it.  Crossing cuts and a spine without
-    clearance raise GeometryError before any cap is drawn.
+    ends are measured against it.  Crossing cuts, a spine without
+    clearance and crossing gap spines raise GeometryError, all from one
+    broadcast crossing test, before any cap is drawn.
 
     Caps are at most 0.45 of their spine's clearance, and a stadium
     lies in the convex hull of its cap discs, so within max(ra, rb) of
     its spine, short of the clearance.  So no stadium encloses a
     foreign branch point, a cut loop crosses no cut, and gap loop k
-    crosses only cuts k and k + 1, all that `_lift` tests.
-    `PeriodEngine.sigma()` rests on the same bound.  Only the stadiums,
-    lift and basis depend on the caps; they are retried at each of
-    CAP_FACTORS in turn, and the last failure is raised."""
+    crosses cuts k and k + 1 alone, each once, as one end of each lies
+    inside it; loops that are not chain neighbours meet at 0, since an
+    arc of one inside the other keeps its sheet and its two crossings
+    cancel.  `PeriodEngine.sigma()` rests on the same bound.  So only
+    gap loops are drawn to read the chain's intersection numbers off
+    (module docstring), at each of CAP_FACTORS in turn until every gap
+    crosses its cuts once each; else the last failure is raised."""
     pts = list(curve.branch_points)
     pairs = _default_pairing(pts) if pairing is None else [tuple(p) for p in pairing]
     if (sorted(i for p in pairs for i in p) != list(range(len(pts)))
@@ -445,52 +409,62 @@ def build_cycles(curve: CoverCurve, pairing=None) -> CycleSystem:
     pairs.sort(key=lambda p: (((pts[p[0]] + pts[p[1]]) / 2).real,
                               ((pts[p[0]] + pts[p[1]]) / 2).imag))
 
-    evaluator = SheetedEval(pts, pairs)
-    cut_segments = [Segment(pts[i], pts[j]) for i, j in pairs]
     ncuts = len(pairs)
-    for i in range(ncuts):
-        for j in range(i + 1, ncuts):
-            if piece_crossings(cut_segments[i], cut_segments[j]):
-                raise GeometryError(f"cuts {i} and {j} intersect")
-
     # gap spines join consecutive cuts tail-to-head
     gap_ends = [(pairs[k][1], pairs[k + 1][0]) for k in range(ncuts - 1)]
 
-    # hypot rounds as abs() of a Python complex; np.abs would move caps
+    # every spine (cuts, then gaps) against every other
     z = np.array(pts)
+    ends = np.array(pairs + gap_ends)
+    crossing = _spine_crossings(z[ends[:, 0]], z[ends[:, 1]])
+    for i, j in zip(*np.nonzero(crossing[:ncuts, :ncuts])):
+        if i < j:
+            raise GeometryError(f"cuts {i} and {j} intersect")
+
+    # hypot rounds as abs() of a Python complex; np.abs would move caps
     diff = np.subtract.outer(z, z)
     dist = np.hypot(diff.real, diff.imag)
     nearest = np.where(dist > 0, dist, np.inf).min(axis=1)
 
-    # clearance of every spine (cuts, then gaps); spine s may cross
-    # cuts lo[s]..hi[s], and a cut crossing another was rejected above
-    ends = np.array(pairs + gap_ends)
+    # clearance of every spine; spine s may cross cuts lo[s]..hi[s],
+    # and a cut crossing another was rejected above
     own = (np.arange(len(z)) == ends[:, :, None]).any(axis=1)
     foreign = np.where(own, np.inf, _seg_dist(z, z[ends[:, :1]], z[ends[:, 1:]]))
-    lo = np.r_[0:ncuts, 0:ncuts - 1]
+    lo = np.arange(len(ends)) % ncuts
     hi = lo + (np.arange(len(ends)) >= ncuts)
     crossable = (lo[:, None] <= np.arange(ncuts)) & (np.arange(ncuts) <= hi[:, None])
     to_cuts = _seg_dist(z[ends][:, :, None], z[ends[:ncuts, 0]], z[ends[:ncuts, 1]])
     clear = np.minimum(foreign.min(axis=1),
                        np.where(crossable, np.inf, to_cuts.min(axis=1)).min(axis=1))
-    if (clear < 1e-9 * dist.max()).any() or any(
-            _seg_seg(Segment(pts[i], pts[j]), cut_segments[c])
-            for k, (i, j) in enumerate(gap_ends) for c in range(ncuts)
-            if not crossable[ncuts + k, c]):
+    if ((clear < 1e-9 * dist.max()).any()
+            or (crossing[ncuts:, :ncuts] & ~crossable[ncuts:]).any()):
         raise GeometryError("spine has no clearance from foreign cuts")
-    clamps = (0.45 * clear).tolist()
+    if crossing[ncuts:, ncuts:].any():
+        raise GeometryError("gap spines cross")
+    clamps = 0.45 * clear
 
+    # each cap at its point's radius, a gap's at GAP_CAP_SHRINK of the
+    # cut cap it shares, none above its spine's clamp
+    point_clamps = np.empty(len(z))
+    point_clamps[ends[:ncuts]] = clamps[:ncuts, None]
+    labels = [("cut", k) for k in range(ncuts)] + [("gap", k) for k in range(ncuts - 1)]
+    cut_segments = [Segment(pts[i], pts[j]) for i, j in pairs]
     for factor in CAP_FACTORS:
+        cut_caps = np.minimum(factor * nearest, point_clamps)
+        radii = np.vstack([cut_caps[ends[:ncuts]], np.minimum(
+            GAP_CAP_SHRINK * cut_caps[ends[ncuts:]], clamps[ncuts:, None])])
+        loops = [Loop(*label, (pts[i], pts[j], *r))
+                 for label, (i, j), r in zip(labels, ends.tolist(), radii.tolist())]
         try:
-            loops = _stadiums(pts, pairs, gap_ends, (factor * nearest).tolist(),
-                              clamps)
-            _lift(loops, cut_segments)
-            alpha_mat, beta_mat = _symplectic_basis(loops, ncuts, curve.genus)
+            e = _lift(loops[ncuts:], cut_segments)
         except GeometryError as exc:
             last = exc
             continue
-        return CycleSystem(curve, evaluator, loops, alpha_mat, beta_mat,
-                           pairs, gap_ends)
+        alpha_mat, beta_mat = _symplectic_basis(_chain_intersections(e), ncuts,
+                                                curve.genus)
+        sigmas = np.concatenate([np.full(ncuts, -1), e])
+        return CycleSystem(curve, SheetedEval(pts, pairs), loops, alpha_mat,
+                           beta_mat, pairs, gap_ends, sigmas, factor)
     raise last
 
 
@@ -498,21 +472,28 @@ def build_cycles_robust(curve: CoverCurve, pairing=None) -> CycleSystem:
     """build_cycles of a given pairing, else of the greedy, sorted and
     sweep pairings in turn, each distinct pairing once.  The first
     built with spine_rho() at least SPINE_RHO_MIN, whose spines the
-    Gauss-Jacobi ladder can settle, is returned, else the first built."""
+    Gauss-Jacobi ladder can settle, is returned, else the first built;
+    its `rejected` lists the others."""
     if pairing is not None:
         return build_cycles(curve, pairing)
     pts = list(curve.branch_points)
     found = (s(pts) for s in (_greedy_pairing, _default_pairing, _sweep_pairing))
-    first = last = None
+    tried = []
     for cand in {frozenset(map(frozenset, prs)): prs for prs in found}.values():
         try:
             cyc = build_cycles(curve, cand)
         except GeometryError as exc:
-            last = exc
+            tried.append((cand, exc, str(exc)))
             continue
-        if cyc.spine_rho() >= SPINE_RHO_MIN:
-            return cyc
-        first = first or cyc
-    if first is None:
-        raise last
-    return first
+        rho = cyc.spine_rho()
+        tried.append((cand, cyc, rho))
+        if rho >= SPINE_RHO_MIN:
+            break
+    else:
+        built = [out for _, out, _ in tried if isinstance(out, CycleSystem)]
+        if not built:
+            raise tried[-1][1]
+        cyc = built[0]
+    cyc.rejected = [(sorted(map(sorted, cand)), why)
+                    for cand, out, why in tried if out is not cyc]
+    return cyc

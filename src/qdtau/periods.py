@@ -152,7 +152,6 @@ class PeriodEngine:
         self._scale = max(abs(b) for b in self.curve.branch_points) + 1.0
         self.first_rungs = [first_rung(rho, tol)
                             for rho in cycles.spine_rhos()]
-        self._sigmas = {}
         self._points = np.asarray(self.curve.branch_points, dtype=complex)
         self._degree = 2 * self.curve.genus
         ends = np.array([(cycles.pairs if lp.kind == "cut"
@@ -205,33 +204,45 @@ class PeriodEngine:
         return self._splits[loop_idx]
 
     def sigma(self, loop_idx: int) -> int:
-        """Orientation factor: loop period = 2*sigma*spine integral,
-        read off the lift.  The stadium's first side runs from a to b
-        right of the spine: sigma is the lift's sheet at its midpoint,
-        negated for a cut loop, whose spine takes the left boundary
-        value of yhat (the negative of the right one).
+        """Orientation factor: loop period = 2*sigma*spine integral.
+        The stadium's first side runs from a to b right of the spine:
+        sigma is the lift's sheet at its midpoint M, negated for a cut
+        loop, whose spine takes the left boundary value of yhat (the
+        negative of the right one).  A cut loop crosses no cut, so its
+        sigma is -1; gap loop k's is e_k of `build_cycles`, -1 when its
+        lift crosses cut k first.
 
-        No other cut crosses the straight path from the spine's
-        midpoint m to that midpoint m + r e (e a unit vector, r the mean
-        of the cap radii ra, rb), so the sheet there is the spine's.
-        Caps are at most 0.45 of the loop's clearance, which bounds the
+        For the gap [a, b] between cuts k = [c, a] and k + 1 = [b, d],
+        let m be the spine's midpoint, e the unit vector to the right
+        along which the first side, from a + ra e to b + rb e, touches
+        both caps, and r the mean of the cap radii, so M = m + r e.  Caps
+        are at most 0.45 of the loop's clearance, which bounds the
         distance from the spine to every foreign branch point and to
-        every cut but the loop's own and a gap loop's two adjacent
-        ones; those stay out of reach.  Say the adjacent cut [a, c]
-        of the gap [a, b] met the path at p, |p - m| = s < r, with
+        every cut but k and k + 1.
+        (i) No cut crosses [m, M], so the sheet at M is the spine's.
+        Say cut k met [m, M] at p, |p - m| = s < r, with
         c = a + t (p - a), t > 1.  For t <= 2, c would lie within
         t s <= 2 s of the spine point a + t (m - a), yet the clearance
         is at least r / 0.45 > 2 r.  So t > 2 and the cut passes
         through b + 2 (p - m), within 2 s of b.  That bounds the
         clearance of both cut loops, at a and at b, by 2 s, so the
         gap's radii, at most 0.8 of those caps, are at most
-        0.8 * 0.45 * 2 s = 0.72 s < r: a contradiction.  The cut
-        at b is the same case with a and b swapped."""
-        if loop_idx not in self._sigmas:
-            lp = self.cycles.loops[loop_idx]
-            sign = lp.sheet_at(0, 0.5)
-            self._sigmas[loop_idx] = -sign if lp.kind == "cut" else sign
-        return self._sigmas[loop_idx]
+        0.8 * 0.45 * 2 s = 0.72 s < r: a contradiction.  Cut k + 1 is
+        the same case with a and b swapped.
+        (ii) Only cut k can cross the first side before M, and only
+        there.  [m, M] splits the stadium's right half into the convex
+        trapezoids T_a = (a, a + ra e, M, m) and T_b.  Cut k + 1 has
+        both ends outside T_a (d past the clearance) and meets none of
+        its edges but the first side's: not the spine but at b (an
+        overlap would leave a spine without clearance), not [m, M], and
+        not [a, a + ra e], as ra is at most 0.8 * 0.45 of cut k's
+        clearance, which is at most its distance from a.  A segment
+        entering a convex region leaves it by another edge, so cut
+        k + 1 misses T_a; by symmetry cut k misses T_b, and the left
+        half, run from b to a, meets them in the other order.  So the
+        lift crosses cut k first exactly when cut k crosses the first
+        side, and then the sheet at M is -1."""
+        return int(self.cycles.sigmas[loop_idx])
 
     def loop_period(self, loop_idx: int):
         """The loop's column of the power map: its periods of

@@ -7,9 +7,10 @@ import pytest
 from qdtau import tau
 from qdtau.cli import load_config, main
 from qdtau.curves import build_cover
-from qdtau.cycles import build_cycles_robust
+from qdtau.cycles import CAP_FACTORS, SPINE_RHO_MIN, build_cycles_robust
 from qdtau.periods import PeriodEngine
 from qdtau.quadrature import SPINE_SIZES, first_rung
+from test_periods import COLLINEAR
 
 REF_CONFIG = {
     "zeros": [[0.0, 0.0]],
@@ -102,6 +103,9 @@ def test_periods_report(ref_config_path, tmp_path):
     # the basis Omega is written in: the given pairing, as built
     assert rep["diagnostics"]["pairing"] == REF_CONFIG["pairing"]
     assert rep["diagnostics"]["spine_rho_min"] > 1.0
+    # a given pairing is built as it is, at the first cap factor
+    assert rep["diagnostics"]["rejected_pairings"] == []
+    assert rep["diagnostics"]["cap_factor"] == CAP_FACTORS[0]
     # every spine settles; each loop's first rule is a ladder size
     assert rep["diagnostics"]["fallback_loops"] == []
     rungs = rep["diagnostics"]["first_rungs"]
@@ -149,6 +153,27 @@ def test_periods_report_names_fallback_loops(tmp_path):
     assert rep["diagnostics"]["first_rungs"][4:6] == [
         SPINE_SIZES[first_rung(rho, 1e-11)] for rho in rhos[4:6]]
     assert_loop_defects_accepted(rep, load_config(str(path)))
+    run(["periods", "--config", str(path)], tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_periods_reports_the_cycle_ladder(tmp_path):
+    # no pairing given: the greedy pairing of a near-collinear row
+    # crowds a spine (rho 1.0000016), so the ladder passes over it; the
+    # report names it with its rho and the cap factor it accepted at,
+    # byte for byte the same on a second run
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps({
+        "zeros": [[z.real, z.imag] for z in COLLINEAR.zeros],
+        "poles": [[p.real, p.imag] for p in COLLINEAR.poles]}))
+    code, rep = run(["periods", "--config", str(path)], tmp_path / "a.json")
+    assert code == 0
+    cyc = build_cycles_robust(build_cover(COLLINEAR))
+    diag = rep["diagnostics"]
+    assert diag["cap_factor"] == cyc.cap_factor == CAP_FACTORS[0]
+    assert diag["rejected_pairings"] == [
+        {"pairing": [[0, 2], [1, 7], [3, 4], [5, 6]], "reason": cyc.rejected[0][1]}]
+    assert 1.0 < cyc.rejected[0][1] < SPINE_RHO_MIN
     run(["periods", "--config", str(path)], tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 

@@ -1,6 +1,9 @@
 """Cycle-system geometry: stadium contours, crossings, symplectic bases."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdtau import cycles, tau
 from qdtau.curves import QDConfigG0, build_cover
@@ -78,9 +81,10 @@ def test_segment_arc_crossing():
 
 
 def test_arc_arc_crossing():
+    # the oracle's own primitive: stadiums meet at arcs
     a1 = Arc(0.0, 1.0, 0.0, 2 * np.pi)
     a2 = Arc(1.0, 1.0, 0.0, 2 * np.pi)
-    hits = piece_crossings(a1, a2)
+    hits = oracle_crossings(a1, a2)
     assert len(hits) == 2
     pts = sorted((complex(a1.point(t)) for t, _ in hits), key=lambda z: z.imag)
     assert _close(pts[0], 0.5 - 1j * np.sqrt(3) / 2, 1e-9)
@@ -101,10 +105,40 @@ def test_reversed_pieces():
 REF = dict(zeros=[0.0], poles=[1.0, -1.0, 2.0, -2.0, 0.5])
 
 
-# Unpruned lift, enclosure and intersection passes: every piece against
-# every cut or piece, every foreign point wound.  They are the oracle of
-# the builder's pruned passes and recompute intersection numbers from
-# the geometry alone.
+# The oracle: every loop's stadium drawn and lifted against every cut,
+# intersection numbers counted at same-sheet crossings of every pair of
+# pieces (all pairs, or skipping pieces with disjoint bounding discs),
+# and the spine checks pair by pair.  It recomputes the basis from the
+# geometry alone, with no appeal to the chain's intersection pattern.
+
+def _arc_arc(a1, a2):
+    d = a2.center - a1.center
+    dist = abs(d)
+    r1, r2 = a1.radius, a2.radius
+    if dist < 1e-14 or dist > r1 + r2 or dist < abs(r1 - r2):
+        return []
+    # radical line construction
+    h2 = r1 * r1 - ((dist * dist + r1 * r1 - r2 * r2) / (2 * dist)) ** 2
+    if h2 <= 0:
+        return []
+    half = math.sqrt(h2)
+    mid = a1.center + d / dist * ((dist * dist + r1 * r1 - r2 * r2) / (2 * dist))
+    perp = 1j * d / dist
+    out = []
+    for z in (mid + half * perp, mid - half * perp):
+        t1 = cycles._arc_param(a1, z)
+        t2 = cycles._arc_param(a2, z)
+        if t1 is not None and t2 is not None:
+            out.append((t1, t2))
+    return out
+
+
+def oracle_crossings(p, q):
+    """piece_crossings, arc against arc included."""
+    if isinstance(p, Arc) and isinstance(q, Arc):
+        return _arc_arc(p, q)
+    return piece_crossings(p, q)
+
 
 def all_pairs_lift(loops, cut_segments):
     for lp in loops:
@@ -136,27 +170,163 @@ def all_pairs_enclosures(loops, pts):
     return out
 
 
+def _crossing_sign(la, pi, s, lb, qj, t):
+    """+-1 at a same-sheet crossing of the lifted loops, else 0."""
+    if la.sheet_at(pi, s) != lb.sheet_at(qj, t):
+        return 0
+    da, db = la.pieces[pi].tangent(s), lb.pieces[qj].tangent(t)
+    cross = (da.conjugate() * db).imag
+    if cross == 0:
+        raise GeometryError("tangential loop crossing")
+    return 1 if cross > 0 else -1
+
+
 def all_pairs_intersections(loops):
     """Signed sheet-aware intersection numbers of the lifted loops."""
     n = len(loops)
     raw = np.zeros((n, n), dtype=int)
     for a in range(n):
         for b in range(a + 1, n):
-            tot = 0
-            for pi, p in enumerate(loops[a].pieces):
-                for qj, q in enumerate(loops[b].pieces):
-                    for s, t in piece_crossings(p, q):
-                        if loops[a].sheet_at(pi, s) != loops[b].sheet_at(qj, t):
-                            continue
-                        da = p.tangent(s)
-                        db = q.tangent(t)
-                        cross = (da.conjugate() * db).imag
-                        if cross == 0:
-                            raise GeometryError("tangential loop crossing")
-                        tot += 1 if cross > 0 else -1
-            raw[a, b] = tot
-            raw[b, a] = -tot
-    return raw
+            raw[a, b] = sum(
+                _crossing_sign(loops[a], pi, s, loops[b], qj, t)
+                for pi, p in enumerate(loops[a].pieces)
+                for qj, q in enumerate(loops[b].pieces)
+                for s, t in oracle_crossings(p, q))
+    return raw - raw.T
+
+
+def _disc(pieces):
+    """(centre, radius) of a disc holding the pieces."""
+    return [((p.a + p.b) / 2.0, abs(p.b - p.a) / 2.0) if isinstance(p, Segment)
+            else (p.center, p.radius) for p in pieces]
+
+
+def _apart(d1, d2):
+    """Whether discs (centre, radius) are disjoint beyond rounding."""
+    return abs(d1[0] - d2[0]) > (d1[1] + d2[1]) * (1.0 + 1e-9)
+
+
+def pruned_intersections(loops):
+    """all_pairs_intersections, skipping loops and pieces whose bounding
+    discs are disjoint: a stadium lies within max(ra, rb) of its spine."""
+    whole = []
+    for lp in loops:
+        ca, cb = lp.pieces[3], lp.pieces[1]
+        whole.append(((ca.center + cb.center) / 2.0, abs(cb.center - ca.center)
+                      / 2.0 + max(ca.radius, cb.radius)))
+    discs = [_disc(lp.pieces) for lp in loops]
+    raw = np.zeros((len(loops), len(loops)), dtype=int)
+    for a, la in enumerate(loops):
+        for b, lb in enumerate(loops[a + 1:], a + 1):
+            if _apart(whole[a], whole[b]):
+                continue
+            raw[a, b] = sum(
+                _crossing_sign(la, pi, s, lb, qj, t)
+                for pi, (p, dp) in enumerate(zip(la.pieces, discs[a]))
+                for qj, (q, dq) in enumerate(zip(lb.pieces, discs[b]))
+                if not _apart(dp, dq) for s, t in oracle_crossings(p, q))
+    return raw - raw.T
+
+
+def oracle_build(curve, pairing, factor, intersections=pruned_intersections):
+    """build_cycles at one cap factor, from full stadiums: the spine
+    checks pair by pair, every loop drawn and lifted against every cut,
+    and the basis from the counted intersection numbers (so crossing
+    gap spines fail its symplectic check).  The sigmas are read off the
+    lift: the sheet at the first side's midpoint, negated on cuts."""
+    pts = list(curve.branch_points)
+    pairs = [tuple(sorted(p, key=lambda i: (pts[i].real, pts[i].imag)))
+             for p in pairing]
+    pairs.sort(key=lambda p: (((pts[p[0]] + pts[p[1]]) / 2).real,
+                              ((pts[p[0]] + pts[p[1]]) / 2).imag))
+    ncuts = len(pairs)
+    cuts = [Segment(pts[i], pts[j]) for i, j in pairs]
+    for i in range(ncuts):
+        for j in range(i + 1, ncuts):
+            if piece_crossings(cuts[i], cuts[j]):
+                raise GeometryError(f"cuts {i} and {j} intersect")
+    gap_ends = [(pairs[k][1], pairs[k + 1][0]) for k in range(ncuts - 1)]
+
+    # clearance, as build_cycles measures it
+    z = np.array(pts)
+    diff = np.subtract.outer(z, z)
+    dist = np.hypot(diff.real, diff.imag)
+    nearest = np.where(dist > 0, dist, np.inf).min(axis=1)
+    ends = np.array(pairs + gap_ends)
+    own = (np.arange(len(z)) == ends[:, :, None]).any(axis=1)
+    foreign = np.where(own, np.inf,
+                       cycles._seg_dist(z, z[ends[:, :1]], z[ends[:, 1:]]))
+    near = [{k} for k in range(ncuts)] + [{k, k + 1} for k in range(ncuts - 1)]
+    far = np.array([[c not in nr for c in range(ncuts)] for nr in near])
+    to_cuts = cycles._seg_dist(z[ends][:, :, None], z[ends[:ncuts, 0]],
+                               z[ends[:ncuts, 1]])
+    clear = np.minimum(foreign.min(axis=1),
+                       np.where(far, to_cuts.min(axis=1), np.inf).min(axis=1))
+    if (clear < 1e-9 * dist.max()).any() or any(
+            piece_crossings(Segment(pts[i], pts[j]), cuts[c])
+            for k, (i, j) in enumerate(gap_ends) for c in range(ncuts)
+            if far[ncuts + k, c]):
+        raise GeometryError("spine has no clearance from foreign cuts")
+    clamps = (0.45 * clear).tolist()
+
+    radii = (factor * nearest).tolist()
+    cap = {}
+    for k, (i, j) in enumerate(pairs):
+        cap[i], cap[j] = min(radii[i], clamps[k]), min(radii[j], clamps[k])
+    loops = [cycles.Loop("cut", k, (pts[i], pts[j], cap[i], cap[j]))
+             for k, (i, j) in enumerate(pairs)]
+    loops += [cycles.Loop("gap", k, (pts[i], pts[j], *(
+        min(cycles.GAP_CAP_SHRINK * cap[e], clamps[ncuts + k]) for e in (i, j))))
+              for k, (i, j) in enumerate(gap_ends)]
+    all_pairs_lift(loops, cuts)
+    alpha_mat, beta_mat = cycles._symplectic_basis(intersections(loops), ncuts,
+                                                   curve.genus)
+    sigmas = np.array([(-1 if lp.kind == "cut" else 1) * lp.sheet_at(0, 0.5)
+                       for lp in loops])
+    return cycles.CycleSystem(curve, None, loops, alpha_mat, beta_mat, pairs,
+                              gap_ends, sigmas, factor)
+
+
+def oracle_ladder(curve, pairing):
+    """oracle_build at the first of CAP_FACTORS that builds."""
+    for factor in CAP_FACTORS:
+        try:
+            return oracle_build(curve, pairing, factor)
+        except GeometryError as exc:
+            last = exc
+    raise last
+
+
+def candidate_pairings(curve):
+    """The distinct pairings build_cycles_robust tries, in its order."""
+    pts = list(curve.branch_points)
+    found = (s(pts) for s in (cycles._greedy_pairing, cycles._default_pairing,
+                              cycles._sweep_pairing))
+    return list({frozenset(map(frozenset, prs)): prs for prs in found}.values())
+
+
+def oracle_robust(curve):
+    """build_cycles_robust's choice among the oracle's ladders."""
+    built = []
+    for cand in candidate_pairings(curve):
+        try:
+            cyc = oracle_ladder(curve, cand)
+        except GeometryError:
+            continue
+        if cyc.spine_rho() >= SPINE_RHO_MIN:
+            return cyc
+        built.append(cyc)
+    return built[0]
+
+
+def assert_same_system(got, want):
+    """Same cuts, caps, lifts, basis and orientations."""
+    assert got.pairs == want.pairs and got.cap_factor == want.cap_factor
+    assert [lp.caps for lp in got.loops] == [lp.caps for lp in want.loops]
+    assert [lp.crossings for lp in got.loops] == [lp.crossings for lp in want.loops]
+    assert np.array_equal(got.alpha_mat, want.alpha_mat)
+    assert np.array_equal(got.beta_mat, want.beta_mat)
+    assert np.array_equal(got.sigmas, want.sigmas)
 
 
 def _gram(cycles):
@@ -245,42 +415,33 @@ def test_pairing_that_leaves_a_point_unmatched_is_rejected():
             build_cycles_robust(curve, pairing=pairing)
 
 
-PRUNED = (cycles._lift, cycles._intersections)
-ALL_PAIRS = (all_pairs_lift, all_pairs_intersections)
-
-
-def _recorded_build(monkeypatch, passes, curve, pairing, factor):
-    """build_cycles at the one cap factor with the given lift and
-    intersection passes; returns what each pass produced and the error,
-    if any.  Every lifted system must enclose no stray branch point."""
-    lift, intersections = passes
-    pts = list(curve.branch_points)
-    seen = []
-
-    def rec_lift(loops, cut_segments):
-        lift(loops, cut_segments)
-        seen.append([lp.crossings for lp in loops])
-        assert all_pairs_enclosures(loops, pts) == []
-
-    def rec_intersections(loops):
-        inter = intersections(loops)
-        seen.append(inter.tolist())
-        return inter
-
+def _chain_build(monkeypatch, curve, pairing, factor):
+    """build_cycles at the one cap factor, or its error's text."""
     monkeypatch.setattr(cycles, "CAP_FACTORS", (factor,))
-    monkeypatch.setattr(cycles, "_lift", rec_lift)
-    monkeypatch.setattr(cycles, "_intersections", rec_intersections)
     try:
-        build_cycles(curve, pairing=pairing)
+        return build_cycles(curve, pairing=pairing)
     except GeometryError as exc:
-        seen.append(str(exc))
-    return seen
+        return str(exc)
+    finally:
+        monkeypatch.undo()
 
 
-def test_disc_pruning_matches_all_pairs_passes(monkeypatch):
-    # every pairing the ladder tries, at every cap factor: the lift
-    # against adjacent cuts only and the disc-pruned intersections agree
-    # with the all-pairs passes, errors included, and nothing is enclosed
+def _same_verdict(got, want):
+    """The chain builder rejects crossing gap spines up front, where the
+    oracle's basis fails its symplectic check; it names an odd gap lift
+    by the cuts crossed.  Every other error is the oracle's."""
+    if got == "gap spines cross":
+        return want.startswith("assembled basis is not symplectic")
+    if got.startswith("gap loop"):
+        return got.split(" crosses")[0] == want.split(" crosses")[0]
+    return got == want
+
+
+def test_chain_basis_matches_all_pairs_passes(monkeypatch):
+    # every pairing the ladder tries, at every cap factor: the basis and
+    # orientations read off the chain are those full stadiums give with
+    # the counted intersection numbers, errors included, and no stadium
+    # encloses a branch point
     rng = np.random.default_rng(909)
     outcomes = set()
     for cls in ("generic", "clustered", "collinear", "scaled"):
@@ -288,45 +449,115 @@ def test_disc_pruning_matches_all_pairs_passes(monkeypatch):
             for _ in range(7):
                 curve = build_cover(class_config(rng, cls, n))
                 pts = list(curve.branch_points)
-                candidates = {frozenset(frozenset(p) for p in strat(pts))
-                              for strat in (cycles._greedy_pairing,
-                                            cycles._default_pairing,
-                                            cycles._sweep_pairing)}
-                for pairing in candidates:
+                for pairing in candidate_pairings(curve):
                     for factor in CAP_FACTORS:
-                        args = (curve, [tuple(p) for p in pairing], factor)
-                        got = _recorded_build(monkeypatch, PRUNED, *args)
-                        want = _recorded_build(monkeypatch, ALL_PAIRS, *args)
-                        assert got == want, (cls, n, pairing, factor)
-                        outcomes.add(len(got) if isinstance(got[-1], list)
-                                     else got[-1].split()[0])
+                        got = _chain_build(monkeypatch, curve, pairing, factor)
+                        try:
+                            want = oracle_build(curve, pairing, factor)
+                        except GeometryError as exc:
+                            want = str(exc)
+                        where = (cls, n, pairing, factor)
+                        if isinstance(want, str):
+                            assert isinstance(got, str), where
+                            assert _same_verdict(got, want), (where, got, want)
+                            outcomes.add(got.split()[0])
+                            continue
+                        assert all_pairs_enclosures(want.loops, pts) == []
+                        assert not isinstance(got, str), (where, got)
+                        assert_same_system(got, want)
+                        outcomes.add("built")
     # built systems and the rejections these classes meet were compared
-    assert {2, "cuts", "spine", "assembled"} <= outcomes, outcomes
+    assert {"built", "cuts", "spine", "gap"} <= outcomes, outcomes
 
 
-def test_pruned_passes_match_all_pairs_on_bare_geometry():
-    # random stadiums lifted over random cuts: the disc-pruned
-    # intersection numbers are the all-pairs ones, meetings far from a
-    # loop's own caps included
+def test_chain_ladder_matches_all_pairs_on_bare_geometry():
+    # random points, every pairing the robust ladder weighs: it settles
+    # on the oracle's pairing and cap factor with the oracle's basis and
+    # orientations, and the chain's intersection numbers are the ones
+    # every pair of full stadiums counts, lazily drawn cut loops included
     rng = np.random.default_rng(77)
-    met = apart = 0
-    for _ in range(300):
-        ends = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        loops = [cycles.Loop(stadium(a, b, *(rng.uniform(0.05, 0.6, 2)
-                                            * abs(b - a))), "gap", k)
-                 for k, (a, b) in enumerate(ends)]
-        cuts = [Segment(*z) for z in rng.normal(size=(3, 2))
-                + 1j * rng.normal(size=(3, 2))]
-        try:
-            all_pairs_lift(loops, cuts)
-        except GeometryError:
+    met = passed_over = 0
+    signs = set()
+    for _ in range(40):
+        m = 2 * int(rng.integers(3, 6))
+        pts = rng.normal(size=m) + 1j * rng.normal(size=m)
+        if np.min(np.abs(pts[:, None] - pts)[np.triu_indices(m, 1)]) < 0.05:
             continue
-        got = cycles._intersections(loops)
-        assert np.array_equal(got, all_pairs_intersections(loops))
-        met += np.count_nonzero(got)
-        apart += sum(cycles._apart(la.disc, lb.disc) for la in loops
-                     for lb in loops)
-    assert met >= 6 and apart >= 20, (met, apart)
+        curve = build_cover(QDConfigG0(zeros=list(pts[:m // 2 - 2]),
+                                       poles=list(pts[m // 2 - 2:])))
+        cyc = build_cycles_robust(curve)
+        assert_same_system(cyc, oracle_robust(curve))
+        ncuts = len(cyc.pairs)
+        inter = cycles._chain_intersections(cyc.sigmas[ncuts:])
+        assert np.array_equal(all_pairs_intersections(cyc.loops), inter)
+        met += np.count_nonzero(inter)
+        passed_over += len(cyc.rejected)
+        signs.update(cyc.sigmas[ncuts:].tolist())
+    assert met >= 300 and passed_over >= 8 and signs == {-1, 1}, (
+        met, passed_over, signs)
+
+
+# three cuts whose gaps cross: gap 0 runs from -1.9+2j down to -0.2-1j,
+# gap 1 from 0.2+1j down to -1-2.5j
+CROSSED_GAPS = QDConfigG0(zeros=[-2.0], poles=[-1.9 + 2j, -0.2 - 1j, 0.2 + 1j,
+                                               -1 - 2.5j, 3 - 2.5j])
+
+
+def test_crossing_gap_spines_are_rejected_before_any_stadium(monkeypatch):
+    curve = build_cover(CROSSED_GAPS)
+    pairing = [(0, 1), (2, 3), (4, 5)]
+    drawn = []
+    monkeypatch.setattr(cycles, "stadium",
+                        lambda *caps: drawn.append(caps) or stadium(*caps))
+    with pytest.raises(GeometryError, match="gap spines cross"):
+        build_cycles(curve, pairing=pairing)
+    assert drawn == []
+    # the stadiums' counted intersection numbers admit no symplectic
+    # basis, at any cap factor
+    for factor in CAP_FACTORS:
+        with pytest.raises(GeometryError, match="assembled basis is not symplectic"):
+            oracle_build(curve, pairing, factor)
+
+
+def test_robust_ladder_passes_over_crossing_gap_spines():
+    # the greedy pairing's gaps cross; the ladder moves on to the sorted
+    # pairing, the oracle's choice as well
+    curve = build_cover(class_config(np.random.default_rng(26), "generic", 5))
+    cyc = build_cycles_robust(curve)
+    greedy = sorted(map(sorted, cycles._greedy_pairing(list(curve.branch_points))))
+    assert cyc.rejected == [(greedy, "gap spines cross")]
+    assert cyc.pairs == [(1, 0), (5, 4), (3, 2)]
+    assert_same_system(cyc, oracle_robust(curve))
+
+
+@settings(max_examples=12, derandomize=True, deadline=None)
+@given(cls=st.sampled_from(["generic", "clustered", "collinear", "scaled"]),
+       n=st.integers(5, 8), seed=st.integers(0, 2**32 - 1))
+def test_chain_basis_matches_oracle_at_the_accepted_factor(cls, n, seed):
+    curve = build_cover(class_config(np.random.default_rng(seed), cls, n))
+    cyc = build_cycles_robust(curve)
+    assert_same_system(cyc, oracle_build(curve, cyc.pairs, cyc.cap_factor))
+
+
+def test_robust_ladder_records_what_it_passed_over(monkeypatch):
+    # each pairing tried and not returned, in order, with its rho when
+    # that was too poor, else its error's text
+    attempts = _spy_attempts(monkeypatch)
+    rng = np.random.default_rng(12)
+    reasons = set()
+    for cls in ("generic", "clustered", "collinear", "scaled"):
+        for n in (5, 6, 7, 8):
+            del attempts[:]
+            cyc = build_cycles_robust(build_cover(class_config(rng, cls, n)))
+            assert cyc.cap_factor in CAP_FACTORS
+            want = [(sorted(map(sorted, key)),
+                     str(out) if isinstance(out, GeometryError) else out.spine_rho())
+                    for key, out in attempts if out is not cyc]
+            assert cyc.rejected == want
+            for _, why in cyc.rejected:
+                assert isinstance(why, str) or why < SPINE_RHO_MIN
+                reasons.add(why.split()[0] if isinstance(why, str) else "rho")
+    assert {"rho", "spine"} <= reasons, reasons
 
 
 def _seg_dist(p, a, b):
