@@ -205,10 +205,15 @@ def cmd_periods(args) -> int:
             "cap_factor": pe.cycles.cap_factor,
             "rejected_pairings": [{"pairing": p, "reason": why}
                                   for p, why in pe.cycles.rejected],
-            # per loop, the size of the first spine rule tried and the
-            # defect its ladders settled with (null for a loop whose
-            # spine fell back to the contour); the loops that fell back
+            # per loop, the size of the first spine rule tried, the
+            # sizes its table's ladders settled on (one per block
+            # built) and the defect they settled with (both null for a
+            # loop whose spine fell back to the contour); the loops
+            # that fell back
             "first_rungs": [SPINE_SIZES[k] for k in pe.first_rungs],
+            "settled_rungs": [None if r is None else
+                              [SPINE_SIZES[k] for k in r]
+                              for r in pe.settled_rungs],
             "loop_defects": pe.loop_defects,
             "fallback_loops": pe.fallback_loops,
         },

@@ -26,7 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -286,22 +286,30 @@ def _default_pairing(points):
 
 def _greedy_pairing(points):
     """Repeatedly join the closest unpaired points; tends to give
-    short, mutually distant cuts."""
-    left = set(range(len(points)))
+    short, mutually distant cuts.  One stable sort of the upper
+    triangle of the distance matrix, read row by row, orders the pairs
+    by distance with ties to the lexicographically first (i, j); the
+    first pair in that order whose points are both unpaired is the
+    closest one.  np.hypot rounds as abs() of a Python complex."""
+    pts = np.asarray(points, dtype=complex)
+    i, j = _upper_triangle(len(pts))
+    d = pts[i] - pts[j]
+    order = np.argsort(np.hypot(d.real, d.imag), kind="stable")
+    left = set(range(len(pts)))
     pairs = []
-    while len(left) > 1:
-        best = None
-        for i in left:
-            for j in left:
-                if j <= i:
-                    continue
-                d = abs(points[i] - points[j])
-                if best is None or d < best[0]:
-                    best = (d, i, j)
-        pairs.append((best[1], best[2]))
-        left.discard(best[1])
-        left.discard(best[2])
+    for a, b in zip(i[order].tolist(), j[order].tolist()):
+        if a in left and b in left:
+            pairs.append((a, b))
+            left -= {a, b}
+            if len(left) < 2:
+                break
     return pairs
+
+
+@lru_cache(maxsize=None)
+def _upper_triangle(m):
+    """Row-major indices (i, j), i < j, of an m x m matrix."""
+    return np.triu_indices(m, 1)
 
 
 def _sweep_pairing(points):

@@ -25,7 +25,13 @@ depends on a form.
 Each block is one stacked Gauss-Jacobi spine ladder with the
 inverse-square-root endpoint weight, from the rung the loop's worst
 Bernstein parameter predicts (`quadrature.first_rung`); the two blocks
-share the sheet weight yhat at every rung they both reach.  A loop
+share the sheet weight yhat at every rung they both reach.  Every
+loop's ladder of one block kind climbs in lockstep with the others
+(`spine_integral` with one first rung per loop), each at its own rung
+and by its own acceptance test, so a ladder step weighs the nodes of
+every loop still climbing with one `kernels.eval_sheet1` call for the
+gap loops and one `kernels.eval_oncut` call for the cut loops, and
+each block is bit for bit what its loop's own ladder gives.  A loop
 period is twice that spine integral times the loop's orientation sign,
 which is read off the lift (`PeriodEngine.sigma`) without any
 quadrature.  The ladder reaches 2,440 points, which settles every loop
@@ -46,8 +52,7 @@ import numpy as np
 
 from .curves import build_cover
 from .cycles import CycleSystem, GeometryError, build_cycles_robust
-from .quadrature import (QuadratureError, adaptive_line, first_rung,
-                         spine_integral)
+from .quadrature import adaptive_line, first_rung, spine_integral
 
 
 def affine_shift(a, b, n):
@@ -159,6 +164,9 @@ class PeriodEngine:
                          for lp in cycles.loops])
         a, b = self._points[ends].T
         self._mids, self._halves = (a + b) / 2.0, (b - a) / 2.0
+        # each loop's cut index, -1 for a gap loop
+        self._cut_of = np.array([lp.index if lp.kind == "cut" else -1
+                                 for lp in cycles.loops])
         self.frame = frame(self._points)
         c, s = self.frame
         # z's powers, highest first, in every loop's u: [k, i, loop]
@@ -169,6 +177,7 @@ class PeriodEngine:
         self._weights = {}
         self._failed = set()
         self._defects = {}
+        self._settled = {}
         self._norm = None
         self._power_map = None
         self._pole_map = None
@@ -265,55 +274,120 @@ class PeriodEngine:
         return [None if i in self._failed else self._defects.get(i)
                 for i in range(len(self.cycles.loops))]
 
+    @property
+    def settled_rungs(self):
+        """Per loop, the SPINE_SIZES index each built block's ladder
+        settled on (the powers block, then the far-pole block); None as
+        in `loop_defects`."""
+        return [None if i in self._failed else self._settled.get(i)
+                for i in range(len(self.cycles.loops))]
+
     def moment_table(self, loop_idx, rows):
         """The loop's moment table (module docstring), at least its
         first ``rows`` rows: each block from one stacked spine ladder,
         the far-pole block only when asked for; once a ladder fails,
         the whole table from one stacked stadium contour, for good."""
-        table = self._tables.get(loop_idx, np.zeros(0, dtype=complex))
-        if len(table) < rows:
-            try:
-                while len(table) < rows:
-                    table = np.concatenate(
-                        [table, self._spine_block(loop_idx, len(table) > 0)])
-            except QuadratureError:
-                self._failed.add(loop_idx)
-                table = self.contour_loop_period(self._table_rows(loop_idx),
-                                                 loop_idx)
-            self._tables[loop_idx] = table
-        return table
+        self._tabulate([loop_idx], poles=rows > self._degree + 1)
+        return self._tables[loop_idx]
 
-    def _spine_block(self, loop_idx, poles):
-        """The powers block of the loop's table, or with ``poles`` its
-        far-pole block: twice the stacked spine integral, from the
-        loop's first rung, times sigma.  On the spine u = t, and a cut
-        loop's spine takes yhat's boundary value.  The weight
-        half sqrt(1 - t^2) / yhat is kept per rung, so the far-pole
-        ladder evaluates yhat only on rungs the powers ladder did not
-        reach.  The far-pole block completes the table, so the weights
-        go once it settles."""
-        geo = self.loop_geometry(loop_idx)
-        lp = self.cycles.loops[loop_idx]
-        far = self._points[self.loop_split(loop_idx)[1]] if poles else None
-        weights = self._weights.setdefault(loop_idx, {})
-
-        def g(t):
-            x = geo.mid + t * geo.half
-            if len(t) not in weights:
-                y = (self.ev.y_oncut(lp.index, t, +1) if lp.kind == "cut"
-                     else self.ev.y(x))
-                weights[len(t)] = geo.half * np.sqrt((1.0 - t) * (1.0 + t)) / y
-            rows = (pole_rows(x, far) if poles
-                    else np.vander(t, self._degree + 1, True).T)
-            return rows * weights[len(t)]
-
-        val, defect = spine_integral(g, -0.5, -0.5, tol=self.tol,
-                                     start=self.first_rungs[loop_idx])
-        self._defects[loop_idx] = max(self._defects.get(loop_idx, 0.0),
-                                      2.0 * defect)
+    def _tabulate(self, loops, poles=False):
+        """Build the loops' tables through the powers block, or with
+        ``poles`` through the far-pole block: each block kind from one
+        lockstep ladder over every loop that lacks it."""
+        rows = self._degree + 1
+        need = [i for i in loops if i not in self._tables]
+        if need:
+            self._spine_blocks(need, False)
         if poles:
-            del self._weights[loop_idx]
-        return 2.0 * self.sigma(loop_idx) * val
+            need = [i for i in loops
+                    if len(self._tables[i]) == rows
+                    and len(self.loop_split(i)[1])]
+            if need:
+                self._spine_blocks(need, True)
+
+    def _spine_blocks(self, loops, poles):
+        """Append to each loop's table its powers block, or with
+        ``poles`` its far-pole block: twice the stacked spine integral,
+        from the loop's first rung, times sigma.  The loops' ladders
+        climb in lockstep (`spine_integral`).  On a spine u = t, and a
+        cut loop's spine takes yhat's boundary value.  A loop whose
+        ladder fails takes its whole table from its stadium contour."""
+        rows = self._degree + 1
+        if poles:
+            far = {i: self._points[self.loop_split(i)[1]] for i in loops}
+            nf = max(map(len, far.values()))
+
+        def g(nodes):
+            t, k = nodes["t"], nodes["ladder"]
+            edges = (np.flatnonzero(k[1:] != k[:-1]) + 1).tolist()
+            spans = list(zip([loops[j] for j in k[[0] + edges].tolist()],
+                             [0] + edges, edges + [len(k)]))
+            weights = self._sheet_weights(t, spans)
+            if not poles:
+                return np.vander(t, rows, True).T * np.concatenate(weights)
+            # each loop's far poles, in rows as `pole_rows` lays them
+            # out (zero rows pad them to nf), times the weight
+            out = np.empty((2, nf, len(t)), dtype=complex)
+            for (i, a, b), w in zip(spans, weights):
+                x = self._mids[i] + t[a:b] * self._halves[i]
+                d = 1.0 / (x - far[i][:, None])
+                np.multiply(d, w, out=out[0, :len(d), a:b])
+                np.multiply(d * d, w, out=out[1, :len(d), a:b])
+                if len(d) < nf:
+                    out[:, len(d):, a:b] = 0.0
+            return out.reshape(2 * nf, len(t))
+
+        vals, defects, rungs = spine_integral(
+            g, -0.5, -0.5, tol=self.tol,
+            start=[self.first_rungs[i] for i in loops])
+        for j, i in enumerate(loops):
+            if vals[j] is None:
+                self._failed.add(i)
+                self._weights.pop(i, None)
+                self._tables[i] = self.contour_loop_period(
+                    self._table_rows(i), i)
+                continue
+            self._defects[i] = max(self._defects.get(i, 0.0),
+                                   2.0 * float(defects[j]))
+            self._settled.setdefault(i, []).append(int(rungs[j]))
+            block = 2.0 * self.sigma(i) * vals[j]
+            if poles:
+                # the far-pole block completes the table
+                del self._weights[i]
+                block = np.concatenate([block[:len(far[i])],
+                                        block[nf:nf + len(far[i])]])
+            self._tables[i] = np.concatenate(
+                [self._tables.get(i, np.zeros(0, dtype=complex)), block])
+
+    def _sheet_weights(self, t, spans):
+        """half sqrt(1 - t^2) / yhat at the nodes t of each span
+        (loop, a, b), on the loop's spine: the sheet weight of the spine
+        rule, one array per span.  Kept per loop and rule, so the
+        far-pole ladder weighs only the rungs the powers ladder did not
+        reach; the nodes of every rung still to be weighed take one
+        `eval_sheet1` call on the gap loops and one `eval_oncut` call on
+        the cut loops."""
+        fresh = [(i, a, b) for i, a, b in spans
+                 if b - a not in self._weights.get(i, ())]
+        if fresh:
+            at = np.concatenate([np.arange(a, b) for _, a, b in fresh])
+            on = np.repeat([i for i, _, _ in fresh],
+                           [b - a for _, a, b in fresh])
+            tt = t[at]
+            cut = self._cut_of[on]
+            oncut = cut >= 0
+            y = np.empty(len(at), dtype=complex)
+            if not oncut.all():
+                gap = on[~oncut]
+                y[~oncut] = self.ev.y(self._mids[gap]
+                                      + tt[~oncut] * self._halves[gap])
+            if oncut.any():
+                y[oncut] = self.ev.y_oncut(cut[oncut], tt[oncut], +1)
+            w = self._halves[on] * np.sqrt((1.0 - tt) * (1.0 + tt)) / y
+            for i, a, b in fresh:
+                self._weights.setdefault(i, {})[b - a] = w[:b - a]
+                w = w[b - a:]
+        return [self._weights[i][b - a] for i, a, b in spans]
 
     def _table_rows(self, loop_idx):
         """fn(x, sheet): both blocks of the loop's table, the stacked
@@ -336,8 +410,10 @@ class PeriodEngine:
         """P, shape (2g + 1, loops): column i is `loop_period(i)`.
         Built once per engine."""
         if self._power_map is None:
-            self._power_map = np.array(
-                [self.loop_period(i) for i in range(len(self.cycles.loops))]).T
+            loops = range(len(self.cycles.loops))
+            self._tabulate(loops)
+            self._power_map = np.array([self.loop_period(i)
+                                        for i in loops]).T
         return self._power_map
 
     def pole_map(self):
@@ -358,9 +434,10 @@ class PeriodEngine:
                 beta[owner],
                 np.concatenate([close for close, _ in splits]))[..., ::-1]
             rows = self._degree + 1
+            self._tabulate(loops, poles=True)
             cols = []
             for idx, (close, far) in enumerate(splits):
-                table = self.moment_table(idx, rows + 2 * len(far))
+                table = self._tables[idx]
                 laurent = np.empty((len(self._points), 2), dtype=complex)
                 laurent[close] = ((red[owner == idx] @ table[:rows])
                                   * self._halves[idx] ** -np.arange(1.0, 3.0))

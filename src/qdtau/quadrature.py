@@ -7,7 +7,9 @@ Two regimes:
   exponents, which have closed-form Chebyshev-type nodes and weights
   (no root-finding), escalated until two consecutive sizes agree (for
   every component of a stacked integrand), from the rung the spine's
-  Bernstein parameter predicts (`first_rung`), up to 2,440 points;
+  Bernstein parameter predicts (`first_rung`), up to 2,440 points.
+  Many ladders can climb in lockstep, each from its own rung and by its
+  own test, so one integrand call per step serves all of them;
 - integrals along contour pieces staying away from all singularities:
   24- and 48-point Gauss-Legendre panels compared on each panel and
   bisected where they disagree.  The panel tree is grown breadth-first:
@@ -22,6 +24,7 @@ Two regimes:
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -86,8 +89,13 @@ def first_rung(rho: float, tol: float) -> int:
     return max(fits[0] - 1, 0) if fits else len(SPINE_SIZES) - 2
 
 
+# the nodes a lockstep ladder hands its integrand: each node with the
+# index of the ladder it belongs to
+LADDER_NODES = np.dtype([("t", float), ("ladder", np.intp)])
+
+
 def spine_integral(g, alpha: float, beta: float, tol: float = 1e-12,
-                   start: int = 0):
+                   start=0):
     """Escalating Gauss-Jacobi evaluation of
     integral over [-1,1] of (1-t)^alpha (1+t)^beta g(t) dt.
 
@@ -98,19 +106,77 @@ def spine_integral(g, alpha: float, beta: float, tol: float = 1e-12,
     index ``start``, so a ladder that would have settled at rung
     start + 1 or above returns the full ladder's value bit for bit.
     Returns (value, defect-estimate).
+
+    ``start`` may instead be a sequence of first rungs, one per ladder.
+    The ladders then climb in lockstep, each from its own rung and by
+    its own acceptance test: every step hands ``g`` the nodes of every
+    ladder still climbing, each at its own rung, in one LADDER_NODES
+    array (node ``t``, index ``ladder``; each ladder's nodes in one
+    run).  Each ladder's value sums its own columns of g's values, in
+    the memory layout g returns them in, so it is bit for bit what its
+    own ladder on an integrand of that layout gives.  Returns (values,
+    defects, rungs): per ladder its value, the defect of its last
+    comparison and the index of the rung it settled on; a ladder that
+    ends without settling reads None and rung -1, and raises nothing.
     """
+    single = np.ndim(start) == 0
+    starts = np.atleast_1d(start).tolist()
+    values = [None] * len(starts)
+    defects = [np.inf] * len(starts)
+    rungs = [-1] * len(starts)
+    # every ladder takes its k-th rung at step k, so ladders from one
+    # rung share a rule at every step: ordered by first rung, they run
+    # in groups of consecutive ladders
+    climbing = sorted((i for i, r in enumerate(starts) if r < len(SPINE_SIZES)),
+                      key=starts.__getitem__)
     prev = None
-    last_defect = np.inf
-    for n in SPINE_SIZES[start:]:
-        t, w = jacobi_rule(n, alpha, beta)
-        val = np.sum(w * np.asarray(g(t), dtype=complex), axis=-1)
+    step = 0
+    while climbing:
+        rule = [starts[i] + step for i in climbing]
+        groups = [(r, sum(1 for _ in run))
+                  for r, run in itertools.groupby(rule)]
+        rules = [jacobi_rule(SPINE_SIZES[r], alpha, beta) for r, _ in groups]
+        t = np.concatenate([nodes for (nodes, _), (_, m) in zip(rules, groups)
+                            for _ in range(m)])
+        if single:
+            out = g(t)
+        else:
+            nodes = np.empty(len(t), LADDER_NODES)
+            nodes["t"] = t
+            nodes["ladder"] = np.repeat(climbing,
+                                        [SPINE_SIZES[r] for r in rule])
+            out = g(nodes)
+        out = np.asarray(out, dtype=complex)
+        vals, end = [], 0
+        for (_, w), (_, m) in zip(rules, groups):
+            n = len(w)
+            block = out[..., end:end + m * n]
+            end += m * n
+            vals.append(np.sum(w * block.reshape(block.shape[:-1] + (m, n)),
+                               axis=-1))
+        val = np.concatenate(vals, axis=-1)
+        keep = [r + 1 < len(SPINE_SIZES) for r in rule]
         if prev is not None:
             defect = np.abs(val - prev)
-            last_defect = float(np.max(defect))
-            if np.all(defect <= tol * np.maximum(1.0, np.abs(val))):
-                return (complex(val) if val.ndim == 0 else val), last_defect
+            ok = defect <= tol * np.maximum(1.0, np.abs(val))
+            ok = ok.reshape(-1, len(climbing)).all(axis=0).tolist()
+            worst = defect.reshape(-1, len(climbing)).max(axis=0).tolist()
+            for j, i in enumerate(climbing):
+                defects[i] = worst[j]
+                if ok[j]:
+                    values[i], rungs[i], keep[j] = val[..., j], rule[j], False
+        if not all(keep):
+            climbing = [i for i, k in zip(climbing, keep) if k]
+            val = val[..., np.flatnonzero(keep)]
         prev = val
-    raise QuadratureError("spine quadrature did not converge", last_defect)
+        step += 1
+    if not single:
+        return values, np.array(defects), np.array(rungs)
+    if values[0] is None:
+        raise QuadratureError("spine quadrature did not converge",
+                              defects[0])
+    val = values[0]
+    return (complex(val) if val.ndim == 0 else val), float(defects[0])
 
 
 @lru_cache(maxsize=None)

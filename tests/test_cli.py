@@ -10,7 +10,7 @@ from qdtau.curves import build_cover
 from qdtau.cycles import CAP_FACTORS, SPINE_RHO_MIN, build_cycles_robust
 from qdtau.periods import PeriodEngine
 from qdtau.quadrature import SPINE_SIZES, first_rung
-from test_periods import COLLINEAR
+from test_periods import COLLINEAR, PerLoopEngine
 
 REF_CONFIG = {
     "zeros": [[0.0, 0.0]],
@@ -115,13 +115,21 @@ def test_periods_report(ref_config_path, tmp_path):
 
 
 def assert_loop_defects_accepted(rep, config):
-    """The report's loop defects are null exactly on its fallback loops,
-    and each other one is within the acceptance bound of its loop's
-    ladders: every spine value v is accepted with a defect of at most
-    tol max(1, |v|), and a table entry is 2 v."""
+    """The report's loop defects and settled rungs are null exactly on
+    its fallback loops, and each other defect is within the acceptance
+    bound of its loop's ladders: every spine value v is accepted with a
+    defect of at most tol max(1, |v|), and a table entry is 2 v.  Each
+    other loop's one ladder (the powers block, the only one `periods`
+    asks for) settled on a ladder size past its first, the rung an
+    engine's own `moment_table` settles on."""
     defects = rep["diagnostics"]["loop_defects"]
+    settled = rep["diagnostics"]["settled_rungs"]
     assert ([i for i, e in enumerate(defects) if e is None]
+            == [i for i, r in enumerate(settled) if r is None]
             == rep["diagnostics"]["fallback_loops"])
+    first = rep["diagnostics"]["first_rungs"]
+    assert all(r is None or len(r) == 1 and r[0] in SPINE_SIZES
+               and r[0] > f for r, f in zip(settled, first))
     pe = PeriodEngine.for_config(config, config.tolerance)
     for i, defect in enumerate(defects):
         if defect is not None:
@@ -129,6 +137,7 @@ def assert_loop_defects_accepted(rep, config):
             table = pe.moment_table(i, 1)
             assert 0.0 <= defect <= config.tolerance * max(
                 2.0, np.abs(table).max()), i
+            assert [SPINE_SIZES[k] for k in pe.settled_rungs[i]] == settled[i]
 
 
 def test_periods_report_names_fallback_loops(tmp_path):
@@ -174,6 +183,34 @@ def test_periods_reports_the_cycle_ladder(tmp_path):
     assert diag["rejected_pairings"] == [
         {"pairing": [[0, 2], [1, 7], [3, 4], [5, 6]], "reason": cyc.rejected[0][1]}]
     assert 1.0 < cyc.rejected[0][1] < SPINE_RHO_MIN
+    run(["periods", "--config", str(path)], tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_periods_reports_settled_rungs(tmp_path):
+    # a zero-zero row whose ladders climb from several first rungs:
+    # each loop's reported settled size is where its own per-loop
+    # ladder settles, past its first size, and byte for byte the same
+    # on a second run
+    fam = tau.zero_zero_family()
+    cfg = fam.config(fam.schedule[4])
+    path = tmp_path / "row.json"
+    path.write_text(json.dumps({
+        "zeros": [[z.real, z.imag] for z in cfg.zeros],
+        "poles": [[p.real, p.imag] for p in cfg.poles],
+        "pairing": fam.pairing, "tolerance": 1e-11}))
+    code, rep = run(["periods", "--config", str(path)], tmp_path / "a.json")
+    assert code == 0
+    oracle = PerLoopEngine(build_cycles_robust(build_cover(cfg),
+                                               pairing=fam.pairing))
+    oracle.power_map()
+    diag = rep["diagnostics"]
+    assert diag["settled_rungs"] == [[SPINE_SIZES[k] for k in r]
+                                     for r in oracle.settled_rungs]
+    climbs = {SPINE_SIZES.index(r[0]) - SPINE_SIZES.index(f)
+              for r, f in zip(diag["settled_rungs"], diag["first_rungs"])}
+    assert len(set(diag["first_rungs"])) > 1 and max(climbs) > 1
+    assert_loop_defects_accepted(rep, load_config(str(path)))
     run(["periods", "--config", str(path)], tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 

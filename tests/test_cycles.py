@@ -519,6 +519,43 @@ def test_crossing_gap_spines_are_rejected_before_any_stadium(monkeypatch):
             oracle_build(curve, pairing, factor)
 
 
+def loop_greedy_pairing(points):
+    """The greedy pairing by a loop over every unpaired pair, kept as
+    the oracle of the vectorised `cycles._greedy_pairing`: ties go to
+    the first pair (i, j) met."""
+    left = set(range(len(points)))
+    pairs = []
+    while len(left) > 1:
+        best = None
+        for i in sorted(left):
+            for j in sorted(left):
+                if j <= i:
+                    continue
+                d = abs(points[i] - points[j])
+                if best is None or d < best[0]:
+                    best = (d, i, j)
+        pairs.append((best[1], best[2]))
+        left.discard(best[1])
+        left.discard(best[2])
+    return pairs
+
+
+def test_greedy_pairing_matches_the_loop():
+    # seeded points of the four classes, both full schedules, and
+    # lattices whose distances tie exactly
+    rng = np.random.default_rng(44)
+    sets = [list(class_config(rng, cls, n).branch_points())
+            for cls in ("generic", "clustered", "collinear", "scaled")
+            for n in (5, 6, 7, 8) for _ in range(4)]
+    sets += [list(fam.config(d).branch_points())
+             for fam in (tau.zero_pole_family(), tau.zero_zero_family())
+             for d in fam.schedule]
+    sets += [[complex(a, b) for a in range(3) for b in range(2)],
+             [complex(a, b) for a in range(4) for b in range(2)][::-1]]
+    for pts in sets:
+        assert cycles._greedy_pairing(pts) == loop_greedy_pairing(pts), pts
+
+
 def test_robust_ladder_passes_over_crossing_gap_spines():
     # the greedy pairing's gaps cross; the ladder moves on to the sorted
     # pairing, the oracle's choice as well

@@ -106,3 +106,33 @@ def test_sheet_factor_matches_negative_power_form():
                 * _sheet1_negative_power(x, mids[rest], halves[rest]))
         got = kernels.eval_oncut(owner, t, 1, mids, halves)
         assert np.max(np.abs(got - want) / np.abs(want)) <= 8 * np.finfo(float).eps
+
+
+def _oncut_skipping_owner(owner, t, side, mids, halves):
+    # the scalar-owner boundary value as first written: the owner's
+    # factor left out of the product over the other cuts
+    t = np.asarray(t, dtype=float)
+    x = mids[owner] + t * halves[owner]
+    out = 1j * side * halves[owner] * np.sqrt(1.0 - t * t).astype(complex)
+    for i, (m, h) in enumerate(zip(mids, halves)):
+        if i != owner:
+            u = (x - m) / h
+            out = out * (h * u * np.sqrt(1.0 - 1.0 / (u * u)))
+    return out
+
+
+def test_oncut_owner_array_matches_one_call_per_cut():
+    # points of every cut in one call, interleaved, give bit for bit
+    # what a call on each cut gives, and a scalar owner what skipping
+    # its factor gives
+    _, mids, halves = _setup_even()
+    rng = np.random.default_rng(43)
+    t = rng.uniform(-0.999, 0.999, 300)
+    owner = rng.integers(0, len(mids), 300)
+    for side in (1, -1):
+        got = kernels.eval_oncut(owner, t, side, mids, halves)
+        for k in range(len(mids)):
+            one = kernels.eval_oncut(k, t[owner == k], side, mids, halves)
+            assert np.array_equal(got[owner == k], one)
+            assert np.array_equal(one, _oncut_skipping_owner(
+                k, t[owner == k], side, mids, halves))

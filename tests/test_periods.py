@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qdtau import checks, periods, strata, tau
+from qdtau import checks, kernels, periods, strata, tau
 from qdtau.bergman import BergmanEvaluator
 from qdtau.cover_homology import random_symplectic, transform_basis
 from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
@@ -535,9 +535,9 @@ def test_moment_tables_match_spine_periods(monkeypatch):
 
 def test_each_loop_integrates_its_table_once(monkeypatch):
     # a connection, a basis change and v's homological coordinates on one
-    # engine integrate tables, not forms: at most one spine ladder per
-    # table block (each loop's powers and far poles), and one contour per
-    # loop whose ladder failed
+    # engine integrate tables, not forms: at most one lockstep spine
+    # ladder per block kind (every loop's powers, then every loop's far
+    # poles), and one contour per loop whose ladder failed
     _, contours = _record_loop_periods(monkeypatch)
     ladders = []
     ladder = periods.spine_integral
@@ -565,9 +565,57 @@ def test_each_loop_integrates_its_table_once(monkeypatch):
             c.dlog_tau(-1, dv)
         pe.period_matrix_velocity(b_dot)
         pe.homological_coordinates()
-        assert len(ladders) <= 2 * len(pe.cycles.loops)
+        assert len(ladders) <= 2
         assert len(contours) == len(pe.fallback_loops)
     assert pe.fallback_loops  # the zero-zero row's gap loops fail
+
+
+def test_each_ladder_step_calls_each_kernel_at_most_once(monkeypatch):
+    # seed-1 configurations of the benchmark's geometry classes: an
+    # engine's lockstep ladder takes as many steps as its longest-climbing
+    # loop, each step weighs its fresh nodes with at most one
+    # eval_sheet1 call (gap loops) and one eval_oncut call (cut loops),
+    # and nothing else evaluates yhat
+    calls = {"eval_sheet1": 0, "eval_oncut": 0}
+    for name in calls:
+        def counted(*args, _kernel=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    steps = []
+    ladder = periods.spine_integral
+
+    def spy(g, *args, start, **kwargs):
+        taken = len(steps)
+
+        def step(nodes):
+            before = dict(calls)
+            out = g(nodes)
+            steps.append({k: calls[k] - before[k] for k in calls})
+            return out
+
+        out = ladder(step, *args, start=start, **kwargs)
+        climbs = [(r if r >= 0 else len(SPINE_SIZES) - 1) - s + 1
+                  for r, s in zip(out[2], start)]
+        assert len(steps) - taken == max(climbs)
+        return out
+
+    monkeypatch.setattr(periods, "spine_integral", spy)
+    rng = np.random.default_rng(1)
+    for cls in ("generic", "clustered", "collinear", "scaled"):
+        for n in (5, 6, 7, 8):
+            try:
+                cyc = build_cycles_robust(build_cover(class_config(rng, cls, n)))
+            except GeometryError:
+                continue
+            pe = PeriodEngine(cyc)
+            del steps[:]
+            start = dict(calls)
+            pe.power_map()
+            pe.pole_map()
+            assert steps and all(max(s.values()) <= 1 for s in steps)
+            assert ({k: calls[k] - start[k] for k in calls}
+                    == {k: sum(s[k] for s in steps) for k in calls})
 
 
 def test_transformed_kernel_falls_back_once_per_loop(monkeypatch):
@@ -601,6 +649,119 @@ def test_first_rungs_follow_the_loop_rho():
         for rho, k in zip(rhos, pe.first_rungs):
             fits = rho ** (-2.0 * np.array(SPINE_SIZES)) <= pe.tol
             assert not fits[k] and fits[k + 1] or k == 0 and fits[0]
+
+
+# The per-loop ladder, kept here as the oracle of the engine's lockstep
+# ladders: each loop's table block by block, each block on its own
+# ladder with its own kernel calls
+
+class PerLoopEngine(PeriodEngine):
+    """A PeriodEngine whose tables are built loop by loop: each block
+    by its loop's own `spine_integral`, from the loop's first rung, the
+    far-pole ladder reusing the sheet weights of the rungs its powers
+    ladder weighed; a loop whose ladder fails takes its whole table
+    from its stadium contour."""
+
+    def _tabulate(self, loops, poles=False):
+        rows = self._degree + 1
+        for i in loops:
+            want = rows + 2 * len(self.loop_split(i)[1]) if poles else rows
+            table = self._tables.get(i, np.zeros(0, dtype=complex))
+            if len(table) >= want:
+                continue
+            try:
+                while len(table) < want:
+                    table = np.concatenate(
+                        [table, self._spine_block(i, len(table) > 0)])
+            except QuadratureError:
+                self._failed.add(i)
+                table = self.contour_loop_period(self._table_rows(i), i)
+            self._tables[i] = table
+
+    def _spine_block(self, loop_idx, poles):
+        geo = self.loop_geometry(loop_idx)
+        lp = self.cycles.loops[loop_idx]
+        far = self._points[self.loop_split(loop_idx)[1]] if poles else None
+        weights = self._weights.setdefault(loop_idx, {})
+        sizes = []
+
+        def g(t):
+            sizes.append(len(t))
+            x = geo.mid + t * geo.half
+            if len(t) not in weights:
+                y = (self.ev.y_oncut(lp.index, t, +1) if lp.kind == "cut"
+                     else self.ev.y(x))
+                weights[len(t)] = geo.half * np.sqrt((1.0 - t) * (1.0 + t)) / y
+            rows = (periods.pole_rows(x, far) if poles
+                    else np.vander(t, self._degree + 1, True).T)
+            return rows * weights[len(t)]
+
+        start = self.first_rungs[loop_idx]
+        val, defect = spine_integral(g, -0.5, -0.5, tol=self.tol, start=start)
+        self._defects[loop_idx] = max(self._defects.get(loop_idx, 0.0),
+                                      2.0 * defect)
+        self._settled.setdefault(loop_idx, []).append(start + len(sizes) - 1)
+        if poles:
+            del self._weights[loop_idx]
+        return 2.0 * self.sigma(loop_idx) * val
+
+
+def assert_lockstep_matches_per_loop(cyc, one_by_one=False):
+    """The engine's power and pole maps, loop defects, fallback loops
+    and settled rungs on the cycle system are bit for bit the per-loop
+    oracle's; with ``one_by_one`` also each table an engine builds
+    through `moment_table` alone.  Returns the fallback loops."""
+    got, want = PeriodEngine(cyc), PerLoopEngine(cyc)
+    for pe in (got, want):
+        pe.power_map()
+        pe.pole_map()
+    assert np.array_equal(got.power_map(), want.power_map())
+    assert np.array_equal(got.pole_map(), want.pole_map())
+    assert got.loop_defects == want.loop_defects
+    assert got.fallback_loops == want.fallback_loops
+    assert got.settled_rungs == want.settled_rungs
+    assert all(r is not None and len(r) == 1 + (len(got.loop_split(i)[1]) > 0)
+               for i, r in enumerate(got.settled_rungs)
+               if i not in got.fallback_loops)
+    if one_by_one:
+        single = PeriodEngine(cyc)
+        for i in range(len(cyc.loops)):
+            rows = len(want._tables[i])
+            assert np.array_equal(single.moment_table(i, rows),
+                                  want._tables[i])
+        assert single.settled_rungs == want.settled_rungs
+    return got.fallback_loops
+
+
+def test_lockstep_ladders_match_the_per_loop_ladders():
+    # REF, every row of both full schedules, and zero-zero at
+    # d = 4.9e-5, past the schedule: the far-pole blocks of zero-zero
+    # loop 5 at d = 1.95e-4 and loops 4 and 5 at d = 9.8e-5 fall back,
+    # and at d = 4.9e-5 loop 5's powers block and loop 4's far-pole
+    # block
+    zz = tau.zero_zero_family()
+    cases = [(QDConfigG0(**REF), None),
+             *((fam.config(d), fam.pairing)
+               for fam in (tau.zero_pole_family(), zz) for d in fam.schedule),
+             (zz.config(zz.schedule[-1] / 2.0), zz.pairing)]
+    fallbacks = []
+    for k, (config, pairing) in enumerate(cases):
+        cyc = build_cycles_robust(build_cover(config), pairing=pairing)
+        fallbacks.append(assert_lockstep_matches_per_loop(cyc, k == 0))
+    assert fallbacks[-3:] == [[5], [4, 5], [4, 5]]
+    assert not any(fallbacks[:-3])
+
+
+@settings(max_examples=16, derandomize=True, deadline=None)
+@given(cls=st.sampled_from(["generic", "clustered", "collinear", "scaled"]),
+       n=st.integers(5, 8), seed=st.integers(0, 2**32 - 1))
+def test_lockstep_ladders_match_per_loop_on_the_classes(cls, n, seed):
+    try:
+        cyc = build_cycles_robust(build_cover(
+            class_config(np.random.default_rng(seed), cls, n)))
+    except GeometryError:
+        return
+    assert_lockstep_matches_per_loop(cyc, one_by_one=True)
 
 
 # Omega is holomorphic in the branch points, so along b + s delta with
