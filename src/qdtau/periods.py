@@ -29,9 +29,10 @@ share the sheet weight yhat at every rung they both reach.  Every
 loop's ladder of one block kind climbs in lockstep with the others
 (`spine_integral` with one first rung per loop), each at its own rung
 and by its own acceptance test, so a ladder step weighs the nodes of
-every loop still climbing with one `kernels.eval_sheet1` call for the
-gap loops and one `kernels.eval_oncut` call for the cut loops, and
-each block is bit for bit what its loop's own ladder gives.  A loop
+every loop still climbing that no earlier ladder weighed with one
+`kernels.eval_sheet1` call for the gap loops and one
+`kernels.eval_oncut` call for the cut loops, and each block is bit for
+bit what its loop's own ladder gives.  A loop
 period is twice that spine integral times the loop's orientation sign,
 which is read off the lift (`PeriodEngine.sigma`) without any
 quadrature.  The ladder reaches 2,440 points, which settles every loop
