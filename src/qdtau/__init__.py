@@ -4,7 +4,7 @@ Subpackages split along the natural seams of the problem:
 
 - ``picard``         exact divisor-class arithmetic on the rational Picard group
 - ``strata``         stratum signatures, dimensions, homogeneity exponents
-- ``cover_homology`` symplectic bases adapted to the canonical double cover
+- ``cover_homology`` integer symplectic basis changes on the double cover
 - ``curves``         the double cover of a genus-zero configuration
 - ``cycles``         explicit cycle representatives and intersection numbers
 - ``periods``        period integrals and normalized holomorphic bases

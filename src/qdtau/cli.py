@@ -184,7 +184,8 @@ def cmd_periods(args) -> int:
     nmat, omega = pe.normalized_basis()
     ca, cb = pe.homological_coordinates()
     coords = list(ca) + list(cb)
-    sym = float(np.abs(omega - omega.T).max())
+    # the asymmetry before normalized_basis symmetrizes Omega
+    sym = float(pe.omega_defect)
     min_eig = pe.omega_imag_min_eig
     report = {
         "command": "periods",

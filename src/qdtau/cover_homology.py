@@ -1,12 +1,12 @@
-"""Homology of the canonical double cover, symbolically.
+"""Symplectic bases of the canonical double cover's homology.
 
-The double cover of a genus-g curve with n marked points branched at
-the 4g-4+2n singular points has genus ghat = 4g-3+n.  Its first
-homology splits under the deck involution mu into an invariant part
-(rank 2g, isomorphic to the base) and an anti-invariant part (rank
-6g-6+2n).  This module carries the standard cycle layout a_j, a*_j,
-a~_k / b_j, b*_j, b~_k, the matrix of mu, the eigenbasis change T, and
-the assembly of the cover period matrix from the two eigenblocks.
+The numerics are genus-zero, where the cover's homology is all
+anti-invariant under the deck involution mu.  This module holds the
+integer symplectic group the tau layer's basis changes run over: the
+intersection form, the blocks of sigma and its action on cycle rows,
+the symplectic test and random elements of Sp(2m, Z).  It also keeps,
+in exact arithmetic, the matrix of mu and the eigenbasis change on the
+cover's cycle layout a_j, a*_j, a~_k at any (g, n).
 
 Conventions used throughout the package for Sp(2m) action on periods:
 a symplectic sigma = [[A, B], [C, D]] acts on cycle bases by
@@ -62,38 +62,6 @@ def standard_j(m):
 
 
 @dataclass(frozen=True)
-class CanonicalBasisLayout:
-    g: int
-    n: int
-    a_labels: tuple
-    b_labels: tuple
-
-    @property
-    def ghat(self):
-        return 4 * self.g - 3 + self.n
-
-    def intersection_matrix(self):
-        return standard_j(self.ghat)
-
-
-def cycle_layout(g: int, n: int) -> CanonicalBasisLayout:
-    if 2 * g + n <= 3:
-        raise ValueError(f"unstable moduli space: g={g}, n={n}")
-    tilde = 2 * g - 3 + n
-    a = (
-        [f"a{j}" for j in range(1, g + 1)]
-        + [f"a*{j}" for j in range(1, g + 1)]
-        + [f"a~{k}" for k in range(1, tilde + 1)]
-    )
-    b = (
-        [f"b{j}" for j in range(1, g + 1)]
-        + [f"b*{j}" for j in range(1, g + 1)]
-        + [f"b~{k}" for k in range(1, tilde + 1)]
-    )
-    return CanonicalBasisLayout(g, n, tuple(a), tuple(b))
-
-
-@dataclass(frozen=True)
 class InvolutionMatrices:
     g: int
     n: int
@@ -102,6 +70,7 @@ class InvolutionMatrices:
     s: list  # diag(T, (T^t)^[-1]), symplectic on the full basis
 
 
+# kept only for perfbench/workloads.py and tracing.py; goes with ROADMAP item 2
 def build_matrices(g: int, n: int) -> InvolutionMatrices:
     """Involution and eigenbasis-change matrices for the cover layout.
 
@@ -138,50 +107,6 @@ def build_matrices(g: int, n: int) -> InvolutionMatrices:
     return InvolutionMatrices(g, n, m, t, s)
 
 
-def eigenspace_dims(g: int, n: int):
-    """(dim H_+, dim H_-, rank of invariant differentials, rank of
-    anti-invariant differentials)."""
-    if 2 * g + n <= 3:
-        raise ValueError(f"unstable moduli space: g={g}, n={n}")
-    return (2 * g, 6 * g - 6 + 2 * n, g, 3 * g - 3 + n)
-
-
-def assemble_period_matrix(omega_plus, omega_minus, g: int, n: int):
-    """Cover period matrix from the eigenblocks:
-    Omega_hat = T^[-1] diag(Omega_plus, Omega_minus) (T^t)^[-1]."""
-    op = np.atleast_2d(np.asarray(omega_plus, dtype=complex))
-    om = np.atleast_2d(np.asarray(omega_minus, dtype=complex))
-    if op.shape != (g, g):
-        raise ValueError(f"omega_plus must be {g}x{g}")
-    dminus = 3 * g - 3 + n
-    if om.shape != (dminus, dminus):
-        raise ValueError(f"omega_minus must be {dminus}x{dminus}")
-    if g == 0:
-        return om.copy()
-    mats = build_matrices(g, n)
-    t = np.array([[float(x) for x in row] for row in mats.t])
-    tinv = np.linalg.inv(t)
-    ghat = 4 * g - 3 + n
-    block = np.zeros((ghat, ghat), dtype=complex)
-    block[:g, :g] = op
-    block[g:, g:] = om
-    return tinv @ block @ tinv.T
-
-
-@dataclass(frozen=True)
-class SymplecticPair:
-    """Blocks (A, B; C, D) of the symplectic transformations acting on
-    the two eigenspaces."""
-
-    sigma_plus: np.ndarray
-    sigma_minus: np.ndarray
-
-    def __post_init__(self):
-        for s in (self.sigma_plus, self.sigma_minus):
-            if s.size and not is_symplectic(s):
-                raise ValueError("block is not symplectic")
-
-
 def blocks(sigma):
     """The blocks (A, B, C, D) of sigma = [[A, B], [C, D]]."""
     sigma = np.asarray(sigma)
@@ -203,26 +128,6 @@ def is_symplectic(sigma, tol=1e-12) -> bool:
         return False
     j = np.array(standard_j(m), dtype=float)
     return bool(np.max(np.abs(sigma.T @ j @ sigma - j)) <= tol)
-
-
-def det_factor(pair: SymplecticPair, omega_plus, omega_minus):
-    """Predicted tau multipliers det(C Omega + D)^48 for both signs,
-    up to the cube root of unity the transformation law allows."""
-    out = []
-    for sigma, omega in (
-        (pair.sigma_plus, omega_plus),
-        (pair.sigma_minus, omega_minus),
-    ):
-        if sigma.size == 0:
-            out.append(complex(1.0))
-            continue
-        om = np.atleast_2d(np.asarray(omega, dtype=complex))
-        _, _, c, d = blocks(sigma)
-        det = np.linalg.det(c @ om + d)
-        if det == 0:
-            raise ValueError("degenerate pairing: det(C Omega + D) = 0")
-        out.append(det**48)
-    return tuple(out)
 
 
 def random_symplectic(m: int, rng, steps: int = 12) -> np.ndarray:

@@ -137,10 +137,6 @@ class SheetedEval:
             [(pts[j] - pts[i]) / 2.0 for i, j in self.pairs], dtype=complex
         )
 
-    def cut_endpoints(self, k):
-        i, j = self.pairs[k]
-        return self.branch_points[i], self.branch_points[j]
-
     def y(self, x, sheet=1):
         return sheet * kernels.eval_sheet1(x, self.mids, self.halves)
 

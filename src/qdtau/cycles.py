@@ -60,9 +60,6 @@ class Segment:
     def tangent(self, s):
         return (self.b - self.a) * np.ones_like(np.asarray(s, dtype=float))
 
-    def reversed(self):
-        return Segment(self.b, self.a)
-
 
 @dataclass(frozen=True)
 class Arc:
@@ -78,9 +75,6 @@ class Arc:
     def tangent(self, s):
         th = self.th0 + np.asarray(s) * (self.th1 - self.th0)
         return 1j * (self.th1 - self.th0) * self.radius * np.exp(1j * th)
-
-    def reversed(self):
-        return Arc(self.center, self.radius, self.th1, self.th0)
 
 
 def stadium(a, b, ra, rb):

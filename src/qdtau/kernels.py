@@ -12,8 +12,7 @@ wrapping the attribute wraps every use.
 
 import numpy as np
 
-# recorded with every benchmark run, which refuses to compare runs of
-# different backends
+# kept only because perfbench/run.py reads it; goes with ROADMAP item 2
 BACKEND = "python"
 
 

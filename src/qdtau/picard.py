@@ -68,9 +68,6 @@ class GeneratorBasis:
     def __repr__(self):
         return f"GeneratorBasis(g={self.g}, n={self.n}, size={len(self)})"
 
-    def index(self, label: str) -> int:
-        return self._index[label]
-
     def zero(self) -> "DivisorClass":
         return DivisorClass(self, [Rat(0)] * len(self))
 
@@ -146,17 +143,9 @@ class DivisorClass:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
 
-    def coefficient(self, label: str) -> Rat:
-        return self.coeffs[self.basis.index(label)]
-
     def to_json(self) -> dict:
         """Serialize as {generator-label: "p/q"} in canonical order."""
         return {lab: str(c) for lab, c in zip(self.basis.labels, self.coeffs)}
-
-    @classmethod
-    def from_json(cls, basis: GeneratorBasis, data: dict) -> "DivisorClass":
-        coeffs = [Rat(data.get(lab, 0)) for lab in basis.labels]
-        return cls(basis, coeffs)
 
     def __repr__(self):
         terms = [
@@ -328,28 +317,3 @@ def verify(g: int, n: int) -> dict:
     residuals["tau_relations_delta0"] = delta0_s - delta0
     return residuals
 
-
-def principal_stratum_restriction(cls: DivisorClass) -> DivisorClass:
-    """Restrict a class to the open stratum of generic differentials.
-
-    All boundary generators die; each psi_i restricts to phi (the
-    relation delta_inf = -n phi + sum(psi) vanishes componentwise); the
-    Hodge class restricts to its tautological multiple
-    (5(g-1)-n)/36 phi.
-    """
-    b = cls.basis
-    g, n = b.g, b.n
-    image = {
-        "phi": b.phi(),
-        "lambda": Rat(5 * (g - 1) - n, 36) * b.phi(),
-    }
-    for i in range(1, n + 1):
-        image[f"psi{i}"] = b.phi()
-    out = b.zero()
-    for lab, c in zip(b.labels, cls.coeffs):
-        if c == 0:
-            continue
-        if lab in image:
-            out = out + c * image[lab]
-        # boundary generators map to zero
-    return out

@@ -9,15 +9,11 @@ shift those exponents by computable rational amounts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 # homogeneity weight of the transversal coordinate at a collision
 T_WEIGHT = Fraction(1, 2)
-
-# vanishing exponent of both tau functions along the Deligne-Mumford
-# boundary; constant, not recomputed
-DM_EXPONENT = Fraction(4)
 
 
 @dataclass(frozen=True)
@@ -40,15 +36,6 @@ class StratumSignature:
     def n(self) -> int:
         """Number of simple poles."""
         return sum(1 for d in self.orders if d == -1)
-
-
-@dataclass(frozen=True)
-class ExponentData:
-    kappa_plus: Fraction
-    kappa_minus: Fraction
-    t_weight: Fraction = T_WEIGHT
-    gamma_plus: Fraction = None
-    gamma_minus: Fraction = None
 
 
 def kappa_orders(orders):
@@ -111,8 +98,3 @@ def collision_exponents(kind: str):
     homogeneity weight 1/2, so gamma = delta-kappa / (1/2)."""
     dkp, dkm = collision_kappa_shift(kind)
     return dkp / T_WEIGHT, dkm / T_WEIGHT
-
-
-def exponent_data(sig: StratumSignature) -> ExponentData:
-    kp, km = kappa(sig)
-    return ExponentData(kappa_plus=kp, kappa_minus=km)

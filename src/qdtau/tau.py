@@ -88,6 +88,7 @@ def phi_numerators(bergman: BergmanEvaluator, config: QDConfigG0):
     return fn
 
 
+# kept only because perfbench/tracing.py patches it; goes with ROADMAP item 2
 def phi_fn(bergman: BergmanEvaluator, config: QDConfigG0):
     """fn(x, sheet): phi's stacked coefficients of dx on a sheet, the
     integrand of its stadium-contour periods."""

@@ -34,6 +34,14 @@ for _c in checks.REGISTRY:
         _criterion_test(_c)
 
 
+def test_criterion_3_gates_the_asymmetry_before_symmetrizing():
+    # normalized_basis returns Omega symmetrized, so a gate measured on
+    # that matrix would read 0 on every input
+    criterion = next(c for c in checks.REGISTRY if c.number == 3)
+    gate = next(r for r in criterion.run() if r["name"] == "omega_symmetric")
+    assert 0 < gate["value"] <= gate["tolerance"]
+
+
 def test_criterion_1_closed_forms():
     bad = []
     for g, n in checks.PICARD_CELLS:

@@ -91,6 +91,23 @@ def test_picard_rejects_empty_moduli(capsys):
                          "--n", str(n)], capsys), (action, g, n)
 
 
+def test_periods_gates_the_asymmetry_before_symmetrizing(ref_config_path,
+                                                         tmp_path):
+    # the reported Omega is symmetrized, so its own asymmetry reads 0 on
+    # every input; the defect and its gate carry the engine's, measured
+    # before
+    code, rep = run(["periods", "--config", ref_config_path],
+                    tmp_path / "r.json")
+    pe = PeriodEngine.for_config(load_config(ref_config_path),
+                                 REF_CONFIG["tolerance"])
+    pe.normalized_basis()
+    defect = float(pe.omega_defect)
+    assert code == 0 and defect > 0
+    assert rep["diagnostics"]["omega_symmetry_defect"] == defect
+    gate = next(c for c in rep["checks"] if c["name"] == "omega_symmetric")
+    assert gate["value"] == defect and gate["passed"]
+
+
 def test_periods_report(ref_config_path, tmp_path):
     code, rep = run(["periods", "--config", ref_config_path],
                     tmp_path / "r.json")

@@ -1,7 +1,4 @@
-from fractions import Fraction
-
 import numpy as np
-import pytest
 
 from qdtau import cover_homology as ch
 
@@ -10,19 +7,9 @@ def to_float(m):
     return np.array([[float(x) for x in row] for row in m])
 
 
-def test_layout_counts():
-    lay = ch.cycle_layout(0, 5)
-    assert lay.ghat == 2
-    assert len(lay.a_labels) + len(lay.b_labels) == 8 * 0 - 6 + 2 * 5
-    lay2 = ch.cycle_layout(2, 0)
-    assert lay2.ghat == 5
-    assert len(lay2.a_labels) == 5
-
-
 def test_intersection_matrix_block_form():
-    lay = ch.cycle_layout(1, 2)
-    j = to_float(lay.intersection_matrix())
-    m = lay.ghat
+    m = 3
+    j = to_float(ch.standard_j(m))
     expected = np.block(
         [[np.zeros((m, m)), np.eye(m)], [-np.eye(m), np.zeros((m, m))]]
     )
@@ -59,81 +46,14 @@ def test_s_is_symplectic():
 
 
 def test_eigenspace_dims():
-    assert ch.eigenspace_dims(0, 5) == (0, 4, 0, 2)
-    assert ch.eigenspace_dims(2, 0) == (4, 6, 2, 3)
+    # mu's +1 and -1 eigenspaces on the a-cycles: g invariant and
+    # 3g-3+n anti-invariant dimensions, ghat = 4g-3+n in all
     for g, n in [(0, 5), (1, 2), (2, 0), (4, 3)]:
-        hp, hm, lp, lm = ch.eigenspace_dims(g, n)
-        assert hp + hm == 2 * (4 * g - 3 + n)
-        assert lp + lm == 4 * g - 3 + n
-
-
-def test_assemble_g0_identity():
-    rng = np.random.default_rng(3)
-    om = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    om = om + om.T
-    out = ch.assemble_period_matrix(np.zeros((0, 0)), om, 0, 5)
-    assert np.array_equal(out, om)
-
-
-def test_assemble_g1_n2_oracle():
-    # independently derived 3x3 congruence: with Omega_plus = (tau) and
-    # Omega_minus = [[rho, s], [s, w]],
-    #   Omega_hat = [[(tau+rho)/4, (tau-rho)/4, s/2],
-    #                [(tau-rho)/4, (tau+rho)/4, -s/2],
-    #                [s/2, -s/2, w]]
-    tau = 0.3 + 1.1j
-    rho = -0.2 + 0.9j
-    s = 0.15 + 0.05j
-    w = 0.1 + 1.4j
-    got = ch.assemble_period_matrix(
-        [[tau]], [[rho, s], [s, w]], 1, 2
-    )
-    expected = np.array(
-        [
-            [(tau + rho) / 4, (tau - rho) / 4, s / 2],
-            [(tau - rho) / 4, (tau + rho) / 4, -s / 2],
-            [s / 2, -s / 2, w],
-        ]
-    )
-    assert np.max(np.abs(got - expected)) < 1e-14
-
-
-def test_assemble_preserves_symmetry_and_positivity():
-    rng = np.random.default_rng(5)
-    for g, n in [(1, 2), (2, 0), (2, 2)]:
-        dp, dm = g, 3 * g - 3 + n
-        def siegel(d):
-            a = rng.normal(size=(d, d))
-            re = a + a.T
-            b = rng.normal(size=(d, d))
-            im = b @ b.T + d * np.eye(d)
-            return re + 1j * im
-        op, om = siegel(dp), siegel(dm)
-        out = ch.assemble_period_matrix(op, om, g, n)
-        assert np.max(np.abs(out - out.T)) < 1e-12
-        eig = np.linalg.eigvalsh(out.imag)
-        assert eig.min() > 0, (g, n)
-
-
-def test_assemble_dimension_mismatch():
-    with pytest.raises(ValueError):
-        ch.assemble_period_matrix(np.zeros((1, 1)), np.zeros((3, 3)), 1, 2)
-
-
-def test_det_factor_identity_and_j():
-    rng = np.random.default_rng(7)
-    b = rng.normal(size=(2, 2))
-    om = (b + b.T) / 4 + 1j * (b @ b.T + 2 * np.eye(2))
-    ident = np.eye(4, dtype=int)
-    jmat = np.array(ch.standard_j(2), dtype=float).astype(int)
-    pair = ch.SymplecticPair(np.zeros((0, 0)), ident)
-    fp, fm = ch.det_factor(pair, np.zeros((0, 0)), om)
-    assert fp == 1.0 and abs(fm - 1.0) < 1e-12
-    # sigma with C = -I, D = 0 (the J matrix in this convention)
-    pair2 = ch.SymplecticPair(np.zeros((0, 0)), jmat)
-    _, f2 = ch.det_factor(pair2, np.zeros((0, 0)), om)
-    det = np.linalg.det(-om)
-    assert abs(f2 - det**48) / abs(det**48) < 1e-9
+        m = to_float(ch.build_matrices(g, n).m)
+        eig = np.linalg.eigvalsh(m)
+        assert len(eig) == 4 * g - 3 + n, (g, n)
+        assert np.sum(np.isclose(eig, 1.0)) == g, (g, n)
+        assert np.sum(np.isclose(eig, -1.0)) == 3 * g - 3 + n, (g, n)
 
 
 def test_random_symplectic():

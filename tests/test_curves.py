@@ -76,20 +76,12 @@ def test_sheeted_eval_square():
         assert abs(ev.y(x, sheet=-1) + y) < 1e-13 * abs(y)
 
 
-def test_sheeted_eval_cut_endpoints():
+def test_oncut_values_square_to_rhs():
     curve = build_cover(QDConfigG0(**REF))
     pairs = [(4, 2), (0, 5), (1, 3)]
     ev = SheetedEval(curve.branch_points, pairs)
-    a, b = ev.cut_endpoints(0)
-    pts = curve.branch_points
-    assert {complex(a), complex(b)} == {complex(pts[4]), complex(pts[2])}
-
-
-def test_oncut_values_square_to_rhs():
-    curve = build_cover(QDConfigG0(**REF))
-    ev = SheetedEval(curve.branch_points, [(4, 2), (0, 5), (1, 3)])
-    for k in range(3):
-        a, b = ev.cut_endpoints(k)
+    for k, (i, j) in enumerate(pairs):
+        a, b = curve.branch_points[i], curve.branch_points[j]
         for t in (-0.7, 0.0, 0.4):
             x = 0.5 * (a + b) + 0.5 * (b - a) * t
             w = ev.y_oncut(k, t, +1)

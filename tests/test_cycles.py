@@ -91,17 +91,6 @@ def test_arc_arc_crossing():
     assert _close(pts[1], 0.5 + 1j * np.sqrt(3) / 2, 1e-9)
 
 
-def test_reversed_pieces():
-    seg = Segment(1.0, 2.0 + 1.0j)
-    rev = seg.reversed()
-    assert _close(rev.point(0.0), seg.point(1.0))
-    assert _close(rev.point(1.0), seg.point(0.0))
-    arc = Arc(0.5j, 2.0, 0.3, 1.7)
-    rav = arc.reversed()
-    assert _close(rav.point(0.0), arc.point(1.0))
-    assert _close(rav.tangent(0.5), -arc.tangent(0.5))
-
-
 REF = dict(zeros=[0.0], poles=[1.0, -1.0, 2.0, -2.0, 0.5])
 
 

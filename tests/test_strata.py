@@ -106,7 +106,6 @@ def test_collision_exponents():
         Fraction(2, 3),
         Fraction(26, 3),
     )
-    assert strata.DM_EXPONENT == 4
     assert strata.T_WEIGHT == Fraction(1, 2)
 
 
@@ -130,10 +129,3 @@ def test_zero_pole_shift_matches_principal_strata():
             assert (kb[0] - ka[0], kb[1] - ka[1]) == strata.collision_kappa_shift(
                 "zero-pole"
             ), (g, n)
-
-
-def test_exponent_data():
-    data = strata.exponent_data(strata.principal_signature(0, 5))
-    assert data.kappa_plus == Fraction(-40, 3)
-    assert data.kappa_minus == Fraction(56, 3)
-    assert data.t_weight == Fraction(1, 2)
