@@ -201,9 +201,8 @@ def cmd_periods(args) -> int:
             "loops": len(pe.cycles.loops),
             "pairing": [list(pr) for pr in pe.cycles.pairs],
             "spine_rho_min": pe.cycles.spine_rho(),
-            # the cycle ladder: the cap factor its caps were drawn at, and
-            # each pairing passed over, with its rho or GeometryError text
-            "cap_factor": pe.cycles.cap_factor,
+            # the cycle ladder: each pairing passed over, with its rho
+            # or GeometryError text
             "rejected_pairings": [{"pairing": p, "reason": why}
                                   for p, why in pe.cycles.rejected],
             # per loop, the size of the first spine rule tried, the

@@ -53,12 +53,8 @@ def _block_diag(*blocks):
 
 
 def standard_j(m):
-    """Intersection form [[0, I], [-I, 0]] of size 2m."""
-    out = _zeros(2 * m, 2 * m)
-    for i in range(m):
-        out[i][m + i] = Fraction(1)
-        out[m + i][i] = Fraction(-1)
-    return out
+    """Intersection form [[0, I], [-I, 0]] of size 2m, as integers."""
+    return np.eye(2 * m, k=m, dtype=int) - np.eye(2 * m, k=-m, dtype=int)
 
 
 @dataclass(frozen=True)
@@ -126,26 +122,22 @@ def is_symplectic(sigma, tol=1e-12) -> bool:
     m = sigma.shape[0] // 2
     if sigma.shape != (2 * m, 2 * m):
         return False
-    j = np.array(standard_j(m), dtype=float)
+    j = standard_j(m)
     return bool(np.max(np.abs(sigma.T @ j @ sigma - j)) <= tol)
 
 
 def random_symplectic(m: int, rng, steps: int = 12) -> np.ndarray:
     """Random element of Sp(2m, Z) as a word in elementary generators."""
-    j = np.array(standard_j(m), dtype=int)
+    eye, zero = np.eye(m, dtype=int), np.zeros((m, m), dtype=int)
     out = np.eye(2 * m, dtype=int)
     for _ in range(steps):
         kind = rng.integers(0, 3)
-        if kind == 0:
-            # [[I, B], [0, I]] with symmetric integer B
+        if kind < 2:
+            # [[I, B], [0, I]] or [[I, 0], [B, I]], B symmetric integer
             b = rng.integers(-2, 3, size=(m, m))
             b = b + b.T
-            gmat = np.block([[np.eye(m, dtype=int), b], [np.zeros((m, m), dtype=int), np.eye(m, dtype=int)]])
-        elif kind == 1:
-            # [[I, 0], [C, I]] with symmetric integer C
-            c = rng.integers(-2, 3, size=(m, m))
-            c = c + c.T
-            gmat = np.block([[np.eye(m, dtype=int), np.zeros((m, m), dtype=int)], [c, np.eye(m, dtype=int)]])
+            gmat = np.block([[eye, b], [zero, eye]] if kind == 0
+                            else [[eye, zero], [b, eye]])
         else:
             # [[U, 0], [0, U^[-t]]] with U a unimodular shear
             u = np.eye(m, dtype=int)
@@ -153,7 +145,8 @@ def random_symplectic(m: int, rng, steps: int = 12) -> np.ndarray:
                 i, k = rng.choice(m, size=2, replace=False)
                 u[i, k] = int(rng.integers(-2, 3))
             uinv_t = np.rint(np.linalg.inv(u.T)).astype(int)
-            gmat = np.block([[u, np.zeros((m, m), dtype=int)], [np.zeros((m, m), dtype=int), uinv_t]])
+            gmat = np.block([[u, zero], [zero, uinv_t]])
         out = out @ gmat
+    j = standard_j(m)
     assert np.array_equal(out.T @ j @ out, j)
     return out

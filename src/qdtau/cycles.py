@@ -2,37 +2,38 @@
 
 Branch points, always an even number of them, are joined pairwise by
 straight cuts C_0, C_1, ..., ordered by midpoint; gap k joins the head
-of cut k to the tail of cut k + 1.  Around every cut and every gap we
-place a stadium-shaped loop: two circular caps joined by tangent
-segments.  Caps stay inside each spine's clearance (`build_cycles`),
-so a cut loop crosses no cut and its lift lies on sheet +1, while gap
-loop G_k crosses cuts k and k + 1 once each.  The chain
-C_0 G_0 C_1 G_1 ... then fixes every intersection number from the
-order of those two crossings, as Molin & Neurohr (Math. Comp. 2019)
-read theirs off a tree of branch points: <C_k, G_k> = -e_k and
-<C_{k+1}, G_k> = e_k, where e_k = -1 when G_k's lift crosses cut k
-first and +1 otherwise, and every other pair meets at 0 once no two
-gap spines cross.  The alpha/beta basis comes out as integer
-combinations of the loops, verified against the standard symplectic
-form exactly.  Only gap loops' stadiums are drawn to build it; a cut
-loop's is drawn when a contour first needs it.  `build_cycles_robust`
-tries three pairings, each once, prefers the first whose spines keep
-clear of foreign branch points, and records why it passed over the
-others.
+of cut k to the tail of cut k + 1.  Around every cut and every gap lies
+a stadium-shaped loop: two circular caps joined by tangent segments.
+Caps stay inside each spine's clearance (`build_cycles`), so a cut loop
+crosses no cut and its lift lies on sheet +1, while gap loop G_k
+crosses cuts k and k + 1 once each.  The chain C_0 G_0 C_1 G_1 ... then
+fixes every intersection number from the order of those two crossings,
+as Molin & Neurohr (Math. Comp. 2019) read theirs off a tree of branch
+points: <C_k, G_k> = -e_k and <C_{k+1}, G_k> = e_k, where e_k = -1 when
+G_k's lift crosses cut k first, which is when cut k crosses the
+stadium's first side (`PeriodEngine.sigma`), and +1 otherwise; every
+other pair meets at 0 once no two gap spines cross.  The alpha/beta
+basis comes out as integer combinations of the loops, verified against
+the standard symplectic form exactly.  No stadium is drawn to build
+it; a loop's is drawn when a contour first needs it.
+`build_cycles_robust` tries three pairings, each once, prefers the
+first whose spines keep clear of foreign branch points, and records why
+it passed over the others.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
+from .cover_homology import standard_j
 from .curves import CoverCurve, SheetedEval
 
-CAP_FACTORS = (0.3, 0.18, 0.1, 0.06)
+CAP_FACTOR = 0.3
 GAP_CAP_SHRINK = 0.8
 
 # an n-point Gauss-Jacobi rule errs like rho^(-2n) on a spine of
@@ -46,7 +47,7 @@ SPINE_RHO_MIN = 1e-11 ** (-0.5 / 356)
 class GeometryError(RuntimeError):
     """Configuration defeats the contour builder (crossing cuts or gap
     spines, a spine without clearance, or a gap loop whose lift does not
-    cross its two adjacent cuts once each)."""
+    cross its two adjacent cuts once each, in e_k's order)."""
 
 
 @dataclass(frozen=True)
@@ -77,18 +78,22 @@ class Arc:
         return 1j * (self.th1 - self.th0) * self.radius * np.exp(1j * th)
 
 
-def stadium(a, b, ra, rb):
-    """Counterclockwise hippodrome around segment [a, b] with cap radii
-    ra at a and rb at b, sides tangent to both caps."""
+def _tangent_angles(a, b, ra, rb):
+    """Angles (thm, thp) at which the stadium's first side, right of
+    [a, b], and its left side touch its caps ra at a and rb at b."""
     d = b - a
     length = abs(d)
     if length <= abs(ra - rb):
         raise GeometryError("cap radii too disparate for tangent sides")
-    u = d / length
-    base = cmath.phase(u)
+    base = cmath.phase(d / length)
     phi = math.acos((ra - rb) / length)
-    thp = base + phi
-    thm = base - phi
+    return base - phi, base + phi
+
+
+def stadium(a, b, ra, rb):
+    """Counterclockwise hippodrome around segment [a, b] with cap radii
+    ra at a and rb at b, sides tangent to both caps."""
+    thm, thp = _tangent_angles(a, b, ra, rb)
     ep, em = cmath.exp(1j * thp), cmath.exp(1j * thm)
     return [
         Segment(a + ra * em, b + rb * em),
@@ -101,42 +106,55 @@ def stadium(a, b, ra, rb):
 @dataclass
 class Loop:
     """The stadium around the spine from branch point a to b, with cap
-    ra at a and rb at b, drawn on first use; crossings are its lift's
-    cut crossings [(piece_idx, s, cut_idx)], ordered along the loop
-    (none on a cut loop)."""
+    ra at a and rb at b, and its lift's crossings, drawn on first use.
+    Gap loop k holds cuts k and k + 1, from tail to head, and e_k."""
     kind: str  # "cut" or "gap"
     index: int
     caps: tuple  # (a, b, ra, rb)
-    crossings: list = field(default_factory=list)
+    cuts: tuple = ()
+    e: int = 0
 
     @cached_property
     def pieces(self):
         return stadium(*self.caps)
+
+    @cached_property
+    def crossings(self):
+        """The lift's cut crossings [(piece_idx, s, cut_idx)], ordered
+        along the loop, where it starts on sheet +1 and flips at every
+        crossing: none on a cut loop, and on gap loop k one of cut k and
+        one of cut k + 1, cut k first when e_k = -1, else GeometryError.
+        No other cut is in reach (`build_cycles`)."""
+        k = self.index
+        cr = sorted((pi, s, ci) for ci, cut in enumerate(self.cuts, k)
+                    for pi, piece in enumerate(self.pieces)
+                    for s, _t in piece_crossings(piece, cut))
+        crossed = [ci for *_, ci in cr]
+        want = [] if not self.cuts else [k, k + 1] if self.e < 0 else [k + 1, k]
+        if crossed != want:
+            raise GeometryError(f"gap loop {k} crosses cuts {crossed}, not "
+                                f"{want} as e_k = {self.e} says")
+        return cr
 
     def sheet_at(self, piece_idx, s):
         """Sheet of the lift at parameter s of the given piece."""
         return (-1) ** sum((pi, cs) < (piece_idx, s) for pi, cs, _ in self.crossings)
 
 
-# crossing primitives; parameters are accepted only strictly inside
-# (margin-trimmed) so shared endpoints never count
+# crossing primitives.  A stadium piece runs over its parameters'
+# [0, 1), both ends moved back by a margin, so a crossing at a junction
+# of pieces counts once, on the piece starting there; a cut or a spine
+# over its margin-trimmed interior, so shared endpoints never count
 
 _MARGIN = 1e-9
 
 
 def _seg_seg(p, q):
-    d1, d2 = p.b - p.a, q.b - q.a
-    ax, ay = d1.real, d1.imag
-    bx, by = -d2.real, -d2.imag
-    det = ax * by - ay * bx
-    rhs = q.a - p.a
-    norm = max(abs(d1), abs(d2))
-    if abs(det) < 1e-12 * norm * norm:
-        return []
-    s = (rhs.real * by - rhs.imag * bx) / det
-    t = (ax * rhs.imag - ay * rhs.real) / det
-    if _MARGIN < s < 1 - _MARGIN and _MARGIN < t < 1 - _MARGIN:
-        return [(s, t)]
+    """[(s, t)] where segments p and q cross transversally, s in p's
+    window, (-margin, 1 - margin), and t inside q."""
+    s, t, transversal = _segment_params(*np.array([p.a, p.b, q.a, q.b]))
+    if transversal and -_MARGIN < s < 1 - _MARGIN and _MARGIN < t < 1 - _MARGIN:
+        return [(float(s), float(t))]
     return []
 
 
@@ -163,25 +181,27 @@ def _seg_arc(seg, arc):
 
 
 def _arc_param(arc, z):
+    """The arc's parameter at z, a point of its circle, if it lies in
+    the piece's window, else None."""
     th = cmath.phase(z - arc.center)
-    lo, hi = min(arc.th0, arc.th1), max(arc.th0, arc.th1)
-    span = hi - lo
-    if span < 1e-14:
+    span = arc.th1 - arc.th0
+    if abs(span) < 1e-14:
         return None
-    # fold th into [lo, lo + 2pi)
+    # fold th into [lo, lo + 2pi), from the window's lower end
+    lo = min(arc.th0, arc.th1) - _MARGIN * span
     while th < lo:
         th += 2.0 * math.pi
     while th >= lo + 2.0 * math.pi:
         th -= 2.0 * math.pi
-    if lo + _MARGIN * span < th < hi - _MARGIN * span:
-        t = (th - arc.th0) / (arc.th1 - arc.th0)
-        return t
-    return None
+    t = (th - arc.th0) / span
+    return t if -_MARGIN < t < 1 - _MARGIN else None
 
 
 def piece_crossings(p, q):
-    """[(s_on_p, t_on_q)] interior transversal crossings of two pieces,
-    at least one of them a segment."""
+    """[(s_on_p, t_on_q)] transversal crossings of a stadium piece p
+    and a cut q, or of two pieces, at least one of them a segment.  An
+    arc and a segment p run over their half-open windows, a segment q
+    over its interior."""
     if isinstance(q, Arc):
         return _seg_arc(p, q)
     if isinstance(p, Arc):
@@ -189,21 +209,26 @@ def piece_crossings(p, q):
     return _seg_seg(p, q)
 
 
-def _spine_crossings(a, b):
-    """Whether segments [a_i, b_i] and [a_j, b_j] cross, for every i, j
-    in one broadcast: `_seg_seg`'s test, same margins and parallel
-    threshold, in the same real arithmetic."""
-    d = b - a
-    ax, ay = d.real[:, None], d.imag[:, None]
-    bx, by = -d.real, -d.imag
+def _segment_params(pa, pb, qa, qb):
+    """(s, t, transversal) of segments [pa, pb] and [qa, qb], broadcast:
+    pa + s (pb - pa) = qa + t (qb - qa) unless they are parallel."""
+    d1, d2 = pb - pa, qb - qa
+    ax, ay = d1.real, d1.imag
+    bx, by = -d2.real, -d2.imag
     det = ax * by - ay * bx
-    rhs = a - a[:, None]
-    length = np.hypot(d.real, d.imag)
-    norm = np.maximum(length[:, None], length)
+    rhs = qa - pa
+    norm = np.maximum(np.hypot(d1.real, d1.imag), np.hypot(d2.real, d2.imag))
     with np.errstate(divide="ignore", invalid="ignore"):
         s = (rhs.real * by - rhs.imag * bx) / det
         t = (ax * rhs.imag - ay * rhs.real) / det
-    return ((np.abs(det) >= 1e-12 * norm * norm) & (_MARGIN < s) & (s < 1 - _MARGIN)
+    return s, t, np.abs(det) >= 1e-12 * norm * norm
+
+
+def _spine_crossings(a, b):
+    """Whether segments [a_i, b_i] and [a_j, b_j] cross, for every i, j
+    in one broadcast, margins trimmed both ways."""
+    s, t, transversal = _segment_params(a[:, None], b[:, None], a, b)
+    return (transversal & (_MARGIN < s) & (s < 1 - _MARGIN)
             & (_MARGIN < t) & (t < 1 - _MARGIN))
 
 
@@ -216,15 +241,14 @@ class CycleSystem:
     combination of per-loop periods.  pairs and gap_ends hold the
     branch-point indices at the ends of each cut and gap spine.  sigmas
     holds each loop's orientation factor (`PeriodEngine.sigma`):
-    -1 on a cut loop, e_k on gap loop k.  cap_factor is the entry of
-    CAP_FACTORS the caps were drawn at, and rejected the pairings
+    -1 on a cut loop, e_k on gap loop k.  rejected holds the pairings
     `build_cycles_robust` passed over, in the order tried, each with
     its spine_rho() if that fell below SPINE_RHO_MIN, else the text of
     its GeometryError.
     """
 
     def __init__(self, curve, evaluator, loops, alpha_mat, beta_mat,
-                 pairs, gap_ends, sigmas, cap_factor):
+                 pairs, gap_ends, sigmas):
         self.curve = curve
         self.evaluator = evaluator
         self.loops = loops
@@ -233,7 +257,6 @@ class CycleSystem:
         self.pairs = pairs
         self.gap_ends = gap_ends
         self.sigmas = sigmas
-        self.cap_factor = cap_factor
         self.rejected = []
         self.genus = alpha_mat.shape[0]
 
@@ -312,27 +335,6 @@ def _sweep_pairing(points):
     return [(order[2 * k], order[2 * k + 1]) for k in range(len(points) // 2)]
 
 
-def _lift(gaps, cut_segments):
-    """Order each gap loop's crossings of its adjacent cuts k and k + 1
-    along the loop, where the lift starts on sheet +1 and flips at every
-    crossing; it must cross each once.  No other cut is in reach
-    (`build_cycles`).  Returns each gap's e_k: -1 when its lift crosses
-    cut k first, +1 when cut k + 1."""
-    signs = []
-    for lp in gaps:
-        k = lp.index
-        cr = sorted((pi, s, ci) for pi, piece in enumerate(lp.pieces)
-                    for ci in (k, k + 1)
-                    for s, _t in piece_crossings(piece, cut_segments[ci]))
-        crossed = [ci for *_, ci in cr]
-        if sorted(crossed) != [k, k + 1]:
-            raise GeometryError(f"gap loop {k} crosses cuts {crossed}, "
-                                f"not {k} and {k + 1} once each")
-        lp.crossings = cr
-        signs.append(-1 if crossed[0] == k else 1)
-    return np.array(signs, dtype=int)
-
-
 def _chain_intersections(e):
     """Intersection numbers of the lifted loops, cuts then gaps, from
     each gap's e_k: <C_k, G_k> = -e_k, <C_{k+1}, G_k> = e_k, all other
@@ -366,8 +368,7 @@ def _symplectic_basis(inter, ncuts, g):
     # exact symplectic verification of the assembled basis
     big = np.vstack([alpha_mat, beta_mat])
     gram = big @ inter @ big.T
-    want = np.eye(2 * g, k=g, dtype=int) - np.eye(2 * g, k=-g, dtype=int)
-    if not np.array_equal(gram, want):
+    if not np.array_equal(gram, standard_j(g)):
         raise GeometryError(
             f"assembled basis is not symplectic; intersection gram:\n{gram}")
     return alpha_mat, beta_mat
@@ -392,10 +393,9 @@ def build_cycles(curve: CoverCurve, pairing=None) -> CycleSystem:
     crosses cuts k and k + 1 alone, each once, as one end of each lies
     inside it; loops that are not chain neighbours meet at 0, since an
     arc of one inside the other keeps its sheet and its two crossings
-    cancel.  `PeriodEngine.sigma()` rests on the same bound.  So only
-    gap loops are drawn to read the chain's intersection numbers off
-    (module docstring), at each of CAP_FACTORS in turn until every gap
-    crosses its cuts once each; else the last failure is raised."""
+    cancel.  By the same bound e_k = -1 exactly where cut k crosses gap
+    k's first side (`PeriodEngine.sigma()`): one broadcast crossing
+    test reads e_k off for every gap, and no stadium is drawn."""
     pts = list(curve.branch_points)
     pairs = _default_pairing(pts) if pairing is None else [tuple(p) for p in pairing]
     if (sorted(i for p in pairs for i in p) != list(range(len(pts)))
@@ -449,25 +449,31 @@ def build_cycles(curve: CoverCurve, pairing=None) -> CycleSystem:
     # cut cap it shares, none above its spine's clamp
     point_clamps = np.empty(len(z))
     point_clamps[ends[:ncuts]] = clamps[:ncuts, None]
-    labels = [("cut", k) for k in range(ncuts)] + [("gap", k) for k in range(ncuts - 1)]
-    cut_segments = [Segment(pts[i], pts[j]) for i, j in pairs]
-    for factor in CAP_FACTORS:
-        cut_caps = np.minimum(factor * nearest, point_clamps)
-        radii = np.vstack([cut_caps[ends[:ncuts]], np.minimum(
-            GAP_CAP_SHRINK * cut_caps[ends[ncuts:]], clamps[ncuts:, None])])
-        loops = [Loop(*label, (pts[i], pts[j], *r))
-                 for label, (i, j), r in zip(labels, ends.tolist(), radii.tolist())]
-        try:
-            e = _lift(loops[ncuts:], cut_segments)
-        except GeometryError as exc:
-            last = exc
-            continue
-        alpha_mat, beta_mat = _symplectic_basis(_chain_intersections(e), ncuts,
-                                                curve.genus)
-        sigmas = np.concatenate([np.full(ncuts, -1), e])
-        return CycleSystem(curve, SheetedEval(pts, pairs), loops, alpha_mat,
-                           beta_mat, pairs, gap_ends, sigmas, factor)
-    raise last
+    cut_caps = np.minimum(CAP_FACTOR * nearest, point_clamps)
+    radii = np.vstack([cut_caps[ends[:ncuts]], np.minimum(
+        GAP_CAP_SHRINK * cut_caps[ends[ncuts:]], clamps[ncuts:, None])])
+    caps = [(pts[i], pts[j], *r) for (i, j), r in zip(ends.tolist(), radii.tolist())]
+
+    # e_k = -1 where cut k, from its tail to its head, crosses gap k's
+    # first side, whose ends are computed as `stadium` computes them
+    side = np.empty((ncuts - 1, 2), dtype=complex)
+    for k, (a, b, ra, rb) in enumerate(caps[ncuts:]):
+        u = cmath.exp(1j * _tangent_angles(a, b, ra, rb)[0])
+        side[k] = a + ra * u, b + rb * u
+    s, t, transversal = _segment_params(side[:, 0], side[:, 1],
+                                        z[ends[:ncuts - 1, 0]], z[ends[:ncuts - 1, 1]])
+    e = np.where(transversal & (-_MARGIN < s) & (s < 1 - _MARGIN)
+                 & (_MARGIN < t) & (t < 1 - _MARGIN), -1, 1)
+
+    cuts = [Segment(pts[i], pts[j]) for i, j in pairs]
+    loops = [Loop("cut", k, caps[k]) for k in range(ncuts)]
+    loops += [Loop("gap", k, caps[ncuts + k], tuple(cuts[k:k + 2]), e_k)
+              for k, e_k in enumerate(e.tolist())]
+    alpha_mat, beta_mat = _symplectic_basis(_chain_intersections(e), ncuts,
+                                            curve.genus)
+    sigmas = np.concatenate([np.full(ncuts, -1), e])
+    return CycleSystem(curve, SheetedEval(pts, pairs), loops, alpha_mat,
+                       beta_mat, pairs, gap_ends, sigmas)
 
 
 def build_cycles_robust(curve: CoverCurve, pairing=None) -> CycleSystem:

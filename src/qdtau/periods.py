@@ -219,8 +219,8 @@ class PeriodEngine:
         sigma is the lift's sheet at its midpoint M, negated for a cut
         loop, whose spine takes the left boundary value of yhat (the
         negative of the right one).  A cut loop crosses no cut, so its
-        sigma is -1; gap loop k's is e_k of `build_cycles`, -1 when its
-        lift crosses cut k first.
+        sigma is -1; gap loop k's is `build_cycles`' e_k, -1 exactly
+        where cut k crosses the first side, by this proof.
 
         For the gap [a, b] between cuts k = [c, a] and k + 1 = [b, d],
         let m be the spine's midpoint, e the unit vector to the right
@@ -250,8 +250,9 @@ class PeriodEngine:
         entering a convex region leaves it by another edge, so cut
         k + 1 misses T_a; by symmetry cut k misses T_b, and the left
         half, run from b to a, meets them in the other order.  So the
-        lift crosses cut k first exactly when cut k crosses the first
-        side, and then the sheet at M is -1."""
+        lift crosses cut k first, and the sheet at M is -1, exactly
+        when cut k crosses the first side; at the side's start, where
+        the lift starts, the crossing counts on the side."""
         return int(self.cycles.sigmas[loop_idx])
 
     def loop_period(self, loop_idx: int):

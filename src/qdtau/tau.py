@@ -200,8 +200,8 @@ class TauConnection:
 
 
 def build_connection(config: QDConfigG0, pairing=None) -> TauConnection:
-    curve = build_cover(config)
-    cycles = build_cycles_robust(curve, pairing=pairing)
+    pairing = config.pairing if pairing is None else pairing
+    cycles = build_cycles_robust(build_cover(config), pairing=pairing)
     return TauConnection(PeriodEngine(cycles), config)
 
 

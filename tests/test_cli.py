@@ -7,7 +7,7 @@ import pytest
 from qdtau import tau
 from qdtau.cli import load_config, main
 from qdtau.curves import build_cover
-from qdtau.cycles import CAP_FACTORS, SPINE_RHO_MIN, build_cycles_robust
+from qdtau.cycles import SPINE_RHO_MIN, build_cycles_robust
 from qdtau.periods import PeriodEngine
 from qdtau.quadrature import SPINE_SIZES, first_rung
 from test_periods import COLLINEAR, PerLoopEngine
@@ -120,9 +120,9 @@ def test_periods_report(ref_config_path, tmp_path):
     # the basis Omega is written in: the given pairing, as built
     assert rep["diagnostics"]["pairing"] == REF_CONFIG["pairing"]
     assert rep["diagnostics"]["spine_rho_min"] > 1.0
-    # a given pairing is built as it is, at the first cap factor
+    # a given pairing is built as it is, its caps at the one factor
     assert rep["diagnostics"]["rejected_pairings"] == []
-    assert rep["diagnostics"]["cap_factor"] == CAP_FACTORS[0]
+    assert "cap_factor" not in rep["diagnostics"]
     # every spine settles; each loop's first rule is a ladder size
     assert rep["diagnostics"]["fallback_loops"] == []
     rungs = rep["diagnostics"]["first_rungs"]
@@ -186,8 +186,8 @@ def test_periods_report_names_fallback_loops(tmp_path):
 def test_periods_reports_the_cycle_ladder(tmp_path):
     # no pairing given: the greedy pairing of a near-collinear row
     # crowds a spine (rho 1.0000016), so the ladder passes over it; the
-    # report names it with its rho and the cap factor it accepted at,
-    # byte for byte the same on a second run
+    # report names it with its rho, byte for byte the same on a second
+    # run, and no cap factor: caps are drawn at one
     path = tmp_path / "row.json"
     path.write_text(json.dumps({
         "zeros": [[z.real, z.imag] for z in COLLINEAR.zeros],
@@ -196,7 +196,7 @@ def test_periods_reports_the_cycle_ladder(tmp_path):
     assert code == 0
     cyc = build_cycles_robust(build_cover(COLLINEAR))
     diag = rep["diagnostics"]
-    assert diag["cap_factor"] == cyc.cap_factor == CAP_FACTORS[0]
+    assert "cap_factor" not in diag
     assert diag["rejected_pairings"] == [
         {"pairing": [[0, 2], [1, 7], [3, 4], [5, 6]], "reason": cyc.rejected[0][1]}]
     assert 1.0 < cyc.rejected[0][1] < SPINE_RHO_MIN

@@ -1,4 +1,5 @@
 """Cycle-system geometry: stadium contours, crossings, symplectic bases."""
+import dataclasses
 import math
 
 import numpy as np
@@ -6,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdtau import cycles, tau
-from qdtau.curves import QDConfigG0, build_cover
+from qdtau.curves import QDConfigG0, SheetedEval, build_cover
+from qdtau.periods import PeriodEngine
 from qdtau.cycles import (
-    CAP_FACTORS,
+    CAP_FACTOR,
     SPINE_RHO_MIN,
     GeometryError,
     Segment,
@@ -19,6 +21,7 @@ from qdtau.cycles import (
     build_cycles_robust,
 )
 from test_periods import class_config
+from test_tau import _genus3_path
 
 
 def _close(a, b, tol=1e-12):
@@ -217,6 +220,12 @@ def pruned_intersections(loops):
     return raw - raw.T
 
 
+def _segments_cross(p, q):
+    """Whether segments p and q cross away from all four ends."""
+    return bool(cycles._spine_crossings(np.array([p.a, q.a]),
+                                        np.array([p.b, q.b]))[0, 1])
+
+
 def oracle_build(curve, pairing, factor, intersections=pruned_intersections):
     """build_cycles at one cap factor, from full stadiums: the spine
     checks pair by pair, every loop drawn and lifted against every cut,
@@ -232,7 +241,7 @@ def oracle_build(curve, pairing, factor, intersections=pruned_intersections):
     cuts = [Segment(pts[i], pts[j]) for i, j in pairs]
     for i in range(ncuts):
         for j in range(i + 1, ncuts):
-            if piece_crossings(cuts[i], cuts[j]):
+            if _segments_cross(cuts[i], cuts[j]):
                 raise GeometryError(f"cuts {i} and {j} intersect")
     gap_ends = [(pairs[k][1], pairs[k + 1][0]) for k in range(ncuts - 1)]
 
@@ -252,7 +261,7 @@ def oracle_build(curve, pairing, factor, intersections=pruned_intersections):
     clear = np.minimum(foreign.min(axis=1),
                        np.where(far, to_cuts.min(axis=1), np.inf).min(axis=1))
     if (clear < 1e-9 * dist.max()).any() or any(
-            piece_crossings(Segment(pts[i], pts[j]), cuts[c])
+            _segments_cross(Segment(pts[i], pts[j]), cuts[c])
             for k, (i, j) in enumerate(gap_ends) for c in range(ncuts)
             if far[ncuts + k, c]):
         raise GeometryError("spine has no clearance from foreign cuts")
@@ -272,18 +281,8 @@ def oracle_build(curve, pairing, factor, intersections=pruned_intersections):
                                                    curve.genus)
     sigmas = np.array([(-1 if lp.kind == "cut" else 1) * lp.sheet_at(0, 0.5)
                        for lp in loops])
-    return cycles.CycleSystem(curve, None, loops, alpha_mat, beta_mat, pairs,
-                              gap_ends, sigmas, factor)
-
-
-def oracle_ladder(curve, pairing):
-    """oracle_build at the first of CAP_FACTORS that builds."""
-    for factor in CAP_FACTORS:
-        try:
-            return oracle_build(curve, pairing, factor)
-        except GeometryError as exc:
-            last = exc
-    raise last
+    return cycles.CycleSystem(curve, SheetedEval(pts, pairs), loops, alpha_mat,
+                              beta_mat, pairs, gap_ends, sigmas)
 
 
 def candidate_pairings(curve):
@@ -295,11 +294,11 @@ def candidate_pairings(curve):
 
 
 def oracle_robust(curve):
-    """build_cycles_robust's choice among the oracle's ladders."""
+    """build_cycles_robust's choice among the oracle's builds."""
     built = []
     for cand in candidate_pairings(curve):
         try:
-            cyc = oracle_ladder(curve, cand)
+            cyc = oracle_build(curve, cand, CAP_FACTOR)
         except GeometryError:
             continue
         if cyc.spine_rho() >= SPINE_RHO_MIN:
@@ -308,14 +307,23 @@ def oracle_robust(curve):
     return built[0]
 
 
+def lift_order(cyc):
+    """Each gap's e_k read off its lift: -1 when it crosses cut k first."""
+    ncuts = len(cyc.pairs)
+    return [-1 if lp.crossings[0][2] == lp.index else 1
+            for lp in cyc.loops[ncuts:]]
+
+
 def assert_same_system(got, want):
-    """Same cuts, caps, lifts, basis and orientations."""
-    assert got.pairs == want.pairs and got.cap_factor == want.cap_factor
+    """Same cuts, caps, lifts, basis and orientations, and e_k as the
+    oracle's full lift orders the crossings."""
+    assert got.pairs == want.pairs
     assert [lp.caps for lp in got.loops] == [lp.caps for lp in want.loops]
     assert [lp.crossings for lp in got.loops] == [lp.crossings for lp in want.loops]
     assert np.array_equal(got.alpha_mat, want.alpha_mat)
     assert np.array_equal(got.beta_mat, want.beta_mat)
     assert np.array_equal(got.sigmas, want.sigmas)
+    assert got.sigmas[len(got.pairs):].tolist() == lift_order(want)
 
 
 def _gram(cycles):
@@ -404,33 +412,29 @@ def test_pairing_that_leaves_a_point_unmatched_is_rejected():
             build_cycles_robust(curve, pairing=pairing)
 
 
-def _chain_build(monkeypatch, curve, pairing, factor):
-    """build_cycles at the one cap factor, or its error's text."""
-    monkeypatch.setattr(cycles, "CAP_FACTORS", (factor,))
+def _chain_build(curve, pairing):
+    """build_cycles, or its error's text."""
     try:
         return build_cycles(curve, pairing=pairing)
     except GeometryError as exc:
         return str(exc)
-    finally:
-        monkeypatch.undo()
 
 
 def _same_verdict(got, want):
     """The chain builder rejects crossing gap spines up front, where the
-    oracle's basis fails its symplectic check; it names an odd gap lift
-    by the cuts crossed.  Every other error is the oracle's."""
+    oracle's basis fails its symplectic check.  Every other error is the
+    oracle's."""
     if got == "gap spines cross":
         return want.startswith("assembled basis is not symplectic")
-    if got.startswith("gap loop"):
-        return got.split(" crosses")[0] == want.split(" crosses")[0]
     return got == want
 
 
-def test_chain_basis_matches_all_pairs_passes(monkeypatch):
-    # every pairing the ladder tries, at every cap factor: the basis and
-    # orientations read off the chain are those full stadiums give with
-    # the counted intersection numbers, errors included, and no stadium
-    # encloses a branch point
+def test_chain_basis_matches_all_pairs_passes():
+    # every pairing the ladder tries: the basis and orientations read
+    # off the chain, e_k from each gap's first side, are those full
+    # stadiums give with the counted intersection numbers and the full
+    # lift's crossing order, errors included, and no stadium encloses a
+    # branch point
     rng = np.random.default_rng(909)
     outcomes = set()
     for cls in ("generic", "clustered", "collinear", "scaled"):
@@ -439,31 +443,31 @@ def test_chain_basis_matches_all_pairs_passes(monkeypatch):
                 curve = build_cover(class_config(rng, cls, n))
                 pts = list(curve.branch_points)
                 for pairing in candidate_pairings(curve):
-                    for factor in CAP_FACTORS:
-                        got = _chain_build(monkeypatch, curve, pairing, factor)
-                        try:
-                            want = oracle_build(curve, pairing, factor)
-                        except GeometryError as exc:
-                            want = str(exc)
-                        where = (cls, n, pairing, factor)
-                        if isinstance(want, str):
-                            assert isinstance(got, str), where
-                            assert _same_verdict(got, want), (where, got, want)
-                            outcomes.add(got.split()[0])
-                            continue
-                        assert all_pairs_enclosures(want.loops, pts) == []
-                        assert not isinstance(got, str), (where, got)
-                        assert_same_system(got, want)
-                        outcomes.add("built")
+                    got = _chain_build(curve, pairing)
+                    try:
+                        want = oracle_build(curve, pairing, CAP_FACTOR)
+                    except GeometryError as exc:
+                        want = str(exc)
+                    where = (cls, n, pairing)
+                    if isinstance(want, str):
+                        assert isinstance(got, str), where
+                        assert _same_verdict(got, want), (where, got, want)
+                        outcomes.add(got.split()[0])
+                        continue
+                    assert all_pairs_enclosures(want.loops, pts) == []
+                    assert not isinstance(got, str), (where, got)
+                    assert_same_system(got, want)
+                    outcomes.add("built")
     # built systems and the rejections these classes meet were compared
     assert {"built", "cuts", "spine", "gap"} <= outcomes, outcomes
 
 
 def test_chain_ladder_matches_all_pairs_on_bare_geometry():
     # random points, every pairing the robust ladder weighs: it settles
-    # on the oracle's pairing and cap factor with the oracle's basis and
-    # orientations, and the chain's intersection numbers are the ones
-    # every pair of full stadiums counts, lazily drawn cut loops included
+    # on the oracle's pairing with the oracle's basis and orientations,
+    # e_k as the full lift orders it, and the chain's intersection
+    # numbers are the ones every pair of full stadiums counts, lazily
+    # drawn cut loops included
     rng = np.random.default_rng(77)
     met = passed_over = 0
     signs = set()
@@ -492,20 +496,25 @@ CROSSED_GAPS = QDConfigG0(zeros=[-2.0], poles=[-1.9 + 2j, -0.2 - 1j, 0.2 + 1j,
                                                -1 - 2.5j, 3 - 2.5j])
 
 
-def test_crossing_gap_spines_are_rejected_before_any_stadium(monkeypatch):
-    curve = build_cover(CROSSED_GAPS)
-    pairing = [(0, 1), (2, 3), (4, 5)]
+def _stadium_spy(monkeypatch):
+    """Record the caps of every stadium drawn."""
     drawn = []
     monkeypatch.setattr(cycles, "stadium",
                         lambda *caps: drawn.append(caps) or stadium(*caps))
+    return drawn
+
+
+def test_crossing_gap_spines_are_rejected_before_any_stadium(monkeypatch):
+    curve = build_cover(CROSSED_GAPS)
+    pairing = [(0, 1), (2, 3), (4, 5)]
+    drawn = _stadium_spy(monkeypatch)
     with pytest.raises(GeometryError, match="gap spines cross"):
         build_cycles(curve, pairing=pairing)
     assert drawn == []
     # the stadiums' counted intersection numbers admit no symplectic
-    # basis, at any cap factor
-    for factor in CAP_FACTORS:
-        with pytest.raises(GeometryError, match="assembled basis is not symplectic"):
-            oracle_build(curve, pairing, factor)
+    # basis
+    with pytest.raises(GeometryError, match="assembled basis is not symplectic"):
+        oracle_build(curve, pairing, CAP_FACTOR)
 
 
 def loop_greedy_pairing(points):
@@ -562,7 +571,7 @@ def test_robust_ladder_passes_over_crossing_gap_spines():
 def test_chain_basis_matches_oracle_at_the_accepted_factor(cls, n, seed):
     curve = build_cover(class_config(np.random.default_rng(seed), cls, n))
     cyc = build_cycles_robust(curve)
-    assert_same_system(cyc, oracle_build(curve, cyc.pairs, cyc.cap_factor))
+    assert_same_system(cyc, oracle_build(curve, cyc.pairs, CAP_FACTOR))
 
 
 def test_robust_ladder_records_what_it_passed_over(monkeypatch):
@@ -575,7 +584,6 @@ def test_robust_ladder_records_what_it_passed_over(monkeypatch):
         for n in (5, 6, 7, 8):
             del attempts[:]
             cyc = build_cycles_robust(build_cover(class_config(rng, cls, n)))
-            assert cyc.cap_factor in CAP_FACTORS
             want = [(sorted(map(sorted, key)),
                      str(out) if isinstance(out, GeometryError) else out.spine_rho())
                     for key, out in attempts if out is not cyc]
@@ -684,3 +692,59 @@ def test_ladder_tries_each_pairing_once_and_ranks_by_rho(monkeypatch):
                 assert cyc is built[-1] or not clear
                 rescued += cyc is not built[0]
     assert dropped >= 3 and rescued >= 1
+
+
+def test_build_draws_no_stadium(monkeypatch):
+    # e_k comes from each gap's first side, so no build draws a stadium:
+    # REF, seeded classes with n = 5..8 and both full schedules
+    drawn = _stadium_spy(monkeypatch)
+    rng = np.random.default_rng(31)
+    configs = [(QDConfigG0(**REF), [(4, 2), (0, 5), (1, 3)]), (QDConfigG0(**REF), None)]
+    configs += [(class_config(rng, cls, n), None)
+                for cls in ("generic", "clustered", "collinear", "scaled")
+                for n in (5, 6, 7, 8) for _ in range(2)]
+    configs += [(fam.config(d), fam.pairing)
+                for fam in (tau.zero_pole_family(), tau.zero_zero_family())
+                for d in fam.schedule]
+    built = [build_cycles_robust(build_cover(cfg), pairing=pairing)
+             for cfg, pairing in configs]
+    assert drawn == []
+    # the spy sees a stadium once a contour needs a gap loop's lift
+    gap = built[0].loops[-1]
+    assert gap.kind == "gap" and len(gap.crossings) == 2
+    assert drawn == [gap.caps]
+
+
+def test_gap_lift_is_checked_against_e_k():
+    # a gap loop's lift, drawn when a contour first needs it, must cross
+    # cuts k and k + 1 in the order the build's e_k says
+    cyc = build_cycles(build_cover(QDConfigG0(**REF)))
+    for lp in cyc.loops[len(cyc.pairs):]:
+        assert [c for *_, c in lp.crossings][0] == (lp.index if lp.e < 0
+                                                    else lp.index + 1)
+        flipped = dataclasses.replace(lp, e=-lp.e)
+        with pytest.raises(GeometryError, match=f"gap loop {lp.index} crosses"):
+            flipped.crossings
+
+
+def test_cut_through_the_first_sides_start_builds_at_the_one_factor():
+    # on the genus-3 path at s = 0 cut 2 meets gap 2's spine at -90
+    # degrees with equal caps, so it runs through the first side's start,
+    # a junction of pieces: it counts there, once, in the side test and
+    # in the lift, and Omega and v's periods are, bit for bit, those of
+    # the oracle's builds at the one factor and the three smaller ones
+    config = _genus3_path(0.0)
+    pairing = tau.zero_zero_family().pairing
+    curve = build_cover(config)
+    cyc = build_cycles(curve, pairing=pairing)
+    gap = cyc.loops[-1]
+    assert gap.caps[2] == gap.caps[3]
+    assert gap.crossings[0][:2] == (0, 0.0) and gap.crossings[0][2] == gap.index
+    assert_same_system(cyc, oracle_build(curve, pairing, CAP_FACTOR))
+    pe = PeriodEngine(cyc)
+    want = pe.period_matrix(), pe.homological_coordinates()
+    for factor in (CAP_FACTOR, 0.18, 0.1, 0.06):
+        other = PeriodEngine(oracle_build(curve, pairing, factor))
+        assert np.array_equal(other.period_matrix(), want[0]), factor
+        for got, ref in zip(other.homological_coordinates(), want[1]):
+            assert np.array_equal(got, ref), factor

@@ -25,6 +25,19 @@ def ref_conn():
     return tau.build_connection(ref_config(), pairing=REF_PAIRING)
 
 
+def test_build_connection_builds_the_configurations_pairing():
+    # with no pairing given, the configuration's own is built, as
+    # PeriodEngine.for_config builds it, not the robust ladder's choice
+    fam = tau.zero_zero_family()
+    config = fam.config(0.1)
+    config = QDConfigG0(zeros=config.zeros, poles=config.poles,
+                        pairing=fam.pairing)
+    built = sorted(map(sorted, tau.build_connection(config).pe.cycles.pairs))
+    assert built == [[0, 1], [2, 7], [3, 4], [5, 6]]
+    engine = periods.PeriodEngine.for_config(config)
+    assert built == sorted(map(sorted, engine.cycles.pairs))
+
+
 def test_euler_pairing_reference(ref_conn):
     kp = ref_conn.euler_pairing(1)
     km = ref_conn.euler_pairing(-1)
