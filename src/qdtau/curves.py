@@ -77,9 +77,6 @@ class CoverCurve:
     rhs_coeffs: np.ndarray  # monic, highest degree first
     config: QDConfigG0 = None
 
-    def rhs(self, x):
-        return np.polyval(self.rhs_coeffs, x)
-
 
 def build_cover(cfg: QDConfigG0) -> CoverCurve:
     """Double cover yhat^2 = prod over all zeros and poles of (x - b)."""
@@ -93,13 +90,21 @@ def build_cover(cfg: QDConfigG0) -> CoverCurve:
     )
     # v^2 = q as rational functions: c*R/m^2 = c*prod(x-z)/m requires
     # R = prod(x-z) * m identically
-    zero_poly = np.poly(np.array(cfg.zeros, dtype=complex)) if cfg.zeros else np.array([1.0 + 0j])
-    pole_poly = np.poly(np.array(cfg.poles, dtype=complex))
-    prod = np.polymul(zero_poly, pole_poly)
+    prod = np.convolve(_monic(cfg.zeros), _monic(cfg.poles))
     scale_ref = max(np.max(np.abs(prod)), 1.0)
     if np.max(np.abs(prod - rhs)) > 1e-12 * scale_ref:
         raise AssertionError("cover equation failed the v^2 = q identity")
     return curve
+
+
+def _monic(roots):
+    """prod(x - r) over roots, highest degree first, by the recurrence
+    p -> x p - r p, one root at a time."""
+    p = np.zeros(len(roots) + 1, dtype=complex)
+    p[0] = 1.0
+    for i, r in enumerate(roots, 1):
+        p[1:i + 1] -= r * p[:i]
+    return p
 
 
 def hyperelliptic_model(branch_points) -> CoverCurve:
@@ -130,12 +135,9 @@ class SheetedEval:
         pts = np.asarray(branch_points, dtype=complex)
         self.branch_points = pts
         self.pairs = tuple((int(i), int(j)) for i, j in pairs)
-        self.mids = np.array(
-            [(pts[i] + pts[j]) / 2.0 for i, j in self.pairs], dtype=complex
-        )
-        self.halves = np.array(
-            [(pts[j] - pts[i]) / 2.0 for i, j in self.pairs], dtype=complex
-        )
+        a, b = pts[np.array(self.pairs)].T
+        self.mids = (a + b) / 2.0
+        self.halves = (b - a) / 2.0
 
     def y(self, x, sheet=1):
         return sheet * kernels.eval_sheet1(x, self.mids, self.halves)

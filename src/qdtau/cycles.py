@@ -4,7 +4,7 @@ Branch points, always an even number of them, are joined pairwise by
 straight cuts C_0, C_1, ..., ordered by midpoint; gap k joins the head
 of cut k to the tail of cut k + 1.  Around every cut and every gap lies
 a stadium-shaped loop: two circular caps joined by tangent segments.
-Caps stay inside each spine's clearance (`build_cycles`), so a cut loop
+Caps stay inside each spine's clearance (`_assemble`), so a cut loop
 crosses no cut and its lift lies on sheet +1, while gap loop G_k
 crosses cuts k and k + 1 once each.  The chain C_0 G_0 C_1 G_1 ... then
 fixes every intersection number from the order of those two crossings,
@@ -13,12 +13,18 @@ points: <C_k, G_k> = -e_k and <C_{k+1}, G_k> = e_k, where e_k = -1 when
 G_k's lift crosses cut k first, which is when cut k crosses the
 stadium's first side (`PeriodEngine.sigma`), and +1 otherwise; every
 other pair meets at 0 once no two gap spines cross.  The alpha/beta
-basis comes out as integer combinations of the loops, verified against
-the standard symplectic form exactly.  No stadium is drawn to build
-it; a loop's is drawn when a contour first needs it.
-`build_cycles_robust` tries three pairings, each once, prefers the
-first whose spines keep clear of foreign branch points, and records why
-it passed over the others.
+basis comes out in closed form as integer combinations of the loops,
+alpha_i = C_{i+1} and beta_i = e_0 G_0 + ... + e_i G_i, verified
+against the standard symplectic form exactly.  No stadium is drawn to
+build it; a loop's is drawn when a contour first needs it.
+
+A pairing is built in two steps: a screen from its spines alone (the
+cut order, the crossing tests, each spine's clearance and each loop's
+Bernstein parameter rho), then the assembly of what passed (caps, e_k,
+the basis, the loops).  `build_cycles_robust` measures the points'
+distances once, screens three pairings, each once, in turn, assembles
+only the first whose every rho reaches SPINE_RHO_MIN (or, failing
+that, the first to pass), and records why it passed over the others.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,7 +131,7 @@ class Loop:
         along the loop, where it starts on sheet +1 and flips at every
         crossing: none on a cut loop, and on gap loop k one of cut k and
         one of cut k + 1, cut k first when e_k = -1, else GeometryError.
-        No other cut is in reach (`build_cycles`)."""
+        No other cut is in reach (`_assemble`)."""
         k = self.index
         cr = sorted((pi, s, ci) for ci, cut in enumerate(self.cuts, k)
                     for pi, piece in enumerate(self.pieces)
@@ -241,14 +248,15 @@ class CycleSystem:
     combination of per-loop periods.  pairs and gap_ends hold the
     branch-point indices at the ends of each cut and gap spine.  sigmas
     holds each loop's orientation factor (`PeriodEngine.sigma`):
-    -1 on a cut loop, e_k on gap loop k.  rejected holds the pairings
-    `build_cycles_robust` passed over, in the order tried, each with
-    its spine_rho() if that fell below SPINE_RHO_MIN, else the text of
-    its GeometryError.
+    -1 on a cut loop, e_k on gap loop k.  rhos, each loop's worst
+    Bernstein parameter, comes from the screen (`spine_rhos`).  rejected
+    holds the pairings `build_cycles_robust` passed over, in the order
+    tried, each with its spine_rho() if that fell below SPINE_RHO_MIN,
+    else the text of its GeometryError.
     """
 
     def __init__(self, curve, evaluator, loops, alpha_mat, beta_mat,
-                 pairs, gap_ends, sigmas):
+                 pairs, gap_ends, sigmas, rhos):
         self.curve = curve
         self.evaluator = evaluator
         self.loops = loops
@@ -257,6 +265,7 @@ class CycleSystem:
         self.pairs = pairs
         self.gap_ends = gap_ends
         self.sigmas = sigmas
+        self._rhos = rhos
         self.rejected = []
         self.genus = alpha_mat.shape[0]
 
@@ -267,22 +276,15 @@ class CycleSystem:
         raise KeyError((kind, index))
 
     def spine_rhos(self):
-        """Per loop, the worst Bernstein parameter
-        rho = |u + sqrt(u-1) sqrt(u+1)| (the root of modulus >= 1) of
-        any foreign branch point in the loop's spine coordinate
-        u = (z - mid) / half, in one broadcast; loops are the cuts, then
-        the gaps, as are pairs + gap_ends."""
-        pts = np.asarray(self.curve.branch_points)
-        ends = np.array(self.pairs + self.gap_ends)[:, :, None]
-        a, b = pts[ends[:, 0]], pts[ends[:, 1]]
-        u = (2.0 * pts - (a + b)) / (b - a)
-        rho = np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))
-        own = (np.arange(len(pts)) == ends).any(axis=1)
-        return np.where(own, np.inf, np.maximum(rho, 1.0 / rho)).min(axis=1)
+        """Per loop, the worst Bernstein parameter of any foreign branch
+        point in the loop's spine coordinate, as the pairing's screen
+        measured it (`Screen`); loops are the cuts, then the gaps, as
+        are pairs + gap_ends."""
+        return self._rhos
 
     def spine_rho(self):
         """The worst spine_rhos() over every loop."""
-        return float(self.spine_rhos().min())
+        return float(self._rhos.min())
 
 
 def _seg_dist(p, a, b):
@@ -347,63 +349,69 @@ def _chain_intersections(e):
     return inter - inter.T
 
 
-def _symplectic_basis(inter, ncuts, g):
-    """(alpha_mat, beta_mat) of the lifted loops, certified by their
-    exact intersection numbers inter."""
-    # normalize signs along the chain C1 G1 C2 G2 ... so consecutive
-    # pairs intersect at +1; loop k is cut k, loop ncuts + k gap k
-    chain = [i for k in range(ncuts) for i in (k, ncuts + k)][:-1]
-    signs = np.zeros(len(inter), dtype=int)
-    signs[0] = 1
-    for a, b in zip(chain, chain[1:]):
-        signs[b] = signs[a] * inter[a, b]
-
-    # basis as integer loop combinations
-    alpha_mat = np.zeros((g, len(inter)), dtype=int)
-    beta_mat = np.zeros((g, len(inter)), dtype=int)
-    for i in range(g):
-        alpha_mat[i, i + 1] = signs[i + 1]
-        beta_mat[i, ncuts:ncuts + i + 1] = -signs[ncuts:ncuts + i + 1]
+def _symplectic_basis(e):
+    """(alpha_mat, beta_mat) of the lifted loops, cuts then gaps, from
+    each gap's e_k, certified by the chain's exact intersection numbers.
+    Signed along the chain C_0 G_0 C_1 G_1 ... so that consecutive loops
+    meet at +1, every cut keeps its sign and gap k takes -e_k: alpha_i
+    is cut i + 1, and beta_i is -(the signed gaps 0..i), e_0..e_i."""
+    g = len(e)
+    basis = np.zeros((2 * g, 2 * g + 1), dtype=int)
+    basis[:g, 1:g + 1] = np.eye(g, dtype=int)
+    basis[g:, g + 1:] = np.tril(e)
 
     # exact symplectic verification of the assembled basis
-    big = np.vstack([alpha_mat, beta_mat])
-    gram = big @ inter @ big.T
+    gram = basis @ _chain_intersections(e) @ basis.T
     if not np.array_equal(gram, standard_j(g)):
         raise GeometryError(
             f"assembled basis is not symplectic; intersection gram:\n{gram}")
-    return alpha_mat, beta_mat
+    return basis[:g], basis[g:]
 
 
-def build_cycles(curve: CoverCurve, pairing=None) -> CycleSystem:
-    """Cycle system of the pairing (the sorted one if None).
+class Screen(NamedTuple):
+    """One pairing as `_screen` passes it, before any cap is drawn: its
+    cuts, oriented and ordered, its gaps, every spine's ends (cuts,
+    then gaps), clearance and rho (`CycleSystem.spine_rhos`)."""
 
-    The pairing alone fixes the cuts, the gaps and each spine's
-    clearance: its distance from every foreign branch point and every
-    cut but a cut loop's own and gap k's neighbours k and k + 1.  A
-    cut the spine does not cross is nearest it at an end of one of the
-    two, and the cut's ends are foreign points, so only the spine's
-    ends are measured against it.  Crossing cuts, a spine without
-    clearance and crossing gap spines raise GeometryError, all from one
-    broadcast crossing test, before any cap is drawn.
+    pairs: list
+    gap_ends: list
+    ends: np.ndarray
+    clear: np.ndarray
+    rhos: np.ndarray
 
-    Caps are at most 0.45 of their spine's clearance, and a stadium
-    lies in the convex hull of its cap discs, so within max(ra, rb) of
-    its spine, short of the clearance.  So no stadium encloses a
-    foreign branch point, a cut loop crosses no cut, and gap loop k
-    crosses cuts k and k + 1 alone, each once, as one end of each lies
-    inside it; loops that are not chain neighbours meet at 0, since an
-    arc of one inside the other keeps its sheet and its two crossings
-    cancel.  By the same bound e_k = -1 exactly where cut k crosses gap
-    k's first side (`PeriodEngine.sigma()`): one broadcast crossing
-    test reads e_k off for every gap, and no stadium is drawn."""
-    pts = list(curve.branch_points)
-    pairs = _default_pairing(pts) if pairing is None else [tuple(p) for p in pairing]
-    if (sorted(i for p in pairs for i in p) != list(range(len(pts)))
+
+def _distances(z):
+    """The points' distance matrix.  hypot rounds as abs() of a Python
+    complex; np.abs would move caps."""
+    diff = np.subtract.outer(z, z)
+    return np.hypot(diff.real, diff.imag)
+
+
+def _screen(z, dist, pairing):
+    """Screen the pairing of the points z, whose distance matrix is
+    dist, from its spines alone.
+
+    The pairing fixes the cuts, the gaps and each spine's clearance:
+    its distance from every foreign branch point and every cut but a
+    cut loop's own and gap k's neighbours k and k + 1.  A cut the spine
+    does not cross is nearest it at an end of one of the two, and the
+    cut's ends are foreign points, so only the spine's ends are
+    measured against it; that distance is an entry of the points'
+    distances to every spine, so one pass gives both.  Crossing cuts, a
+    spine without clearance and crossing gap spines raise
+    GeometryError, all from one broadcast crossing test.  Each loop's
+    rho is |u + sqrt(u-1) sqrt(u+1)| (the root of modulus >= 1) at the
+    worst foreign branch point in its spine coordinate
+    u = (z - mid) / half."""
+    pairs = [tuple(p) for p in pairing]
+    if (sorted(i for p in pairs for i in p) != list(range(len(z)))
             or any(len(p) != 2 for p in pairs)):
         raise ValueError("pairing must partition the branch points into pairs")
 
     # orient each cut by lexicographic endpoint order, then order cuts
     # by midpoint so gaps connect consecutive cuts
+    pts = z.tolist()
+
     def lex(i):
         return (pts[i].real, pts[i].imag)
 
@@ -416,34 +424,56 @@ def build_cycles(curve: CoverCurve, pairing=None) -> CycleSystem:
     gap_ends = [(pairs[k][1], pairs[k + 1][0]) for k in range(ncuts - 1)]
 
     # every spine (cuts, then gaps) against every other
-    z = np.array(pts)
     ends = np.array(pairs + gap_ends)
     crossing = _spine_crossings(z[ends[:, 0]], z[ends[:, 1]])
     for i, j in zip(*np.nonzero(crossing[:ncuts, :ncuts])):
         if i < j:
             raise GeometryError(f"cuts {i} and {j} intersect")
 
-    # hypot rounds as abs() of a Python complex; np.abs would move caps
-    diff = np.subtract.outer(z, z)
-    dist = np.hypot(diff.real, diff.imag)
-    nearest = np.where(dist > 0, dist, np.inf).min(axis=1)
-
     # clearance of every spine; spine s may cross cuts lo[s]..hi[s],
     # and a cut crossing another was rejected above
+    a, b = z[ends[:, :1]], z[ends[:, 1:]]
     own = (np.arange(len(z)) == ends[:, :, None]).any(axis=1)
-    foreign = np.where(own, np.inf, _seg_dist(z, z[ends[:, :1]], z[ends[:, 1:]]))
+    to_spines = _seg_dist(z, a, b)
     lo = np.arange(len(ends)) % ncuts
     hi = lo + (np.arange(len(ends)) >= ncuts)
     crossable = (lo[:, None] <= np.arange(ncuts)) & (np.arange(ncuts) <= hi[:, None])
-    to_cuts = _seg_dist(z[ends][:, :, None], z[ends[:ncuts, 0]], z[ends[:ncuts, 1]])
-    clear = np.minimum(foreign.min(axis=1),
-                       np.where(crossable, np.inf, to_cuts.min(axis=1)).min(axis=1))
+    to_cuts = to_spines[:ncuts, ends].min(axis=2).T
+    clear = np.minimum(np.where(own, np.inf, to_spines).min(axis=1),
+                       np.where(crossable, np.inf, to_cuts).min(axis=1))
     if ((clear < 1e-9 * dist.max()).any()
             or (crossing[ncuts:, :ncuts] & ~crossable[ncuts:]).any()):
         raise GeometryError("spine has no clearance from foreign cuts")
     if crossing[ncuts:, ncuts:].any():
         raise GeometryError("gap spines cross")
-    clamps = 0.45 * clear
+
+    u = (2.0 * z - (a + b)) / (b - a)
+    rho = np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))
+    rhos = np.where(own, np.inf, np.maximum(rho, 1.0 / rho)).min(axis=1)
+    return Screen(pairs, gap_ends, ends, clear, rhos)
+
+
+def _assemble(curve, z, dist, screen):
+    """The cycle system of a screened pairing.
+
+    Caps are at most 0.45 of their spine's clearance, and a stadium
+    lies in the convex hull of its cap discs, so within max(ra, rb) of
+    its spine, short of the clearance.  So no stadium encloses a
+    foreign branch point, a cut loop crosses no cut, and gap loop k
+    crosses cuts k and k + 1 alone, each once, as one end of each lies
+    inside it; loops that are not chain neighbours meet at 0, since an
+    arc of one inside the other keeps its sheet and its two crossings
+    cancel.  By the same bound e_k = -1 exactly where cut k crosses gap
+    k's first side (`PeriodEngine.sigma()`): one broadcast crossing
+    test reads e_k off for every gap, and no stadium is drawn.  A gap's
+    caps are at most 0.8 * 0.3 of its length, the distance between the
+    points it joins, so its first side exists, and the chain's basis is
+    symplectic for every e_k: no screened pairing fails here."""
+    pts = z.tolist()
+    pairs, gap_ends, ends = screen.pairs, screen.gap_ends, screen.ends
+    ncuts = len(pairs)
+    nearest = np.where(dist > 0, dist, np.inf).min(axis=1)
+    clamps = 0.45 * screen.clear
 
     # each cap at its point's radius, a gap's at GAP_CAP_SHRINK of the
     # cut cap it shares, none above its spine's clamp
@@ -469,39 +499,53 @@ def build_cycles(curve: CoverCurve, pairing=None) -> CycleSystem:
     loops = [Loop("cut", k, caps[k]) for k in range(ncuts)]
     loops += [Loop("gap", k, caps[ncuts + k], tuple(cuts[k:k + 2]), e_k)
               for k, e_k in enumerate(e.tolist())]
-    alpha_mat, beta_mat = _symplectic_basis(_chain_intersections(e), ncuts,
-                                            curve.genus)
+    alpha_mat, beta_mat = _symplectic_basis(e)
     sigmas = np.concatenate([np.full(ncuts, -1), e])
     return CycleSystem(curve, SheetedEval(pts, pairs), loops, alpha_mat,
-                       beta_mat, pairs, gap_ends, sigmas)
+                       beta_mat, pairs, gap_ends, sigmas, screen.rhos)
+
+
+def build_cycles(curve: CoverCurve, pairing=None) -> CycleSystem:
+    """Cycle system of the pairing (the sorted one if None): its
+    screen (`_screen`), then its assembly (`_assemble`)."""
+    z = np.array(curve.branch_points)
+    if pairing is None:
+        pairing = _default_pairing(list(curve.branch_points))
+    dist = _distances(z)
+    return _assemble(curve, z, dist, _screen(z, dist, pairing))
 
 
 def build_cycles_robust(curve: CoverCurve, pairing=None) -> CycleSystem:
-    """build_cycles of a given pairing, else of the greedy, sorted and
-    sweep pairings in turn, each distinct pairing once.  The first
-    built with spine_rho() at least SPINE_RHO_MIN, whose spines the
-    Gauss-Jacobi ladder can settle, is returned, else the first built;
-    its `rejected` lists the others."""
+    """build_cycles of a given pairing, else a choice among the greedy,
+    sorted and sweep pairings.  The points' distances are computed once,
+    and each distinct pairing is screened once, in turn, until one
+    passes with every rho at least SPINE_RHO_MIN, so that the
+    Gauss-Jacobi ladder can settle its spines; only the pairing chosen,
+    that one or else the first that passed, is assembled.  Its
+    `rejected` lists the others."""
     if pairing is not None:
         return build_cycles(curve, pairing)
     pts = list(curve.branch_points)
+    z = np.array(pts)
+    dist = _distances(z)
     found = (s(pts) for s in (_greedy_pairing, _default_pairing, _sweep_pairing))
     tried = []
     for cand in {frozenset(map(frozenset, prs)): prs for prs in found}.values():
         try:
-            cyc = build_cycles(curve, cand)
+            screen = _screen(z, dist, cand)
         except GeometryError as exc:
             tried.append((cand, exc, str(exc)))
             continue
-        rho = cyc.spine_rho()
-        tried.append((cand, cyc, rho))
+        rho = float(screen.rhos.min())
+        tried.append((cand, screen, rho))
         if rho >= SPINE_RHO_MIN:
             break
     else:
-        built = [out for _, out, _ in tried if isinstance(out, CycleSystem)]
-        if not built:
+        passed = [out for _, out, _ in tried if isinstance(out, Screen)]
+        if not passed:
             raise tried[-1][1]
-        cyc = built[0]
+        screen = passed[0]
+    cyc = _assemble(curve, z, dist, screen)
     cyc.rejected = [(sorted(map(sorted, cand)), why)
-                    for cand, out, why in tried if out is not cyc]
+                    for cand, out, why in tried if out is not screen]
     return cyc

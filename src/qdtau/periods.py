@@ -156,23 +156,26 @@ class PeriodEngine:
         self.ev = cycles.evaluator
         self.tol = tol
         self._scale = max(abs(b) for b in self.curve.branch_points) + 1.0
-        self.first_rungs = [first_rung(rho, tol)
-                            for rho in cycles.spine_rhos()]
+        self.first_rungs = first_rung(cycles.spine_rhos(), tol).tolist()
         self._points = np.asarray(self.curve.branch_points, dtype=complex)
         self._degree = 2 * self.curve.genus
-        ends = np.array([(cycles.pairs if lp.kind == "cut"
-                          else cycles.gap_ends)[lp.index]
-                         for lp in cycles.loops])
-        a, b = self._points[ends].T
+        # loops are the cuts, then the gaps
+        ncuts = len(cycles.pairs)
+        a, b = self._points[np.array(cycles.pairs + cycles.gap_ends)].T
         self._mids, self._halves = (a + b) / 2.0, (b - a) / 2.0
         # each loop's cut index, -1 for a gap loop
-        self._cut_of = np.array([lp.index if lp.kind == "cut" else -1
-                                 for lp in cycles.loops])
+        self._cut_of = np.concatenate([np.arange(ncuts),
+                                       np.full(len(cycles.gap_ends), -1)])
         self.frame = frame(self._points)
         c, s = self.frame
-        # z's powers, highest first, in every loop's u: [k, i, loop]
-        self._shifts = affine_shift((self._mids - c) / s, self._halves / s,
-                                    self._degree + 1)[::-1]
+        # z's powers in every loop's u and, in the last column, x's in
+        # z, as x = c + s z: [k, i, loop]
+        shifts = affine_shift(np.append((self._mids - c) / s, c),
+                              np.append(self._halves / s, s),
+                              self._degree + 1)
+        # z's powers, highest first, in every loop's u
+        self._shifts = shifts[::-1, :, :-1]
+        self._frame_shift = np.ascontiguousarray(shifts[..., -1])
         self._splits = {}
         self._tables = {}
         self._weights = {}
@@ -403,10 +406,11 @@ class PeriodEngine:
     def frame_poly(self, coeffs):
         """The frame coefficients (module docstring) of the polynomial
         with coefficients ``coeffs`` in x, highest degree first (rows of
-        a stack allowed), of degree at most 2g: x = c + s z."""
+        a stack allowed), of degree at most 2g: x = c + s z, through
+        the shift of x's powers to z's that the engine builds with its
+        loops' shifts, once."""
         p = np.asarray(coeffs, dtype=complex)[..., ::-1]
-        shift = affine_shift(*self.frame, self._degree + 1)
-        return (p @ shift[:p.shape[-1]])[..., ::-1]
+        return (p @ self._frame_shift[:p.shape[-1]])[..., ::-1]
 
     def power_map(self):
         """P, shape (2g + 1, loops): column i is `loop_period(i)`.

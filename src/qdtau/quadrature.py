@@ -25,6 +25,7 @@ Two regimes:
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -79,14 +80,36 @@ def jacobi_rule(n: int, alpha: float, beta: float):
     raise ValueError(f"unsupported Jacobi exponents {key}")
 
 
-def first_rung(rho: float, tol: float) -> int:
+def first_rung(rho, tol: float):
     """Index of the SPINE_SIZES rung a ladder starts from: the one
     before the first size n with rho^(-2n) <= tol, since an n-point rule
     errs like rho^(-2n) on a spine whose integrand is analytic inside
     the Bernstein ellipse of parameter rho; the top two rungs when no
-    size meets tol."""
-    fits = [k for k, n in enumerate(SPINE_SIZES) if rho ** (-2.0 * n) <= tol]
-    return max(fits[0] - 1, 0) if fits else len(SPINE_SIZES) - 2
+    size meets tol.  rho (>= 1) may be an array, one rung per entry;
+    every size is tested at once against its least fitting rho
+    (`_fitting_rhos`)."""
+    fits = np.asarray(rho)[..., None] >= _fitting_rhos(tol)
+    k = np.where(fits.any(axis=-1), np.maximum(fits.argmax(axis=-1) - 1, 0),
+                 len(SPINE_SIZES) - 2)
+    return int(k) if k.ndim == 0 else k
+
+
+@lru_cache(maxsize=None)
+def _fitting_rhos(tol):
+    """Per SPINE_SIZES size n, the least float rho with
+    rho ** (-2n) <= tol in Python's pow, from tol^(-1/2n) by single
+    steps.  Past 1, the next float moves rho^(-2n) by at least 12 of
+    its units in the last place, so pow falls strictly and a rho fits
+    exactly when it is at least this one."""
+    out = []
+    for n in SPINE_SIZES:
+        r = tol ** (-0.5 / n)
+        while r ** (-2.0 * n) <= tol:
+            r = math.nextafter(r, 0.0)
+        while r ** (-2.0 * n) > tol:
+            r = math.nextafter(r, math.inf)
+        out.append(r)
+    return np.array(out)
 
 
 # the nodes a lockstep ladder hands its integrand: each node with the

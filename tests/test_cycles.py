@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdtau import cycles, tau
+from qdtau.cover_homology import standard_j
 from qdtau.curves import QDConfigG0, SheetedEval, build_cover
 from qdtau.periods import PeriodEngine
 from qdtau.cycles import (
@@ -226,6 +227,43 @@ def _segments_cross(p, q):
                                         np.array([p.b, q.b]))[0, 1])
 
 
+def oracle_symplectic_basis(inter, ncuts, g):
+    """(alpha_mat, beta_mat) of the lifted loops, cuts then gaps, from
+    any intersection matrix inter: signs normalized along the chain
+    C_0 G_0 C_1 G_1 ... so that consecutive loops meet at +1, alpha_i
+    the signed cut i + 1, beta_i minus the signed gaps 0..i, and the
+    Gram matrix checked against the standard form exactly."""
+    chain = [i for k in range(ncuts) for i in (k, ncuts + k)][:-1]
+    signs = np.zeros(len(inter), dtype=int)
+    signs[0] = 1
+    for a, b in zip(chain, chain[1:]):
+        signs[b] = signs[a] * inter[a, b]
+    alpha_mat = np.zeros((g, len(inter)), dtype=int)
+    beta_mat = np.zeros((g, len(inter)), dtype=int)
+    for i in range(g):
+        alpha_mat[i, i + 1] = signs[i + 1]
+        beta_mat[i, ncuts:ncuts + i + 1] = -signs[ncuts:ncuts + i + 1]
+    big = np.vstack([alpha_mat, beta_mat])
+    gram = big @ inter @ big.T
+    if not np.array_equal(gram, standard_j(g)):
+        raise GeometryError(
+            f"assembled basis is not symplectic; intersection gram:\n{gram}")
+    return alpha_mat, beta_mat
+
+
+def oracle_rhos(curve, ends):
+    """Per spine (i, j) of ends, the worst Bernstein parameter
+    |u + sqrt(u-1) sqrt(u+1)| of a foreign branch point in its
+    coordinate u = (z - mid) / half, recomputed from the points."""
+    pts = np.asarray(curve.branch_points)
+    ends = np.array(ends)[:, :, None]
+    a, b = pts[ends[:, 0]], pts[ends[:, 1]]
+    u = (2.0 * pts - (a + b)) / (b - a)
+    rho = np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))
+    own = (np.arange(len(pts)) == ends).any(axis=1)
+    return np.where(own, np.inf, np.maximum(rho, 1.0 / rho)).min(axis=1)
+
+
 def oracle_build(curve, pairing, factor, intersections=pruned_intersections):
     """build_cycles at one cap factor, from full stadiums: the spine
     checks pair by pair, every loop drawn and lifted against every cut,
@@ -277,12 +315,13 @@ def oracle_build(curve, pairing, factor, intersections=pruned_intersections):
         min(cycles.GAP_CAP_SHRINK * cap[e], clamps[ncuts + k]) for e in (i, j))))
               for k, (i, j) in enumerate(gap_ends)]
     all_pairs_lift(loops, cuts)
-    alpha_mat, beta_mat = cycles._symplectic_basis(intersections(loops), ncuts,
-                                                   curve.genus)
+    alpha_mat, beta_mat = oracle_symplectic_basis(intersections(loops), ncuts,
+                                                  curve.genus)
     sigmas = np.array([(-1 if lp.kind == "cut" else 1) * lp.sheet_at(0, 0.5)
                        for lp in loops])
     return cycles.CycleSystem(curve, SheetedEval(pts, pairs), loops, alpha_mat,
-                              beta_mat, pairs, gap_ends, sigmas)
+                              beta_mat, pairs, gap_ends, sigmas,
+                              oracle_rhos(curve, pairs + gap_ends))
 
 
 def candidate_pairings(curve):
@@ -575,9 +614,9 @@ def test_chain_basis_matches_oracle_at_the_accepted_factor(cls, n, seed):
 
 
 def test_robust_ladder_records_what_it_passed_over(monkeypatch):
-    # each pairing tried and not returned, in order, with its rho when
-    # that was too poor, else its error's text
-    attempts = _spy_attempts(monkeypatch)
+    # each pairing screened and not returned, in order, with its rho
+    # when that was too poor, else its error's text
+    attempts = _spy_screens(monkeypatch)
     rng = np.random.default_rng(12)
     reasons = set()
     for cls in ("generic", "clustered", "collinear", "scaled"):
@@ -585,8 +624,10 @@ def test_robust_ladder_records_what_it_passed_over(monkeypatch):
             del attempts[:]
             cyc = build_cycles_robust(build_cover(class_config(rng, cls, n)))
             want = [(sorted(map(sorted, key)),
-                     str(out) if isinstance(out, GeometryError) else out.spine_rho())
-                    for key, out in attempts if out is not cyc]
+                     str(out) if isinstance(out, GeometryError)
+                     else float(out.rhos.min()))
+                    for key, out in attempts
+                    if isinstance(out, GeometryError) or out.pairs != cyc.pairs]
             assert cyc.rejected == want
             for _, why in cyc.rejected:
                 assert isinstance(why, str) or why < SPINE_RHO_MIN
@@ -642,27 +683,28 @@ def test_explicit_pairing_with_poor_rho_is_kept():
     assert 1.0 < cyc.spine_rho() < SPINE_RHO_MIN
 
 
-def _spy_attempts(monkeypatch):
-    """Record (pairing, system built or error) of every attempt."""
+def _spy_screens(monkeypatch):
+    """Record (pairing, its Screen or its GeometryError) of every
+    pairing screened."""
     attempts = []
-    real = cycles.build_cycles
+    real = cycles._screen
 
-    def spy(curve, pairing=None):
+    def spy(z, dist, pairing):
         key = frozenset(frozenset(p) for p in pairing)
         try:
-            out = real(curve, pairing=pairing)
+            out = real(z, dist, pairing)
         except GeometryError as exc:
             attempts.append((key, exc))
             raise
         attempts.append((key, out))
         return out
 
-    monkeypatch.setattr(cycles, "build_cycles", spy)
+    monkeypatch.setattr(cycles, "_screen", spy)
     return attempts
 
 
 def test_crossing_cuts_are_attempted_once(monkeypatch):
-    attempts = _spy_attempts(monkeypatch)
+    attempts = _spy_screens(monkeypatch)
     # the diagonals of a square cross at its centre
     curve = build_cover(QDConfigG0(zeros=[2.0], poles=[1 + 1j, -1 - 1j, 1 - 1j,
                                                        -1 + 1j, 3.0]))
@@ -672,7 +714,7 @@ def test_crossing_cuts_are_attempted_once(monkeypatch):
 
 
 def test_ladder_tries_each_pairing_once_and_ranks_by_rho(monkeypatch):
-    attempts = _spy_attempts(monkeypatch)
+    attempts = _spy_screens(monkeypatch)
     rng = np.random.default_rng(12)
     dropped = rescued = 0
     for cls in ("generic", "clustered", "collinear", "scaled"):
@@ -684,14 +726,64 @@ def test_ladder_tries_each_pairing_once_and_ranks_by_rho(monkeypatch):
                 assert len(set(tried)) == len(tried)
                 dropped += sum(isinstance(out, GeometryError)
                                for _, out in attempts)
-                # the first clear pairing that built, else the first built
+                # the first clear pairing that passed, else the first
+                # that passed
                 built = [out for _, out in attempts
                          if not isinstance(out, GeometryError)]
-                clear = [c for c in built if c.spine_rho() >= SPINE_RHO_MIN]
-                assert cyc is (clear[0] if clear else built[0])
-                assert cyc is built[-1] or not clear
-                rescued += cyc is not built[0]
+                clear = [c for c in built if c.rhos.min() >= SPINE_RHO_MIN]
+                assert cyc.pairs == (clear[0] if clear else built[0]).pairs
+                assert cyc.pairs == built[-1].pairs or not clear
+                rescued += cyc.pairs != built[0].pairs
     assert dropped >= 3 and rescued >= 1
+
+
+def ladder_of_builds(curve):
+    """build_cycles_robust as a ladder of whole builds: build_cycles on
+    each candidate in turn, the first with spine_rho() at least
+    SPINE_RHO_MIN returned, else the first built, with every other
+    candidate recorded by its rho or its error's text."""
+    tried = []
+    for cand in candidate_pairings(curve):
+        try:
+            cyc = build_cycles(curve, pairing=cand)
+        except GeometryError as exc:
+            tried.append((cand, exc, str(exc)))
+            continue
+        tried.append((cand, cyc, cyc.spine_rho()))
+        if cyc.spine_rho() >= SPINE_RHO_MIN:
+            break
+    else:
+        built = [out for _, out, _ in tried if not isinstance(out, GeometryError)]
+        if not built:
+            raise tried[-1][1]
+        cyc = built[0]
+    cyc.rejected = [(sorted(map(sorted, cand)), why)
+                    for cand, out, why in tried if out is not cyc]
+    return cyc
+
+
+def test_screened_ladder_matches_a_ladder_of_whole_builds():
+    # screening the candidates and assembling only the one returned
+    # gives the system, rejections and rhos of building each in full
+    rng = np.random.default_rng(58)
+    rejected = set()
+    for cls in ("generic", "clustered", "collinear", "scaled"):
+        for n in (5, 6, 7, 8):
+            for _ in range(3):
+                curve = build_cover(class_config(rng, cls, n))
+                got, want = build_cycles_robust(curve), ladder_of_builds(curve)
+                assert got.pairs == want.pairs
+                assert [lp.caps for lp in got.loops] == [lp.caps for lp in want.loops]
+                assert np.array_equal(got.sigmas, want.sigmas)
+                assert np.array_equal(got.alpha_mat, want.alpha_mat)
+                assert np.array_equal(got.beta_mat, want.beta_mat)
+                assert got.rejected == want.rejected
+                assert np.array_equal(got.spine_rhos(), want.spine_rhos())
+                assert np.array_equal(got.spine_rhos(),
+                                      oracle_rhos(curve, got.pairs + got.gap_ends))
+                rejected.update(why.split()[0] if isinstance(why, str) else "rho"
+                                for _, why in got.rejected)
+    assert {"rho", "spine", "gap"} <= rejected, rejected
 
 
 def test_build_draws_no_stadium(monkeypatch):

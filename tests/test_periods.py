@@ -651,6 +651,23 @@ def test_first_rungs_follow_the_loop_rho():
             assert not fits[k] and fits[k + 1] or k == 0 and fits[0]
 
 
+def test_frame_poly_is_the_frames_own_shift():
+    # the shift the engine builds with its loops' gives frame_poly bit
+    # for bit the route through affine_shift(*frame, 2g + 1): on REF and
+    # on a genus-5 configuration, one polynomial and stacks of them
+    rng = np.random.default_rng(8)
+    for config in (QDConfigG0(**REF), class_config(rng, "generic", 8)):
+        pe = PeriodEngine(build_cycles_robust(build_cover(config)))
+        size = 2 * pe.curve.genus + 1
+        shift = periods.affine_shift(*pe.frame, size)
+        for coeffs in (np.eye(pe.curve.genus)[::-1], v_numerator(config),
+                       [1.0], rng.normal(size=(3, size))
+                       + 1j * rng.normal(size=(3, size))):
+            p = np.asarray(coeffs, dtype=complex)[..., ::-1]
+            want = (p @ shift[:p.shape[-1]])[..., ::-1]
+            assert np.array_equal(pe.frame_poly(coeffs), want)
+
+
 # The per-loop ladder, kept here as the oracle of the engine's lockstep
 # ladders: each loop's table block by block, each block on its own
 # ladder with its own kernel calls

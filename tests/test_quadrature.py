@@ -183,6 +183,36 @@ def test_first_rung_predicts_a_settling_rung():
     assert starts == sorted(starts, reverse=True)
 
 
+def first_rung_by_pow(rho, tol):
+    """first_rung as a loop over the sizes, each tested in Python's
+    pow."""
+    fits = [k for k, n in enumerate(SPINE_SIZES) if rho ** (-2.0 * n) <= tol]
+    return max(fits[0] - 1, 0) if fits else len(SPINE_SIZES) - 2
+
+
+def test_first_rung_over_an_array_is_the_scalar_calls():
+    # at tol = rho^(-2n) exactly, in Python's pow, rho fits size n and
+    # the float below it does not; rho so near 1 that no size fits takes
+    # the top two rungs.  The edges include those where numpy's
+    # vectorised power rounds rho^(-2n) above Python's, if any
+    near_one = [1.0, math.nextafter(1.0, 2.0), 1.0 + 1e-9, math.inf]
+    scan = 1.0 + np.random.default_rng(5).uniform(1e-4, 0.05, 4000)
+    vectorised = scan[:, None] ** (-2.0 * np.array(SPINE_SIZES))
+    above = [(rho, n) for rho, row in zip(scan.tolist(), vectorised.tolist())
+             for n, v in zip(SPINE_SIZES, row) if v > rho ** (-2.0 * n)]
+    cases = [(1.05, 356), (1.0166, 2440), (1.3, 12)] + above[:40]
+    for rho, n in cases:
+        tol = rho ** (-2.0 * n)
+        rhos = near_one + [rho, math.nextafter(rho, 0.0),
+                           math.nextafter(rho, math.inf), 1.02, 3.0]
+        want = [first_rung_by_pow(r, tol) for r in rhos]
+        assert first_rung(np.array(rhos), tol).tolist() == want, (rho, n)
+        assert [first_rung(r, tol) for r in rhos] == want, (rho, n)
+        k = SPINE_SIZES.index(n)
+        assert want[4:6] == [max(k - 1, 0), min(k, len(SPINE_SIZES) - 2)]
+        assert want[:4] == [len(SPINE_SIZES) - 2] * 3 + [0]
+
+
 def test_spine_integral_raises_on_interior_pole():
     with pytest.raises(QuadratureError):
         spine_integral(lambda t: 1.0 / (t - 0.3), -0.5, -0.5, tol=1e-12)

@@ -67,40 +67,42 @@ def _definitions(tree):
 
 def unreferenced(sources):
     """Definitions in sources ({module: text}) that no code in sources
-    names outside the definition itself.  A name counts where it is
-    loaded, taken as an attribute or imported; comments and strings do
-    not.  Matching is by name alone, so a method that shares its name
-    with a variable elsewhere (``CoverCurve.rhs``) passes."""
+    names outside the definition itself.  A method counts only where
+    it is taken as an attribute (``obj.m``), so a variable of its name
+    does not keep it; a module-level name counts where it is loaded,
+    taken as an attribute or imported.  Comments and strings do not
+    count."""
     trees = {mod: ast.parse(text) for mod, text in sources.items()}
-    uses = {}
+    attributes, names = {}, {}
     for mod, tree in trees.items():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
+            if isinstance(node, ast.Attribute):
+                attributes.setdefault(node.attr, []).append((mod, node.lineno))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.setdefault(node.id, []).append((mod, node.lineno))
             elif isinstance(node, ast.alias):
-                name = node.name
-            else:
-                continue
-            uses.setdefault(name, []).append((mod, node.lineno))
+                names.setdefault(node.name, []).append((mod, node.lineno))
     return [f"{mod}.{qual}" for mod, tree in trees.items()
             for qual, name, node in _definitions(tree)
             if all(m == mod and node.lineno <= line <= node.end_lineno
-                   for m, line in uses.get(name, []))]
+                   for m, line in attributes.get(name, [])
+                   + ([] if "." in qual else names.get(name, [])))]
 
 
 def test_scan_flags_an_unreferenced_definition():
     sources = {
         "a": ("X = 1\n\ndef used():\n    return X\n\n"
               "class K:\n    def m(self):\n        return self.m()\n"
-              "    def n(self):\n        pass\n\n"
+              "    def n(self):\n        pass\n"
+              "    def rhs(self):\n        pass\n\n"
               "# dead is named in this comment\n"
               "def dead():\n    '''and in dead's docstring'''\n"
               "    return dead, 'dead'\n"),
-        "b": "from .a import used\nused()\nK().n()\n",
+        "b": ("from .a import used\nused()\nK().n()\n"
+              "def f(x):\n    rhs = x + 1\n    return rhs\n\nf(1)\n"),
     }
-    assert unreferenced(sources) == ["a.K.m", "a.dead"]
+    # K.rhs is named only by f's local variable
+    assert unreferenced(sources) == ["a.K.m", "a.K.rhs", "a.dead"]
 
 
 def test_every_definition_in_src_is_named_elsewhere_in_src():
