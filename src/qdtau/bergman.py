@@ -34,6 +34,8 @@ shares one broadcast of d between t and S_v.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from .cover_homology import transform_basis
@@ -79,15 +81,23 @@ class BergmanEvaluator:
         g = self.curve.genus
         if g < 1:
             raise ValueError("the kernel correction needs positive genus")
-        self.N, self.omega = engine.normalized_basis(alpha_mat, beta_mat)
-        self.alpha_mat = engine.cycles.alpha_mat if alpha_mat is None else alpha_mat
-        # balanced split R = P1 * P2
+        self._basis(alpha_mat, beta_mat)
+        # balanced split R = P1 * P2; it and K depend on the branch
+        # points only, so a transformed evaluator shares them
         self.branch_points = np.array(self.curve.branch_points, dtype=complex)
         pts = self.branch_points
         order = sorted(range(len(pts)), key=lambda i: (pts[i].real, pts[i].imag))
         self.p1_rows, self.p2_rows = np.array(order[0::2]), np.array(order[1::2])
         self._p1 = np.poly(pts[self.p1_rows])
         self._p2 = np.poly(pts[self.p2_rows])
+        self._K = None
+
+    def _basis(self, alpha_mat, beta_mat):
+        """Take the cycle basis: its normalized basis and period matrix,
+        with the correction still to compute."""
+        self.N, self.omega = self.pe.normalized_basis(alpha_mat, beta_mat)
+        self.alpha_mat = (self.pe.cycles.alpha_mat if alpha_mat is None
+                          else alpha_mat)
         self._C = None
         self._quad = None
         self.correction_defect = None
@@ -114,11 +124,14 @@ class BergmanEvaluator:
                 @ self.alpha_mat.T)
 
     def kernel_coefficients(self):
-        """K[a, b], P's coefficient of x^a w^b (module docstring)."""
-        rdd = divided_difference(np.polymul(self._p1, self._p2))
-        return (rdd[:-1, 1:] * np.arange(1, rdd.shape[1])
-                - bivariate_product(divided_difference(self._p1),
-                                    divided_difference(self._p2)))
+        """K[a, b], P's coefficient of x^a w^b (module docstring), built
+        once."""
+        if self._K is None:
+            rdd = divided_difference(np.polymul(self._p1, self._p2))
+            self._K = (rdd[:-1, 1:] * np.arange(1, rdd.shape[1])
+                       - bivariate_product(divided_difference(self._p1),
+                                           divided_difference(self._p2)))
+        return self._K
 
     def correction(self):
         """The symmetric coefficient matrix C that kills every alpha
@@ -197,7 +210,11 @@ class BergmanEvaluator:
     def transformed(self, sigma):
         """Evaluator for the symplectically transformed cycle basis
         (sigma acts as alpha' = D alpha + C beta, beta' = B alpha +
-        A beta); reuses the engine's power map."""
+        A beta); reuses the engine's power map, and this evaluator's
+        split and K."""
         am2, bm2 = transform_basis(sigma, self.alpha_mat,
                                    self.pe.cycles.beta_mat)
-        return BergmanEvaluator(self.pe, alpha_mat=am2, beta_mat=bm2)
+        self.kernel_coefficients()
+        moved = copy.copy(self)
+        moved._basis(am2, bm2)
+        return moved

@@ -24,21 +24,25 @@ depends on a form.
 
 Each block is one stacked Gauss-Jacobi spine ladder with the
 inverse-square-root endpoint weight, from the rung the loop's worst
-Bernstein parameter predicts (`quadrature.first_rung`); the two blocks
-share the sheet weight yhat at every rung they both reach.  Every
-loop's ladder of one block kind climbs in lockstep with the others
-(`spine_integral` with one first rung per loop), each at its own rung
-and by its own acceptance test, so a ladder step weighs the nodes of
-every loop still climbing that no earlier ladder weighed with one
-`kernels.eval_sheet1` call for the gap loops and one
-`kernels.eval_oncut` call for the cut loops, and each block is bit for
-bit what its loop's own ladder gives.  A loop
+Bernstein parameter predicts (`quadrature.first_rung`).  Every block
+an engine lacks climbs in one lockstep `spine_integral` call, each
+ladder at its own rung and by its own acceptance test; a loop's two
+ladders start from one rung, so a step weighs each loop's nodes once:
+one `kernels.eval_sheet1` call for the gap loops and one
+`kernels.eval_oncut` call for the cut loops.  Each ladder's rule sums
+are products over its own nodes, the sheet weights times the rule's
+moments (`quadrature.jacobi_moments`) for the powers block and the
+far-pole rows times the weighted sheet weights for the far-pole block,
+so each block is bit for bit what its loop's own ladder gives.  An
+engine asked for L first (`tau.TauConnection` is) builds both blocks
+in that one call; a bare engine builds the powers blocks only.  A loop
 period is twice that spine integral times the loop's orientation sign,
 which is read off the lift (`PeriodEngine.sigma`) without any
 quadrature.  The ladder reaches 2,440 points, which settles every loop
 of the collision families' rows down to d = 3.9e-4; a loop where
 either block's ladder still does not settle (a foreign branch point
-closer yet) integrates both blocks on one stacked stadium contour.
+closer yet) integrates both blocks on one stacked stadium contour, and
+keeps for P a powers block that settled.
 
 Tables and both maps are cached, so every cycle period, including
 those of a transformed basis, is an integer combination of cached
@@ -53,7 +57,8 @@ import numpy as np
 
 from .curves import build_cover
 from .cycles import CycleSystem, GeometryError, build_cycles_robust
-from .quadrature import adaptive_line, first_rung, spine_integral
+from .quadrature import (adaptive_line, first_rung, jacobi_moments,
+                         spine_integral)
 
 
 def affine_shift(a, b, n):
@@ -178,8 +183,9 @@ class PeriodEngine:
         self._frame_shift = np.ascontiguousarray(shifts[..., -1])
         self._splits = {}
         self._tables = {}
-        self._weights = {}
         self._failed = set()
+        # per loop, the powers block its column of P reads
+        self._powers = {}
         self._defects = {}
         self._settled = {}
         self._norm = None
@@ -261,10 +267,11 @@ class PeriodEngine:
     def loop_period(self, loop_idx: int):
         """The loop's column of the power map: its periods of
         z^k dx/yhat, k = 2g, ..., 0, the frame's powers shifted to u
-        times its table's powers block."""
-        rows = self._degree + 1
-        return self._shifts[..., loop_idx] @ self.moment_table(
-            loop_idx, rows)[:rows]
+        times its powers block: the spine block its ladder settled on,
+        kept where a far-pole ladder's failure gave the loop its contour
+        table, else the contour's."""
+        self.moment_table(loop_idx, self._degree + 1)
+        return self._shifts[..., loop_idx] @ self._powers[loop_idx]
 
     @property
     def fallback_loops(self):
@@ -289,110 +296,115 @@ class PeriodEngine:
 
     def moment_table(self, loop_idx, rows):
         """The loop's moment table (module docstring), at least its
-        first ``rows`` rows: each block from one stacked spine ladder,
-        the far-pole block only when asked for; once a ladder fails,
-        the whole table from one stacked stadium contour, for good."""
+        first ``rows`` rows: each block from its own spine ladder, the
+        far-pole block only when asked for; once a ladder fails, the
+        whole table from one stacked stadium contour, for good."""
         self._tabulate([loop_idx], poles=rows > self._degree + 1)
         return self._tables[loop_idx]
 
     def _tabulate(self, loops, poles=False):
         """Build the loops' tables through the powers block, or with
-        ``poles`` through the far-pole block: each block kind from one
-        lockstep ladder over every loop that lacks it."""
+        ``poles`` through the far-pole block: every block they lack in
+        one lockstep `_spine_blocks` call."""
         rows = self._degree + 1
-        need = [i for i in loops if i not in self._tables]
-        if need:
-            self._spine_blocks(need, False)
-        if poles:
-            need = [i for i in loops
-                    if len(self._tables[i]) == rows
-                    and len(self.loop_split(i)[1])]
-            if need:
-                self._spine_blocks(need, True)
+        blocks = []
+        for i in loops:
+            if i not in self._tables:
+                blocks.append((i, False))
+            if (poles and len(self._tables.get(i, ())) <= rows
+                    and len(self.loop_split(i)[1])):
+                blocks.append((i, True))
+        if blocks:
+            self._spine_blocks(blocks)
 
-    def _spine_blocks(self, loops, poles):
-        """Append to each loop's table its powers block, or with
-        ``poles`` its far-pole block: twice the stacked spine integral,
-        from the loop's first rung, times sigma.  The loops' ladders
-        climb in lockstep (`spine_integral`).  On a spine u = t, and a
-        cut loop's spine takes yhat's boundary value.  A loop whose
+    def _spine_blocks(self, blocks):
+        """Append each (loop, poles) block to its loop's table, in
+        order: the powers block, or with ``poles`` the far-pole block,
+        each twice its stacked spine integral, from the loop's first
+        rung, times sigma.  Every block is its own ladder, and all of
+        them climb in one lockstep `spine_integral`, whose integrand
+        forms each ladder's rule sums as products over its own nodes:
+        the sheet weights times the rule's moments for the powers
+        block, the rows of `pole_rows` times the rule-weighted sheet
+        weights for the far-pole block.  On a spine u = t, and a cut
+        loop's spine takes yhat's boundary value.  A loop where either
         ladder fails takes its whole table from its stadium contour."""
         rows = self._degree + 1
-        if poles:
-            far = {i: self._points[self.loop_split(i)[1]] for i in loops}
-            nf = max(map(len, far.values()))
+        far = {i: self._points[self.loop_split(i)[1]]
+               for i, poles in blocks if poles}
 
         def g(nodes):
             t, k = nodes["t"], nodes["ladder"]
             edges = (np.flatnonzero(k[1:] != k[:-1]) + 1).tolist()
-            spans = list(zip([loops[j] for j in k[[0] + edges].tolist()],
-                             [0] + edges, edges + [len(k)]))
-            weights = self._sheet_weights(t, spans)
-            if not poles:
-                return np.vander(t, rows, True).T * np.concatenate(weights)
-            # each loop's far poles, in rows as `pole_rows` lays them
-            # out (zero rows pad them to nf), times the weight
-            out = np.empty((2, nf, len(t)), dtype=complex)
-            for (i, a, b), w in zip(spans, weights):
-                x = self._mids[i] + t[a:b] * self._halves[i]
-                d = 1.0 / (x - far[i][:, None])
-                np.multiply(d, w, out=out[0, :len(d), a:b])
-                np.multiply(d * d, w, out=out[1, :len(d), a:b])
-                if len(d) < nf:
-                    out[:, len(d):, a:b] = 0.0
-            return out.reshape(2 * nf, len(t))
+            runs = list(zip([blocks[j] for j in k[[0] + edges].tolist()],
+                            [0] + edges, edges + [len(k)]))
+            # a loop's two ladders stand on one rung at every step they
+            # share, so each loop's nodes take one sheet weight
+            spans = {}
+            for (i, _), a, b in runs:
+                spans.setdefault(i, (a, b))
+            weights = dict(zip(spans, self._sheet_weights(
+                t, [(i, a, b) for i, (a, b) in spans.items()])))
+            sums = []
+            for (i, poles), a, b in runs:
+                s = weights[i]
+                if not poles:
+                    # the real moments against the weights' real and
+                    # imaginary parts, with no complex copy of them
+                    m = jacobi_moments(b - a, -0.5, -0.5, rows)
+                    sums.append((m @ s.view(float).reshape(-1, 2))
+                                .view(complex).ravel())
+                    continue
+                ws = nodes["w"][a:b] * s
+                d = 1.0 / (self._mids[i] + t[a:b] * self._halves[i]
+                           - far[i][:, None])
+                first = d @ ws
+                # then 1/(x - b)^2, squared in place
+                sums.append(np.concatenate([first, np.square(d, out=d) @ ws]))
+            return sums
 
         vals, defects, rungs = spine_integral(
             g, -0.5, -0.5, tol=self.tol,
-            start=[self.first_rungs[i] for i in loops])
-        for j, i in enumerate(loops):
-            if vals[j] is None:
+            start=[self.first_rungs[i] for i, _ in blocks])
+        for (i, poles), val, defect, rung in zip(blocks, vals, defects,
+                                                 rungs):
+            if i in self._failed:
+                continue
+            if val is None:
                 self._failed.add(i)
-                self._weights.pop(i, None)
                 self._tables[i] = self.contour_loop_period(
                     self._table_rows(i), i)
+                self._powers.setdefault(i, self._tables[i][:rows])
                 continue
             self._defects[i] = max(self._defects.get(i, 0.0),
-                                   2.0 * float(defects[j]))
-            self._settled.setdefault(i, []).append(int(rungs[j]))
-            block = 2.0 * self.sigma(i) * vals[j]
-            if poles:
-                # the far-pole block completes the table
-                del self._weights[i]
-                block = np.concatenate([block[:len(far[i])],
-                                        block[nf:nf + len(far[i])]])
+                                   2.0 * float(defect))
+            self._settled.setdefault(i, []).append(int(rung))
+            block = 2.0 * self.sigma(i) * val
+            if not poles:
+                self._powers[i] = block
             self._tables[i] = np.concatenate(
                 [self._tables.get(i, np.zeros(0, dtype=complex)), block])
 
     def _sheet_weights(self, t, spans):
         """half sqrt(1 - t^2) / yhat at the nodes t of each span
         (loop, a, b), on the loop's spine: the sheet weight of the spine
-        rule, one array per span.  Kept per loop and rule, so the
-        far-pole ladder weighs only the rungs the powers ladder did not
-        reach; the nodes of every rung still to be weighed take one
-        `eval_sheet1` call on the gap loops and one `eval_oncut` call on
-        the cut loops."""
-        fresh = [(i, a, b) for i, a, b in spans
-                 if b - a not in self._weights.get(i, ())]
-        if fresh:
-            at = np.concatenate([np.arange(a, b) for _, a, b in fresh])
-            on = np.repeat([i for i, _, _ in fresh],
-                           [b - a for _, a, b in fresh])
-            tt = t[at]
-            cut = self._cut_of[on]
-            oncut = cut >= 0
-            y = np.empty(len(at), dtype=complex)
-            if not oncut.all():
-                gap = on[~oncut]
-                y[~oncut] = self.ev.y(self._mids[gap]
-                                      + tt[~oncut] * self._halves[gap])
-            if oncut.any():
-                y[oncut] = self.ev.y_oncut(cut[oncut], tt[oncut], +1)
-            w = self._halves[on] * np.sqrt((1.0 - tt) * (1.0 + tt)) / y
-            for i, a, b in fresh:
-                self._weights.setdefault(i, {})[b - a] = w[:b - a]
-                w = w[b - a:]
-        return [self._weights[i][b - a] for i, a, b in spans]
+        rule, one array per span, from one `eval_sheet1` call on the gap
+        loops and one `eval_oncut` call on the cut loops."""
+        at = np.concatenate([np.arange(a, b) for _, a, b in spans])
+        on = np.repeat([i for i, _, _ in spans], [b - a for _, a, b in spans])
+        tt = t[at]
+        cut = self._cut_of[on]
+        oncut = cut >= 0
+        y = np.empty(len(at), dtype=complex)
+        if not oncut.all():
+            gap = on[~oncut]
+            y[~oncut] = self.ev.y(self._mids[gap]
+                                  + tt[~oncut] * self._halves[gap])
+        if oncut.any():
+            y[oncut] = self.ev.y_oncut(cut[oncut], tt[oncut], +1)
+        w = self._halves[on] * np.sqrt((1.0 - tt) * (1.0 + tt)) / y
+        ends = np.cumsum([b - a for _, a, b in spans]).tolist()
+        return [w[end - (b - a):end] for (_, a, b), end in zip(spans, ends)]
 
     def _table_rows(self, loop_idx):
         """fn(x, sheet): both blocks of the loop's table, the stacked

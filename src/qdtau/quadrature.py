@@ -9,7 +9,9 @@ Two regimes:
   every component of a stacked integrand), from the rung the spine's
   Bernstein parameter predicts (`first_rung`), up to 2,440 points.
   Many ladders can climb in lockstep, each from its own rung and by its
-  own test, so one integrand call per step serves all of them;
+  own test, so one integrand call per step serves all of them; the
+  integrand returns each ladder's rule sums itself, so it can form them
+  as products (`jacobi_moments`) instead of tabulating values to sum;
 - integrals along contour pieces staying away from all singularities:
   24- and 48-point Gauss-Legendre panels compared on each panel and
   bisected where they disagree.  The panel tree is grown breadth-first:
@@ -24,7 +26,6 @@ Two regimes:
 
 from __future__ import annotations
 
-import itertools
 import math
 from functools import lru_cache
 
@@ -112,9 +113,18 @@ def _fitting_rhos(tol):
     return np.array(out)
 
 
-# the nodes a lockstep ladder hands its integrand: each node with the
-# index of the ladder it belongs to
-LADDER_NODES = np.dtype([("t", float), ("ladder", np.intp)])
+@lru_cache(maxsize=None)
+def jacobi_moments(n: int, alpha: float, beta: float, rows: int):
+    """(rows, n): the n-point rule's weight times t^j at each node, for
+    j < rows, so that this matrix times values g(t) is the rule's sums
+    of t^j g(t)."""
+    t, w = jacobi_rule(n, alpha, beta)
+    return w * np.vander(t, rows, True).T
+
+
+# the nodes a lockstep ladder hands its integrand: each node with its
+# rule weight and the index of the ladder it belongs to
+LADDER_NODES = np.dtype([("t", float), ("w", float), ("ladder", np.intp)])
 
 
 def spine_integral(g, alpha: float, beta: float, tol: float = 1e-12,
@@ -134,72 +144,59 @@ def spine_integral(g, alpha: float, beta: float, tol: float = 1e-12,
     The ladders then climb in lockstep, each from its own rung and by
     its own acceptance test: every step hands ``g`` the nodes of every
     ladder still climbing, each at its own rung, in one LADDER_NODES
-    array (node ``t``, index ``ladder``; each ladder's nodes in one
-    run).  Each ladder's value sums its own columns of g's values, in
-    the memory layout g returns them in, so it is bit for bit what its
-    own ladder on an integrand of that layout gives.  Returns (values,
-    defects, rungs): per ladder its value, the defect of its last
-    comparison and the index of the rung it settled on; a ladder that
-    ends without settling reads None and rung -1, and raises nothing.
+    array (node ``t``, rule weight ``w``, index ``ladder``; each
+    ladder's nodes in one run), and ``g`` returns one rule sum per run,
+    in run order: the sum over the run of w times the ladder's values,
+    a complex number or array of any shape the ladder keeps.  Computed
+    from its own run alone, a ladder's sums, and so its value, do not
+    depend on which ladders share its steps.  Returns (values, defects,
+    rungs): per ladder its value, the defect of its last comparison and
+    the index of the rung it settled on; a ladder that ends without
+    settling reads None and rung -1, and raises nothing.  A plain ``g``
+    is the one-ladder case whose rule sum is np.sum(w * g(t), axis=-1),
+    g's values taken as complex.
     """
-    single = np.ndim(start) == 0
-    starts = np.atleast_1d(start).tolist()
+    if np.ndim(start) == 0:
+        def sums(nodes):
+            vals = np.asarray(g(np.ascontiguousarray(nodes["t"])),
+                              dtype=complex)
+            return [np.sum(nodes["w"] * vals, axis=-1)]
+
+        values, defects, _ = spine_integral(sums, alpha, beta, tol, [start])
+        if values[0] is None:
+            raise QuadratureError("spine quadrature did not converge",
+                                  defects[0])
+        val = values[0]
+        return (complex(val) if val.ndim == 0 else val), float(defects[0])
+    starts = list(start)
     values = [None] * len(starts)
     defects = [np.inf] * len(starts)
     rungs = [-1] * len(starts)
-    # every ladder takes its k-th rung at step k, so ladders from one
-    # rung share a rule at every step: ordered by first rung, they run
-    # in groups of consecutive ladders
-    climbing = sorted((i for i, r in enumerate(starts) if r < len(SPINE_SIZES)),
-                      key=starts.__getitem__)
-    prev = None
+    prev = [None] * len(starts)
+    climbing = [i for i, r in enumerate(starts) if r < len(SPINE_SIZES)]
     step = 0
     while climbing:
         rule = [starts[i] + step for i in climbing]
-        groups = [(r, sum(1 for _ in run))
-                  for r, run in itertools.groupby(rule)]
-        rules = [jacobi_rule(SPINE_SIZES[r], alpha, beta) for r, _ in groups]
-        t = np.concatenate([nodes for (nodes, _), (_, m) in zip(rules, groups)
-                            for _ in range(m)])
-        if single:
-            out = g(t)
-        else:
-            nodes = np.empty(len(t), LADDER_NODES)
-            nodes["t"] = t
-            nodes["ladder"] = np.repeat(climbing,
-                                        [SPINE_SIZES[r] for r in rule])
-            out = g(nodes)
-        out = np.asarray(out, dtype=complex)
-        vals, end = [], 0
-        for (_, w), (_, m) in zip(rules, groups):
-            n = len(w)
-            block = out[..., end:end + m * n]
-            end += m * n
-            vals.append(np.sum(w * block.reshape(block.shape[:-1] + (m, n)),
-                               axis=-1))
-        val = np.concatenate(vals, axis=-1)
-        keep = [r + 1 < len(SPINE_SIZES) for r in rule]
-        if prev is not None:
-            defect = np.abs(val - prev)
-            ok = defect <= tol * np.maximum(1.0, np.abs(val))
-            ok = ok.reshape(-1, len(climbing)).all(axis=0).tolist()
-            worst = defect.reshape(-1, len(climbing)).max(axis=0).tolist()
-            for j, i in enumerate(climbing):
-                defects[i] = worst[j]
-                if ok[j]:
-                    values[i], rungs[i], keep[j] = val[..., j], rule[j], False
-        if not all(keep):
-            climbing = [i for i, k in zip(climbing, keep) if k]
-            val = val[..., np.flatnonzero(keep)]
-        prev = val
+        rules = [jacobi_rule(SPINE_SIZES[r], alpha, beta) for r in rule]
+        nodes = np.empty(sum(len(t) for t, _ in rules), LADDER_NODES)
+        nodes["t"] = np.concatenate([t for t, _ in rules])
+        nodes["w"] = np.concatenate([w for _, w in rules])
+        nodes["ladder"] = np.repeat(climbing, [len(t) for t, _ in rules])
+        still = []
+        for i, r, val in zip(climbing, rule, g(nodes)):
+            val = np.asarray(val, dtype=complex)
+            if prev[i] is not None:
+                defect = np.abs(val - prev[i])
+                defects[i] = float(defect.max())
+                if (defect <= tol * np.maximum(1.0, np.abs(val))).all():
+                    values[i], rungs[i] = val, r
+                    continue
+            if r + 1 < len(SPINE_SIZES):
+                prev[i] = val
+                still.append(i)
+        climbing = still
         step += 1
-    if not single:
-        return values, np.array(defects), np.array(rungs)
-    if values[0] is None:
-        raise QuadratureError("spine quadrature did not converge",
-                              defects[0])
-    val = values[0]
-    return (complex(val) if val.ndim == 0 else val), float(defects[0])
+    return values, np.array(defects), np.array(rungs)
 
 
 @lru_cache(maxsize=None)

@@ -145,6 +145,10 @@ class TauConnection:
         self.pe = engine
         self.config = config
         self._be = bergman
+        # phi's periods and v's velocities go through the pole map:
+        # asked for first, it builds both blocks of every loop's table
+        # in one lockstep ladder
+        engine.pole_map()
         self.alpha_mat = engine.cycles.alpha_mat if alpha_mat is None else alpha_mat
         self.beta_mat = engine.cycles.beta_mat if beta_mat is None else beta_mat
         self._phi = {}

@@ -8,7 +8,7 @@ from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
 from qdtau.cycles import GeometryError, build_cycles_robust
 from qdtau.periods import PeriodEngine
 from qdtau.bergman import BergmanEvaluator
-from qdtau.cover_homology import blocks, random_symplectic
+from qdtau.cover_homology import blocks, random_symplectic, transform_basis
 from qdtau.quadrature import QuadratureError, adaptive_line
 from test_periods import class_config, mobius_model, spine_half
 
@@ -282,6 +282,22 @@ def test_transformed_period_matrix_law(ref_bergman):
     be2 = be.transformed(sig)
     pred = (a @ be.omega + b) @ np.linalg.inv(c @ be.omega + d)
     assert np.max(np.abs(be2.omega - pred)) < 1e-10
+
+
+def test_transformed_evaluator_shares_the_split(ref_bergman):
+    # a basis change keeps the branch points, so the moved evaluator
+    # reuses the split and K, and reads bit for bit what a fresh
+    # evaluator on the moved basis reads
+    be = ref_bergman
+    sig = random_symplectic(2, np.random.default_rng(4), steps=5)
+    be2 = be.transformed(sig)
+    am2, bm2 = transform_basis(sig, be.alpha_mat, be.pe.cycles.beta_mat)
+    fresh = BergmanEvaluator(be.pe, alpha_mat=am2, beta_mat=bm2)
+    assert be2.kernel_coefficients() is be.kernel_coefficients()
+    assert be2._p1 is be._p1 and be2.p2_rows is be.p2_rows
+    assert np.array_equal(be2.correction(), fresh.correction())
+    x = np.array([2.3 + 1.4j, 0.4 + 2.2j])
+    assert np.array_equal(be2.t_coeff(x), fresh.t_coeff(x))
 
 
 def expanded_t_coeff(be, x):

@@ -13,7 +13,8 @@ from qdtau.cover_homology import random_symplectic, transform_basis
 from qdtau.curves import QDConfigG0, build_cover, hyperelliptic_model
 from qdtau.cycles import SPINE_RHO_MIN, GeometryError, build_cycles_robust
 from qdtau.periods import PeriodEngine, v_numerator
-from qdtau.quadrature import SPINE_SIZES, QuadratureError, spine_integral
+from qdtau.quadrature import (SPINE_SIZES, QuadratureError, jacobi_moments,
+                              spine_integral)
 from test_tau import _genus3_path, _kappa_configs
 
 
@@ -310,7 +311,8 @@ def test_loop_orientation_matches_contour_calibration():
 def test_generic_engines_make_no_contour_call(monkeypatch):
     # with the orientation read off the lift, Omega, v's periods and the
     # Bergman correction of well-separated configurations stay on the
-    # spine route
+    # spine route; and, on a bare engine, build the powers blocks only,
+    # every table 2g + 1 rows
     calls = []
     monkeypatch.setattr(PeriodEngine, "contour_loop_period",
                         lambda self, fn, loop_idx, tol=None:
@@ -320,6 +322,8 @@ def test_generic_engines_make_no_contour_call(monkeypatch):
         pe.period_matrix()
         pe.homological_coordinates()
         BergmanEvaluator(pe).correction()
+        assert ([len(pe._tables[i]) for i in range(len(pe.cycles.loops))]
+                == [2 * pe.curve.genus + 1] * len(pe.cycles.loops))
     assert calls == []
 
 
@@ -535,9 +539,9 @@ def test_moment_tables_match_spine_periods(monkeypatch):
 
 def test_each_loop_integrates_its_table_once(monkeypatch):
     # a connection, a basis change and v's homological coordinates on one
-    # engine integrate tables, not forms: at most one lockstep spine
-    # ladder per block kind (every loop's powers, then every loop's far
-    # poles), and one contour per loop whose ladder failed
+    # engine integrate tables, not forms: one lockstep spine ladder call
+    # (both blocks of every loop), and one contour per loop whose ladder
+    # failed
     _, contours = _record_loop_periods(monkeypatch)
     ladders = []
     ladder = periods.spine_integral
@@ -565,7 +569,7 @@ def test_each_loop_integrates_its_table_once(monkeypatch):
             c.dlog_tau(-1, dv)
         pe.period_matrix_velocity(b_dot)
         pe.homological_coordinates()
-        assert len(ladders) <= 2
+        assert len(ladders) == 1
         assert len(contours) == len(pe.fallback_loops)
     assert pe.fallback_loops  # the zero-zero row's gap loops fail
 
@@ -573,9 +577,11 @@ def test_each_loop_integrates_its_table_once(monkeypatch):
 def test_each_ladder_step_calls_each_kernel_at_most_once(monkeypatch):
     # seed-1 configurations of the benchmark's geometry classes: an
     # engine's lockstep ladder takes as many steps as its longest-climbing
-    # loop, each step weighs its fresh nodes with at most one
-    # eval_sheet1 call (gap loops) and one eval_oncut call (cut loops),
-    # and nothing else evaluates yhat
+    # ladder, each step weighs its nodes with at most one eval_sheet1
+    # call (gap loops) and one eval_oncut call (cut loops), and nothing
+    # else evaluates yhat: both on an engine that builds the powers
+    # blocks first, as a bare engine does, and on one asked for the pole
+    # map first, whose steps carry both blocks of a loop
     calls = {"eval_sheet1": 0, "eval_oncut": 0}
     for name in calls:
         def counted(*args, _kernel=getattr(kernels, name), _name=name):
@@ -608,14 +614,17 @@ def test_each_ladder_step_calls_each_kernel_at_most_once(monkeypatch):
                 cyc = build_cycles_robust(build_cover(class_config(rng, cls, n)))
             except GeometryError:
                 continue
-            pe = PeriodEngine(cyc)
-            del steps[:]
-            start = dict(calls)
-            pe.power_map()
-            pe.pole_map()
-            assert steps and all(max(s.values()) <= 1 for s in steps)
-            assert ({k: calls[k] - start[k] for k in calls}
-                    == {k: sum(s[k] for s in steps) for k in calls})
+            for poles_first in (False, True):
+                pe = PeriodEngine(cyc)
+                del steps[:]
+                start = dict(calls)
+                if poles_first:
+                    pe.pole_map()
+                pe.power_map()
+                pe.pole_map()
+                assert steps and all(max(s.values()) <= 1 for s in steps)
+                assert ({k: calls[k] - start[k] for k in calls}
+                        == {k: sum(s[k] for s in steps) for k in calls})
 
 
 def test_transformed_kernel_falls_back_once_per_loop(monkeypatch):
@@ -670,14 +679,15 @@ def test_frame_poly_is_the_frames_own_shift():
 
 # The per-loop ladder, kept here as the oracle of the engine's lockstep
 # ladders: each loop's table block by block, each block on its own
-# ladder with its own kernel calls
+# ladder with its own kernel calls, and each rung's sums the products
+# the engine forms per ladder
 
 class PerLoopEngine(PeriodEngine):
     """A PeriodEngine whose tables are built loop by loop: each block
-    by its loop's own `spine_integral`, from the loop's first rung, the
-    far-pole ladder reusing the sheet weights of the rungs its powers
-    ladder weighed; a loop whose ladder fails takes its whole table
-    from its stadium contour."""
+    by its loop's own one-ladder `spine_integral`, from the loop's
+    first rung, weighing its own nodes; a loop whose ladder fails takes
+    its whole table from its stadium contour, and P keeps its powers
+    block if that settled."""
 
     def _tabulate(self, loops, poles=False):
         rows = self._degree + 1
@@ -686,57 +696,69 @@ class PerLoopEngine(PeriodEngine):
             table = self._tables.get(i, np.zeros(0, dtype=complex))
             if len(table) >= want:
                 continue
-            try:
-                while len(table) < want:
-                    table = np.concatenate(
-                        [table, self._spine_block(i, len(table) > 0)])
-            except QuadratureError:
-                self._failed.add(i)
-                table = self.contour_loop_period(self._table_rows(i), i)
+            while len(table) < want:
+                block = self._spine_block(i, len(table) > 0)
+                if block is None:
+                    self._failed.add(i)
+                    table = self.contour_loop_period(self._table_rows(i), i)
+                    self._powers.setdefault(i, table[:rows])
+                    break
+                if len(table) == 0:
+                    self._powers[i] = block
+                table = np.concatenate([table, block])
             self._tables[i] = table
 
     def _spine_block(self, loop_idx, poles):
         geo = self.loop_geometry(loop_idx)
         lp = self.cycles.loops[loop_idx]
-        far = self._points[self.loop_split(loop_idx)[1]] if poles else None
-        weights = self._weights.setdefault(loop_idx, {})
-        sizes = []
+        far = self._points[self.loop_split(loop_idx)[1]]
+        rows = self._degree + 1
 
-        def g(t):
-            sizes.append(len(t))
+        def g(nodes):
+            t = np.ascontiguousarray(nodes["t"])
             x = geo.mid + t * geo.half
-            if len(t) not in weights:
-                y = (self.ev.y_oncut(lp.index, t, +1) if lp.kind == "cut"
-                     else self.ev.y(x))
-                weights[len(t)] = geo.half * np.sqrt((1.0 - t) * (1.0 + t)) / y
-            rows = (periods.pole_rows(x, far) if poles
-                    else np.vander(t, self._degree + 1, True).T)
-            return rows * weights[len(t)]
+            y = (self.ev.y_oncut(lp.index, t, +1) if lp.kind == "cut"
+                 else self.ev.y(x))
+            s = geo.half * np.sqrt((1.0 - t) * (1.0 + t)) / y
+            if not poles:
+                m = jacobi_moments(len(t), -0.5, -0.5, rows)
+                return [(m @ s.view(float).reshape(-1, 2)).view(complex)
+                        .ravel()]
+            ws = nodes["w"] * s
+            d = 1.0 / (x - far[:, None])
+            return [np.concatenate([d @ ws, (d * d) @ ws])]
 
-        start = self.first_rungs[loop_idx]
-        val, defect = spine_integral(g, -0.5, -0.5, tol=self.tol, start=start)
+        vals, defects, rungs = spine_integral(
+            g, -0.5, -0.5, tol=self.tol, start=[self.first_rungs[loop_idx]])
+        if vals[0] is None:
+            return None
         self._defects[loop_idx] = max(self._defects.get(loop_idx, 0.0),
-                                      2.0 * defect)
-        self._settled.setdefault(loop_idx, []).append(start + len(sizes) - 1)
-        if poles:
-            del self._weights[loop_idx]
-        return 2.0 * self.sigma(loop_idx) * val
+                                      2.0 * float(defects[0]))
+        self._settled.setdefault(loop_idx, []).append(int(rungs[0]))
+        return 2.0 * self.sigma(loop_idx) * vals[0]
 
 
 def assert_lockstep_matches_per_loop(cyc, one_by_one=False):
     """The engine's power and pole maps, loop defects, fallback loops
     and settled rungs on the cycle system are bit for bit the per-loop
-    oracle's; with ``one_by_one`` also each table an engine builds
-    through `moment_table` alone.  Returns the fallback loops."""
-    got, want = PeriodEngine(cyc), PerLoopEngine(cyc)
-    for pe in (got, want):
-        pe.power_map()
-        pe.pole_map()
-    assert np.array_equal(got.power_map(), want.power_map())
-    assert np.array_equal(got.pole_map(), want.pole_map())
-    assert got.loop_defects == want.loop_defects
-    assert got.fallback_loops == want.fallback_loops
-    assert got.settled_rungs == want.settled_rungs
+    oracle's, whether the engine builds the powers blocks first, as a
+    bare engine does, or both blocks in one ladder, as a connection's
+    does; with ``one_by_one`` also each table an engine builds through
+    `moment_table` alone.  Returns the fallback loops."""
+    want = PerLoopEngine(cyc)
+    want.power_map()
+    want.pole_map()
+    for poles_first in (False, True):
+        got = PeriodEngine(cyc)
+        if poles_first:
+            got.pole_map()
+        got.power_map()
+        got.pole_map()
+        assert np.array_equal(got.power_map(), want.power_map())
+        assert np.array_equal(got.pole_map(), want.pole_map())
+        assert got.loop_defects == want.loop_defects
+        assert got.fallback_loops == want.fallback_loops
+        assert got.settled_rungs == want.settled_rungs
     assert all(r is not None and len(r) == 1 + (len(got.loop_split(i)[1]) > 0)
                for i, r in enumerate(got.settled_rungs)
                if i not in got.fallback_loops)

@@ -162,6 +162,79 @@ def test_started_ladder_is_bit_identical_above_its_start(a):
         assert np.abs(val - full).max() <= 1e-10
 
 
+# ladders of several shapes for the lockstep tests: (integrand, first
+# rung); the last never settles, an interior pole on its interval
+LADDERS = [
+    (lambda t: np.stack([1.0 / (t - 1.02 - 0.01j), np.exp(t)]), 0),
+    (lambda t: 1.0 / (t - 1.005), 4),
+    (lambda t: np.stack([np.cos(3 * t), t * t, 1.0 / (t + 1.1)]), 2),
+    (lambda t: np.exp(2j * t), 0),
+    (lambda t: 1.0 / (t - 0.3), 8),
+]
+
+
+def _lockstep(ladders):
+    """spine_integral over the ladders in lockstep, each ladder's rule
+    sums its values times the rule weights, as one product per ladder;
+    also records each ladder's node counts, step by step."""
+    sizes = {j: [] for j in range(len(ladders))}
+
+    def g(nodes):
+        k = nodes["ladder"]
+        edges = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
+        sums = []
+        for a, b in zip(edges, edges[1:]):
+            f = ladders[k[a]][0]
+            sizes[k[a]].append(b - a)
+            sums.append(f(np.ascontiguousarray(nodes["t"][a:b]))
+                        @ nodes["w"][a:b])
+        return sums
+
+    out = spine_integral(g, -0.5, -0.5, tol=1e-12,
+                         start=[r for _, r in ladders])
+    return out, sizes
+
+
+def test_lockstep_ladder_is_the_same_alone_or_in_company():
+    # each ladder's value, defect and settled rung are bit for bit the
+    # same climbing alone, with the others, and with the others in
+    # reverse order; each climbs its own rungs from its first
+    together, sizes = _lockstep(LADDERS)
+    order = list(range(len(LADDERS)))[::-1]
+    reverse, _ = _lockstep([LADDERS[j] for j in order])
+    for j, (f, start) in enumerate(LADDERS):
+        alone, alone_sizes = _lockstep([(f, start)])
+        assert alone_sizes[0] == sizes[j]
+        assert sizes[j] == list(SPINE_SIZES[start:start + len(sizes[j])])
+        for (vals, defects, rungs), at in ((together, j),
+                                           (reverse, order.index(j))):
+            if alone[0][0] is None:
+                assert vals[at] is None
+            else:
+                assert np.array_equal(vals[at], alone[0][0])
+            assert defects[at] == alone[1][0] and rungs[at] == alone[2][0]
+    vals, _, rungs = together
+    assert vals[-1] is None and rungs[-1] == -1
+    assert all(v is not None for v in vals[:-1])
+    assert np.abs(vals[1] + math.pi / math.sqrt(1.005 ** 2 - 1.0)) < 1e-9
+
+
+def test_plain_integrand_is_the_one_ladder_lockstep():
+    # spine_integral(g, start=k) is the one-ladder lockstep route whose
+    # rule sum is np.sum(w * g(t), axis=-1) over g's values as complex,
+    # bit for bit
+    for f, start in LADDERS[:-1]:
+        vals, defects, rungs = spine_integral(
+            lambda nodes: [np.sum(nodes["w"] * f(nodes["t"]).astype(complex),
+                                  axis=-1)],
+            -0.5, -0.5, tol=1e-12, start=[start])
+        val, defect = spine_integral(f, -0.5, -0.5, tol=1e-12, start=start)
+        assert np.array_equal(val, vals[0]) and defect == defects[0]
+        assert rungs[0] == _ladder(f, start=start)[2]
+    with pytest.raises(QuadratureError):
+        spine_integral(LADDERS[-1][0], -0.5, -0.5, start=LADDERS[-1][1])
+
+
 def test_first_rung_predicts_a_settling_rung():
     # 1/(t - a) is analytic inside the Bernstein ellipse through a, of
     # parameter rho = a + sqrt(a^2 - 1); the predicted ladder settles

@@ -674,10 +674,9 @@ def test_reduction_map_matches_per_loop_route():
 
 
 def test_phi_periods_reuse_the_tables(monkeypatch):
-    # after v's periods and the kernel correction, phi's periods evaluate
-    # yhat nowhere on REF: each far-pole ladder runs on rungs its loop's
-    # powers ladder already weighed, and each block kind takes one
-    # lockstep ladder over every loop
+    # a connection asks its engine for the pole map as it is built, and
+    # one lockstep ladder builds both blocks of every loop's table: on
+    # REF, phi's periods then run no ladder and evaluate yhat nowhere
     points, ladders = [], []
     for name, pos in (("eval_sheet1", 0), ("eval_oncut", 1)):
         def counted(*args, _kernel=getattr(kernels, name), _pos=pos):
@@ -692,12 +691,11 @@ def test_phi_periods_reuse_the_tables(monkeypatch):
 
     monkeypatch.setattr(periods, "spine_integral", spy)
     conn = tau.build_connection(ref_config(), pairing=REF_PAIRING)
-    conn.v_periods()
-    conn.be.correction()
-    del points[:]
+    assert len(ladders) == 1 and sum(points) > 0
+    del points[:], ladders[:]
     conn.phi_periods(1)
     assert sum(points) == 0
-    assert len(ladders) <= 2
+    assert ladders == []
 
 
 # the loops that took the contour while the spine ladder stopped at 576
@@ -773,6 +771,51 @@ def test_degeneration_rows_run_no_contour(monkeypatch):
                 bench += sum(points)
     assert contour_points == []
     assert bench <= DEGENERATION_KERNEL_POINTS, bench
+
+
+# kernel points (eval_sheet1 and eval_oncut, contour fallbacks
+# included) of REF's scaling check and of each row of both full
+# schedules through degeneration_rows, as the per-block ladders read
+# them before both blocks shared one ladder
+REF_SCALING_KERNEL_POINTS = 160
+ROW_KERNEL_POINTS = {
+    "zero-pole": (472, 496, 768, 704, 1040, 1752, 2736, 2464, 3888, 6904,
+                  11072),
+    "zero-zero": (756, 704, 976, 1552, 1772, 2128, 3500, 5720, 5144, 25728,
+                  138040),
+}
+
+
+def test_work_counts_hold_and_each_connection_climbs_once(monkeypatch):
+    # deterministic work counters: the kernel points stay at the pinned
+    # counts, and each connection engine makes one spine ladder call
+    counts = {"points": 0, "ladders": 0, "connections": 0}
+    for name, pos in (("eval_sheet1", 0), ("eval_oncut", 1)):
+        def counted(*args, _kernel=getattr(kernels, name), _pos=pos):
+            counts["points"] += np.size(args[_pos])
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    for module, name, key in ((periods, "spine_integral", "ladders"),
+                              (tau, "build_connection", "connections")):
+        def spy(*args, _fn=getattr(module, name), _key=key, **kwargs):
+            counts[_key] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, spy)
+
+    def measured(run):
+        counts.update(points=0, ladders=0, connections=0)
+        run()
+        assert counts["ladders"] == counts["connections"] == 1
+        return counts["points"]
+
+    assert measured(lambda: tau.scaling_check(ref_config(),
+                                              pairing=REF_PAIRING)) \
+        == REF_SCALING_KERNEL_POINTS
+    for fam in (_ZP, _ZZ):
+        assert tuple(measured(lambda: tau.degeneration_rows(
+            tau.DegenerationFamily(fam.name, fam.config, fam.pairing,
+                                   fam.collide, schedule=(d,))))
+            for d in fam.schedule) == ROW_KERNEL_POINTS[fam.name], fam.name
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
