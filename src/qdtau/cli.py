@@ -4,10 +4,10 @@
 tier, criteria 1-5, or all eight with --full), and every per-command
 gate takes its tolerance from the same registry.
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 input
-error (malformed files or arguments, unstable (g, n), probes on a
-singular point), 3 could not compute (a geometry, quadrature or
-linear-algebra failure, reported as JSON with the error's class and
-message).
+error (malformed files or arguments, an --out path that cannot be
+opened, unstable (g, n), probes on a singular point), 3 could not
+compute (a geometry, quadrature or linear-algebra failure, reported as
+JSON with the error's class and message).
 Reports are JSON with sorted keys so identical inputs and seeds produce
 identical bytes; exact rationals are serialized as "p/q" strings,
 complex numbers as [re, im] pairs.
@@ -95,12 +95,21 @@ def load_config(path: str) -> QDConfigG0:
         raise InputError(f"invalid configuration: {exc}") from None
 
 
+def _open_out(path: str, **kw):
+    """The file at path, opened for writing; a path that cannot be
+    opened is an input error."""
+    try:
+        return open(path, "w", **kw)
+    except OSError as exc:
+        raise InputError(f"cannot write output: {exc}") from None
+
+
 def emit(report: dict, out: str = None) -> int:
     report["schema"] = SCHEMA
     report["passed"] = all(c["passed"] for c in report.get("checks", []))
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if out:
-        with open(out, "w") as fh:
+        with _open_out(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -303,7 +312,7 @@ def cmd_tau_scaling(args) -> int:
 
 
 def _write_degeneration_csv(path, rows):
-    with open(path, "w", newline="") as fh:
+    with _open_out(path, newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["t_abs", "re_dlogtau_p", "im_dlogtau_p",
                      "re_dlogtau_m", "im_dlogtau_m",

@@ -24,19 +24,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._exact import solve_exact
-
-
-def _eye(k):
-    return [[Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-
 
 def _zeros(r, c):
     return [[Fraction(0)] * c for _ in range(r)]
-
-
-def _transpose(a):
-    return [list(row) for row in zip(*a)]
 
 
 def _block_diag(*blocks):
@@ -95,10 +85,10 @@ def build_matrices(g: int, n: int) -> InvolutionMatrices:
     for k in range(tilde):
         t[2 * g + k][2 * g + k] = Fraction(1)
 
-    # (T^t)^[-1]: for this T, T T^t = diag(2,...,2, 1,...,1) so the
-    # inverse transpose is T^t scaled blockwise; computed generically
-    tt = _transpose(t)
-    tt_inv = solve_exact(tt, _eye(ghat))
+    # (T^t)^[-1]: T is symmetric and T T = diag(2,...,2, 1,...,1), so
+    # the inverse transpose is T with its first 2g rows halved
+    tt_inv = [[x / 2 for x in row] if i < 2 * g else row
+              for i, row in enumerate(t)]
     s = _block_diag(t, tt_inv)
     return InvolutionMatrices(g, n, m, t, s)
 

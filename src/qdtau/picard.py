@@ -1,8 +1,8 @@
 """Divisor-class arithmetic on the rational Picard group of the moduli
 space of quadratic differentials with n simple poles on genus-g curves.
 
-Everything here is exact: coefficients live in ``fractions.Fraction``
-and the linear algebra is Gaussian elimination over Q.  The free
+Everything here is exact: coefficients live in ``fractions.Fraction``,
+and every class is a closed form in the generators.  The free
 generators are the tautological class phi (hyperplane class of the
 projectivization), the Hodge class lambda, the psi-classes at the
 marked poles, and the Deligne-Mumford boundary divisors delta_irr and
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ._exact import solve_exact
 from .strata import principal_kappa
 
 Rat = Fraction
@@ -213,50 +212,41 @@ def hodge_prym_classes(
     return lam, prym
 
 
-def solve_tau_relations(
-    g: int,
-    n: int,
-    kappa_plus,
-    kappa_minus,
-    orders_plus=(2, -8, 12),
-    orders_minus=(26, 40, 12),
-):
+# Vanishing orders of tau_+^3 and tau_-^3 on (delta0, delta_inf, delta_DM),
+# the oX+ and oX- of solve_tau_relations' identities.
+ORDERS_PLUS = (2, -8, 12)
+ORDERS_MINUS = (26, 40, 12)
+
+
+def solve_tau_relations(g: int, n: int, kappa_plus, kappa_minus):
     """Recover (lambda, lambda_Prym, delta0) from the divisor classes of
     the two tau functions.
 
     The cube of each tau function is a holomorphic section vanishing on
-    the three degeneration divisors with the given integer orders, and
-    its divisor class is 48*L - kappa*phi where L is the corresponding
-    Hodge-type class.  Dividing the orders by three gives the two linear
-    identities
+    the three degeneration divisors with the orders ORDERS_PLUS and
+    ORDERS_MINUS, and its divisor class is 48*L - kappa*phi where L is
+    the corresponding Hodge-type class.  Dividing the orders by three
+    gives the two linear identities
 
         48 lambda  - kappa_plus  phi = o0+/3 delta0 + oInf+/3 delta_inf + oDM+/3 delta_DM
         48 lambdaP - kappa_minus phi = o0-/3 delta0 + oInf-/3 delta_inf + oDM-/3 delta_DM
 
     delta_inf is known from the psi-classes, and lambda is itself a free
-    generator, which closes the system: three unknown vectors (lambda,
-    lambdaP, delta0), three equations.  Solved exactly; a contradictory
-    system raises with the exact residual.
+    generator, so the system is triangular: the + identity gives delta0,
+    and the - identity then gives lambdaP.
     """
     b = GeneratorBasis(g, n)
+    lam, phi = b.lam(), b.phi()
     dinf = delta_inf_from_psi(b)
     dm = class_dm(b)
-    o0p, oinfp, odmp = (Rat(o, 3) for o in orders_plus)
-    o0m, oinfm, odmm = (Rat(o, 3) for o in orders_minus)
-
-    # unknown order: x0 = lambda, x1 = lambdaP, x2 = delta0
-    matrix = [
-        [Rat(48), Rat(0), -o0p],
-        [Rat(0), Rat(48), -o0m],
-        [Rat(1), Rat(0), Rat(0)],
-    ]
-    rhs = [
-        (Rat(kappa_plus) * b.phi() + oinfp * dinf + odmp * dm).coeffs,
-        (Rat(kappa_minus) * b.phi() + oinfm * dinf + odmm * dm).coeffs,
-        b.lam().coeffs,
-    ]
-    sol = solve_exact(matrix, rhs)
-    lam, prym, delta0 = (DivisorClass(b, v) for v in sol)
+    o0p, oinfp, odmp = (Rat(o, 3) for o in ORDERS_PLUS)
+    o0m, oinfm, odmm = (Rat(o, 3) for o in ORDERS_MINUS)
+    delta0 = (1 / o0p) * (
+        48 * lam - kappa_plus * phi - oinfp * dinf - odmp * dm
+    )
+    prym = Rat(1, 48) * (
+        kappa_minus * phi + o0m * delta0 + oinfm * dinf + odmm * dm
+    )
     return lam, prym, delta0
 
 

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -66,6 +67,17 @@ def test_unknown_command():
     assert main(["frobnicate"]) == 2
 
 
+def test_unwritable_out_is_an_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    for argv in (["kappa", "--signature", "1,-1,-1,-1,-1,-1"],
+                 ["picard", "classes", "--genus", "0", "--n", "5"]):
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write output: "), err
+        assert str(out) in err
+
+
 def test_picard_verify(tmp_path):
     code, rep = run(["picard", "verify", "--genus", "2", "--n", "1"],
                     tmp_path / "r.json")
@@ -82,6 +94,29 @@ def test_picard_classes(tmp_path):
     assert lam["lambda"] == "1"
     assert all(v == "0" for k, v in lam.items() if k != "lambda")
     assert rep["results"]["delta_inf"]["phi"] == "-5"
+
+
+def test_picard_cli_digest(capsys):
+    """Byte identity of `picard classes` and `picard verify` over every
+    stable cell with g, n <= 5: sha256 over the cells in g-major order,
+    classes before verify, each run fed as its exit code and newline,
+    then its stdout.  The four n = 0 cells exit 2 with empty stdout."""
+    digest = hashlib.sha256()
+    cells = 0
+    for g in range(6):
+        for n in range(6):
+            if 2 * g + n <= 3:
+                continue
+            cells += 1
+            for action in ("classes", "verify"):
+                capsys.readouterr()
+                code = main(["picard", action, "--genus", str(g),
+                             "--n", str(n)])
+                digest.update(f"{code}\n".encode())
+                digest.update(capsys.readouterr().out.encode())
+    assert cells == 30
+    assert digest.hexdigest() == (
+        "0fb2fc26f53de20a10ac23aa0a60be56ce3153e4f889d59952798cb31a2f5f29")
 
 
 def test_picard_rejects_empty_moduli(capsys):
@@ -338,6 +373,21 @@ def test_tau_degenerate_csv(tmp_path, capsys):
     # |t| shrinks along the schedule
     t_abs = [float(r[0]) for r in rows[1:]]
     assert all(a > b for a, b in zip(t_abs, t_abs[1:]))
+
+
+def test_tau_degenerate_unwritable_csv(tmp_path, capsys, monkeypatch):
+    row = {"d": 0.1, "t": 0.1, ("dlog", 1): 1j, ("dlog", -1): 2j,
+           ("gamma", 1): -8.0 / 3.0, ("gamma", -1): 40.0 / 3.0}
+    monkeypatch.setattr(tau, "degeneration_exponent",
+                        lambda fam: ({1: -8.0 / 3.0, -1: 40.0 / 3.0}, [row]))
+    out = tmp_path / "missing" / "samples.csv"
+    capsys.readouterr()
+    assert main(["tau", "degenerate", "--kind", "zero-pole",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write output: ")
+    assert captured.out == ""
+    assert not out.parent.exists()
 
 
 def test_tau_basis_change(tmp_path):

@@ -4,7 +4,6 @@ from fractions import Fraction
 import pytest
 
 from qdtau import picard
-from qdtau._exact import InconsistentSystemError, solve_exact
 
 
 def brute_force_labels(g, n):
@@ -220,20 +219,3 @@ def test_serialization_format():
     assert data["phi"] == "3"
     assert data["delta_irr"] == "0"
 
-
-def test_solver_detects_contradiction():
-    with pytest.raises(InconsistentSystemError) as err:
-        solve_exact(
-            [[1, 0], [0, 1], [1, 1]],
-            [Fraction(1), Fraction(1), Fraction(3)],
-        )
-    assert err.value.residual == [Fraction(1)]
-
-
-def test_solver_vector_rhs():
-    sol = solve_exact(
-        [[2, 0], [1, 1]],
-        [[Fraction(4), Fraction(0)], [Fraction(3), Fraction(1)]],
-    )
-    assert sol[0] == [Fraction(2), Fraction(0)]
-    assert sol[1] == [Fraction(1), Fraction(1)]
