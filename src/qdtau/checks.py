@@ -242,25 +242,25 @@ REGISTRY = (
     Criterion(2, "kappa consistency", "quick", 1.0,
               {"kappa_consistency": 0, "kappa_exponent_table": 0},
               _kappa_consistency),
-    Criterion(3, "period engine", "quick", 60.0,
+    Criterion(3, "period engine", "quick", 10.0,
               {"elliptic_agm_cross_check": 1e-10, "random_configs_missing": 0,
                "omega_symmetric": 1e-8, "omega_imag_positive": 0.0},
               _period_engine),
-    Criterion(4, "bergman identities", "quick", 120.0,
+    Criterion(4, "bergman identities", "quick", 10.0,
               {"bergman_pullback": 1e-6, "alpha_residual": 1e-6,
                "correction_defect": 1e-8, "projective_connection": 1e-6},
               _bergman_identities),
-    Criterion(5, "homogeneity", "quick", 120.0,
+    Criterion(5, "homogeneity", "quick", 10.0,
               {"euler_kappa_plus": 1e-4, "euler_kappa_minus": 1e-4,
                "scaling_path": 1e-6},
               _homogeneity),
-    Criterion(6, "degeneration exponents", "full", 900.0,
+    Criterion(6, "degeneration exponents", "full", 10.0,
               {**GAMMA_STATED, **{f"{k}_tight": 1e-6 for k in GAMMA_STATED}},
               _degeneration_exponents),
-    Criterion(7, "flatness and modularity", "full", 300.0,
+    Criterion(7, "flatness and modularity", "full", 10.0,
               {"flatness_loop": 1e-4, "basis_change_residual": 1e-4},
               _flatness_and_modularity),
-    Criterion(8, "transversality constant", "full", 60.0,
+    Criterion(8, "transversality constant", "full", 10.0,
               {"transversal_t_constant": 0.01}, _transversality_constant),
 )
 

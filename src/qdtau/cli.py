@@ -8,6 +8,10 @@ error (malformed files or arguments, an --out path that cannot be
 opened, unstable (g, n), probes on a singular point), 3 could not
 compute (a geometry, quadrature or linear-algebra failure, reported as
 JSON with the error's class and message).
+--out is opened for writing, as a shell redirection is, before the
+command reads its inputs or computes anything, so a path that cannot
+be opened fails at once and one that can is emptied even if the
+command then fails.
 Reports are JSON with sorted keys so identical inputs and seeds produce
 identical bytes; exact rationals are serialized as "p/q" strings,
 complex numbers as [re, im] pairs.
@@ -95,24 +99,21 @@ def load_config(path: str) -> QDConfigG0:
         raise InputError(f"invalid configuration: {exc}") from None
 
 
-def _open_out(path: str, **kw):
-    """The file at path, opened for writing; a path that cannot be
-    opened is an input error."""
+def _open_out(path: str):
+    """The file at path, opened for writing (newline="" for the CSV
+    writer); a path that cannot be opened is an input error."""
     try:
-        return open(path, "w", **kw)
+        return open(path, "w", newline="")
     except OSError as exc:
         raise InputError(f"cannot write output: {exc}") from None
 
 
-def emit(report: dict, out: str = None) -> int:
+def emit(report: dict, out=None) -> int:
+    """Write the report to the open file out, or to stdout."""
     report["schema"] = SCHEMA
     report["passed"] = all(c["passed"] for c in report.get("checks", []))
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if out:
-        with _open_out(out) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    (out or sys.stdout).write(json.dumps(report, sort_keys=True, indent=2)
+                              + "\n")
     return 0 if report["passed"] else 1
 
 
@@ -311,18 +312,17 @@ def cmd_tau_scaling(args) -> int:
     return emit(report, args.out)
 
 
-def _write_degeneration_csv(path, rows):
-    with _open_out(path, newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["t_abs", "re_dlogtau_p", "im_dlogtau_p",
-                     "re_dlogtau_m", "im_dlogtau_m",
-                     "gamma_running_p", "gamma_running_m"])
-        for r in rows:
-            wr.writerow([repr(float(v)) for v in
-                         (abs(r["t"]),
-                          r[("dlog", 1)].real, r[("dlog", 1)].imag,
-                          r[("dlog", -1)].real, r[("dlog", -1)].imag,
-                          r[("gamma", 1)], r[("gamma", -1)])])
+def _write_degeneration_csv(fh, rows):
+    wr = csv.writer(fh)
+    wr.writerow(["t_abs", "re_dlogtau_p", "im_dlogtau_p",
+                 "re_dlogtau_m", "im_dlogtau_m",
+                 "gamma_running_p", "gamma_running_m"])
+    for r in rows:
+        wr.writerow([repr(float(v)) for v in
+                     (abs(r["t"]),
+                      r[("dlog", 1)].real, r[("dlog", 1)].imag,
+                      r[("dlog", -1)].real, r[("dlog", -1)].imag,
+                      r[("gamma", 1)], r[("gamma", -1)])])
 
 
 def cmd_tau_degenerate(args) -> int:
@@ -500,7 +500,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        if args.out is None:
+            return args.fn(args)
+        # the command writes to the open file
+        with _open_out(args.out) as args.out:
+            return args.fn(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

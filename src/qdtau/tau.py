@@ -28,6 +28,14 @@ of Kedlaya's reduction, and the others stay explicit as the far-pole
 rows of the loop's moment table (`qdtau.periods`).  v's Rauch
 velocities take the same route: moving a branch point gives v's
 derivative a simple pole there.
+
+`build_connection` keeps the one connection it built last and returns
+it when asked again for the same configuration and pairing: the
+homogeneity and basis-change checks of one configuration share its
+cover, cycles, spine ladder, kernel evaluator and phi periods.  The
+key is the exact bits of the zeros, poles, scale and tolerance (so
+0.0 and -0.0 differ) with the pairing; there is one entry, and a
+connection is read-only to every caller.
 """
 from __future__ import annotations
 
@@ -203,10 +211,29 @@ class TauConnection:
         return DUAL_SIGN * 0.5 * complex(np.sum(pa * vb - pb * va))
 
 
+# (key, connection) of the last build_connection call that returned
+_last = (None, None)
+
+
 def build_connection(config: QDConfigG0, pairing=None) -> TauConnection:
+    """The connection of the configuration over the given cut pairing
+    (default: the configuration's own).  A call whose configuration has
+    the same zeros, poles, scale and tolerance, bit for bit, and the
+    same pairing as the last call that returned gets that call's
+    connection; a build that raises keeps nothing.  Callers read a
+    connection and never change it: `basis_change_residual` moves the
+    basis on a new `TauConnection` over the same engine."""
+    global _last
     pairing = config.pairing if pairing is None else pairing
+    key = (np.array([*config.branch_points(), config.scale,
+                     config.tolerance]).tobytes(),
+           None if pairing is None else tuple(map(tuple, pairing)))
+    if _last[0] == key:
+        return _last[1]
     cycles = build_cycles_robust(build_cover(config), pairing=pairing)
-    return TauConnection(PeriodEngine(cycles), config)
+    conn = TauConnection(PeriodEngine(cycles), config)
+    _last = key, conn
+    return conn
 
 
 def _tangent(make_config, s, h=1e-2):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from qdtau import tau
+from qdtau import checks, tau
 from qdtau.cli import load_config, main
 from qdtau.curves import build_cover
 from qdtau.cycles import SPINE_RHO_MIN, build_cycles_robust
@@ -67,15 +67,21 @@ def test_unknown_command():
     assert main(["frobnicate"]) == 2
 
 
-def test_unwritable_out_is_an_input_error(tmp_path, capsys):
+def test_unwritable_out_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # the path is tried before the suite runs a single check
+    suite_runs = []
+    monkeypatch.setattr(checks, "run", lambda full: suite_runs.append(full)
+                        or [])
     out = tmp_path / "missing" / "r.json"
     for argv in (["kappa", "--signature", "1,-1,-1,-1,-1,-1"],
-                 ["picard", "classes", "--genus", "0", "--n", "5"]):
+                 ["picard", "classes", "--genus", "0", "--n", "5"],
+                 ["suite"]):
         capsys.readouterr()
         assert main(argv + ["--out", str(out)]) == 2, argv
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write output: "), err
         assert str(out) in err
+    assert suite_runs == []
 
 
 def test_picard_verify(tmp_path):
@@ -378,8 +384,10 @@ def test_tau_degenerate_csv(tmp_path, capsys):
 def test_tau_degenerate_unwritable_csv(tmp_path, capsys, monkeypatch):
     row = {"d": 0.1, "t": 0.1, ("dlog", 1): 1j, ("dlog", -1): 2j,
            ("gamma", 1): -8.0 / 3.0, ("gamma", -1): 40.0 / 3.0}
+    fits = []
     monkeypatch.setattr(tau, "degeneration_exponent",
-                        lambda fam: ({1: -8.0 / 3.0, -1: 40.0 / 3.0}, [row]))
+                        lambda fam: fits.append(fam)
+                        or ({1: -8.0 / 3.0, -1: 40.0 / 3.0}, [row]))
     out = tmp_path / "missing" / "samples.csv"
     capsys.readouterr()
     assert main(["tau", "degenerate", "--kind", "zero-pole",
@@ -388,6 +396,8 @@ def test_tau_degenerate_unwritable_csv(tmp_path, capsys, monkeypatch):
     assert captured.err.startswith("error: cannot write output: ")
     assert captured.out == ""
     assert not out.parent.exists()
+    # the path is tried before the schedule runs
+    assert fits == []
 
 
 def test_tau_basis_change(tmp_path):

@@ -216,8 +216,12 @@ def test_basis_change_phi_equals_a_fresh_engine(monkeypatch):
     b, c = np.array([[1, 2], [2, -1]]), np.array([[1, 1], [1, 0]])
     for sig in (np.block([[eye, b], [zero, eye]]),
                 np.block([[eye, zero], [c, eye]])):
+        # each call integrates a fresh centre: a stored one would bring
+        # its phi periods from the call before
+        monkeypatch.setattr(tau, "_last", (None, None))
         got = tau.basis_change_residual(_pole_path, 0.0, sig,
                                         pairing=REF_PAIRING)
+        monkeypatch.setattr(tau, "_last", (None, None))
         monkeypatch.setattr(tau, "reduced_loop_periods", fresh)
         assert tau.basis_change_residual(_pole_path, 0.0, sig,
                                          pairing=REF_PAIRING) == got
@@ -816,6 +820,90 @@ def test_work_counts_hold_and_each_connection_climbs_once(monkeypatch):
             tau.DegenerationFamily(fam.name, fam.config, fam.pairing,
                                    fam.collide, schedule=(d,))))
             for d in fam.schedule) == ROW_KERNEL_POINTS[fam.name], fam.name
+
+
+@pytest.fixture
+def work(monkeypatch):
+    """Kernel points, spine ladder calls and period engines built while
+    a test runs, counted through spies."""
+    counts = {"points": 0, "ladders": 0, "engines": 0}
+    for name, pos in (("eval_sheet1", 0), ("eval_oncut", 1)):
+        def counted(*args, _kernel=getattr(kernels, name), _pos=pos):
+            counts["points"] += np.size(args[_pos])
+            return _kernel(*args)
+        monkeypatch.setattr(kernels, name, counted)
+    ladder, init = periods.spine_integral, periods.PeriodEngine.__init__
+
+    def spy(*args, **kwargs):
+        counts["ladders"] += 1
+        return ladder(*args, **kwargs)
+
+    def built(self, *args, **kwargs):
+        counts["engines"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(periods, "spine_integral", spy)
+    monkeypatch.setattr(periods.PeriodEngine, "__init__", built)
+    return counts
+
+
+def test_scaling_and_basis_change_share_one_connection(work, monkeypatch):
+    # the connection workload's pair of checks on one configuration:
+    # one engine, one ladder and the scaling check's points in all
+    sig = random_symplectic(2, np.random.default_rng(5), steps=5)
+    calls = (lambda: tau.scaling_check(ref_config(), pairing=REF_PAIRING),
+             lambda: tau.basis_change_residual(_pole_path, 0.0, sig,
+                                               pairing=REF_PAIRING))
+    shared = [call() for call in calls]
+    assert work == {"points": REF_SCALING_KERNEL_POINTS, "ladders": 1,
+                    "engines": 1}
+    fresh = []
+    for call in calls:
+        monkeypatch.setattr(tau, "_last", (None, None))
+        fresh.append(call())
+    assert work["engines"] == 3
+    assert shared == fresh
+
+
+def test_only_a_repeated_configuration_reuses_its_connection(work):
+    # A, B, A builds three times, and so do two pairings of one
+    # configuration; a pairing the configuration carries, or one
+    # written as lists, is the same key as the tuples given
+    a, b = ref_config(), _pole_path(0.5)
+    for config in (a, b, a):
+        tau.build_connection(config, pairing=REF_PAIRING)
+    assert work["engines"] == 3
+    cfg = _ZP.config(0.1)
+    for pairing in ([(0, 5), (2, 4), (3, 1)], [(0, 5), (2, 3), (4, 1)]):
+        conn = tau.build_connection(cfg, pairing=pairing)
+    own = QDConfigG0(cfg.zeros, cfg.poles, pairing=((0, 5), (2, 3), (4, 1)))
+    assert tau.build_connection(own) is conn
+    assert tau.build_connection(cfg, [[0, 5], [2, 3], [4, 1]]) is conn
+    assert work["engines"] == 5
+    # scales 1 + 0j and 1 - 0j differ in the sign of a zero, which
+    # complex == does not see: each builds
+    for scale in (complex(1.0, -0.0), complex(1.0, 0.0)):
+        conn = tau.build_connection(ref_config(scale), pairing=REF_PAIRING)
+    assert tau.build_connection(a, pairing=REF_PAIRING) is conn
+    assert work["engines"] == 7
+
+
+def test_a_build_that_raises_is_not_kept(work, monkeypatch):
+    class Stop(Exception):
+        pass
+
+    kernel = kernels.eval_sheet1
+
+    def raises_once(*args):
+        monkeypatch.setattr(kernels, "eval_sheet1", kernel)
+        raise Stop
+
+    monkeypatch.setattr(kernels, "eval_sheet1", raises_once)
+    with pytest.raises(Stop):
+        tau.build_connection(ref_config(), pairing=REF_PAIRING)
+    conn = tau.build_connection(ref_config(), pairing=REF_PAIRING)
+    assert work["engines"] == 2 and work["ladders"] == 2
+    assert abs(conn.euler_pairing(1) - KAPPA_PLUS) < 1e-10
 
 
 @settings(max_examples=12, derandomize=True, deadline=None)
