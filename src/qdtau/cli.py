@@ -34,7 +34,7 @@ from .cover_homology import is_symplectic
 from .curves import QDConfigG0
 from .cycles import GeometryError
 from .periods import PeriodEngine
-from .quadrature import SPINE_SIZES, QuadratureError
+from .quadrature import QuadratureError
 
 SCHEMA = "qdtau-report/1"
 
@@ -215,16 +215,12 @@ def cmd_periods(args) -> int:
             # or GeometryError text
             "rejected_pairings": [{"pairing": p, "reason": why}
                                   for p, why in pe.cycles.rejected],
-            # per loop, the size of the first spine rule tried, the
-            # sizes its table's ladders settled on (one per block
-            # built) and the defect they settled with (both null for a
-            # loop whose spine fell back to the contour); the loops
-            # that fell back
-            "first_rungs": [SPINE_SIZES[k] for k in pe.first_rungs],
-            "settled_rungs": [None if r is None else
-                              [SPINE_SIZES[k] for k in r]
-                              for r in pe.settled_rungs],
-            "loop_defects": pe.loop_defects,
+            # per loop, the size of its spine rule and the error bound
+            # that rule meets, a relative error like the tolerance (both
+            # null for a loop whose table came from the contour); the
+            # loops that fell back
+            "rule_sizes": pe.rule_sizes,
+            "loop_bounds": pe.loop_bounds,
             "fallback_loops": pe.fallback_loops,
         },
         "checks": [

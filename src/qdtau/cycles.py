@@ -44,10 +44,12 @@ CAP_FACTOR = 0.3
 GAP_CAP_SHRINK = 0.8
 
 # an n-point Gauss-Jacobi rule errs like rho^(-2n) on a spine of
-# Bernstein parameter rho, and the ladder accepts when two rungs agree,
-# so its defect is the lower rung's error: the 356-point rung meets the
-# engine's default 1e-11 from this rho (about 1.036) on.  The pairings
-# are ranked against it; the rungs above 576 serve pinched spines
+# Bernstein parameter rho, before the factor the integrand's size on
+# the ellipse brings (`PeriodEngine._rules`): from this rho (about
+# 1.036) on, that decay reaches the engine's default 1e-11 by 356
+# points, so such a spine takes a rule of a few hundred points at
+# most.  The pairings are ranked against it; the sizes above 576 serve
+# pinched spines
 SPINE_RHO_MIN = 1e-11 ** (-0.5 / 356)
 
 
@@ -248,15 +250,16 @@ class CycleSystem:
     combination of per-loop periods.  pairs and gap_ends hold the
     branch-point indices at the ends of each cut and gap spine.  sigmas
     holds each loop's orientation factor (`PeriodEngine.sigma`):
-    -1 on a cut loop, e_k on gap loop k.  rhos, each loop's worst
-    Bernstein parameter, comes from the screen (`spine_rhos`).  rejected
+    -1 on a cut loop, e_k on gap loop k.  point_rhos, every branch
+    point's Bernstein parameter in every loop's spine coordinate (inf at
+    the loop's own ends), comes from the screen (`spine_rhos`).  rejected
     holds the pairings `build_cycles_robust` passed over, in the order
     tried, each with its spine_rho() if that fell below SPINE_RHO_MIN,
     else the text of its GeometryError.
     """
 
     def __init__(self, curve, evaluator, loops, alpha_mat, beta_mat,
-                 pairs, gap_ends, sigmas, rhos):
+                 pairs, gap_ends, sigmas, point_rhos):
         self.curve = curve
         self.evaluator = evaluator
         self.loops = loops
@@ -265,7 +268,7 @@ class CycleSystem:
         self.pairs = pairs
         self.gap_ends = gap_ends
         self.sigmas = sigmas
-        self._rhos = rhos
+        self.point_rhos = point_rhos
         self.rejected = []
         self.genus = alpha_mat.shape[0]
 
@@ -280,11 +283,11 @@ class CycleSystem:
         point in the loop's spine coordinate, as the pairing's screen
         measured it (`Screen`); loops are the cuts, then the gaps, as
         are pairs + gap_ends."""
-        return self._rhos
+        return self.point_rhos.min(axis=1)
 
     def spine_rho(self):
         """The worst spine_rhos() over every loop."""
-        return float(self._rhos.min())
+        return float(self.point_rhos.min())
 
 
 def _seg_dist(p, a, b):
@@ -371,7 +374,8 @@ def _symplectic_basis(e):
 class Screen(NamedTuple):
     """One pairing as `_screen` passes it, before any cap is drawn: its
     cuts, oriented and ordered, its gaps, every spine's ends (cuts,
-    then gaps), clearance and rho (`CycleSystem.spine_rhos`)."""
+    then gaps), clearance and every point's rho in every spine's
+    coordinate (`CycleSystem.point_rhos`)."""
 
     pairs: list
     gap_ends: list
@@ -399,10 +403,10 @@ def _screen(z, dist, pairing):
     measured against it; that distance is an entry of the points'
     distances to every spine, so one pass gives both.  Crossing cuts, a
     spine without clearance and crossing gap spines raise
-    GeometryError, all from one broadcast crossing test.  Each loop's
-    rho is |u + sqrt(u-1) sqrt(u+1)| (the root of modulus >= 1) at the
-    worst foreign branch point in its spine coordinate
-    u = (z - mid) / half."""
+    GeometryError, all from one broadcast crossing test.  A foreign
+    branch point's rho on a loop is |u + sqrt(u-1) sqrt(u+1)| (the root
+    of modulus >= 1) at its spine coordinate u = (z - mid) / half; the
+    loop's own ends read inf."""
     pairs = [tuple(p) for p in pairing]
     if (sorted(i for p in pairs for i in p) != list(range(len(z)))
             or any(len(p) != 2 for p in pairs)):
@@ -449,7 +453,7 @@ def _screen(z, dist, pairing):
 
     u = (2.0 * z - (a + b)) / (b - a)
     rho = np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))
-    rhos = np.where(own, np.inf, np.maximum(rho, 1.0 / rho)).min(axis=1)
+    rhos = np.where(own, np.inf, np.maximum(rho, 1.0 / rho))
     return Screen(pairs, gap_ends, ends, clear, rhos)
 
 
@@ -519,8 +523,8 @@ def build_cycles_robust(curve: CoverCurve, pairing=None) -> CycleSystem:
     """build_cycles of a given pairing, else a choice among the greedy,
     sorted and sweep pairings.  The points' distances are computed once,
     and each distinct pairing is screened once, in turn, until one
-    passes with every rho at least SPINE_RHO_MIN, so that the
-    Gauss-Jacobi ladder can settle its spines; only the pairing chosen,
+    passes with every rho at least SPINE_RHO_MIN, so that every
+    spine takes a short Gauss-Jacobi rule; only the pairing chosen,
     that one or else the first that passed, is assembled.  Its
     `rejected` lists the others."""
     if pairing is not None:

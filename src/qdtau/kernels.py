@@ -4,8 +4,8 @@ These are the inner loops of every quadrature in the package: the
 single-valued sheet-1 branch of yhat = sqrt(prod(x - b_i)) over an
 even number of branch points, cut along segments joining them in
 pairs, and its boundary values on a cut.  One call takes the points of
-many spines at once (`eval_oncut` takes one owning cut per point), so a
-lockstep spine ladder weighs a whole step with one call of each.
+many spines at once (`eval_oncut` takes one owning cut per point), so an
+engine weighs every spine rule's nodes with one call of each.
 Callers reach them through the module (``kernels.eval_sheet1``), so
 wrapping the attribute wraps every use.
 """

@@ -22,27 +22,29 @@ d(yhat/(x - b)^j) (`pole_reductions`), the pole step of Kedlaya's
 reduction, and reads the far ones off the far-pole block.  Neither map
 depends on a form.
 
-Each block is one stacked Gauss-Jacobi spine ladder with the
-inverse-square-root endpoint weight, from the rung the loop's worst
-Bernstein parameter predicts (`quadrature.first_rung`).  Every block
-an engine lacks climbs in one lockstep `spine_integral` call, each
-ladder at its own rung and by its own acceptance test; a loop's two
-ladders start from one rung, so a step weighs each loop's nodes once:
-one `kernels.eval_sheet1` call for the gap loops and one
-`kernels.eval_oncut` call for the cut loops.  Each ladder's rule sums
-are products over its own nodes, the sheet weights times the rule's
-moments (`quadrature.jacobi_moments`) for the powers block and the
-far-pole rows times the weighted sheet weights for the far-pole block,
-so each block is bit for bit what its loop's own ladder gives.  An
-engine asked for L first (`tau.TauConnection` is) builds both blocks
-in that one call; a bare engine builds the powers blocks only.  A loop
-period is twice that spine integral times the loop's orientation sign,
-which is read off the lift (`PeriodEngine.sigma`) without any
-quadrature.  The ladder reaches 2,440 points, which settles every loop
-of the collision families' rows down to d = 3.9e-4; a loop where
-either block's ladder still does not settle (a foreign branch point
-closer yet) integrates both blocks on one stacked stadium contour, and
-keeps for P a powers block that settled.
+Each loop's blocks are stacked Gauss-Jacobi sums with the
+inverse-square-root endpoint weight, on one rule whose size is read
+off a rigorous error bound before anything is evaluated
+(`PeriodEngine._rules`): the integrand's modulus on the Bernstein
+ellipses inside the loop's nearest foreign branch point bounds its
+Chebyshev coefficients (`quadrature.chebyshev_bounds`), relative to a
+lower bound of the integrand on the spine, so the size does not change
+under x -> a x + b.  Every block an engine lacks goes to one
+`spine_integral` call whose integrand weighs every loop's nodes at
+once, with one `kernels.eval_sheet1` call for the gap loops and one
+`kernels.eval_oncut` call for the cut loops, and forms each block's
+sums as products over its loop's nodes: the sheet weights times the
+rule's moments (`quadrature.jacobi_moments`) for the powers block, the
+far-pole rows times the weighted sheet weights for the far-pole block.
+An engine asked for L first (`tau.TauConnection` is) builds both
+blocks in that one call; a bare engine builds the powers blocks only.
+A loop period is twice that spine integral times the loop's
+orientation sign, which is read off the lift (`PeriodEngine.sigma`)
+without any quadrature.  The rules reach 2,440 points, which keeps
+every loop of the collision families' rows down to d = 1.95e-4 on its
+spine; a loop where a block's bound fits no size (a foreign branch
+point closer yet) integrates both blocks on one stacked stadium
+contour, and keeps for P a powers block that fits.
 
 Tables and both maps are cached, so every cycle period, including
 those of a transformed basis, is an integer combination of cached
@@ -57,8 +59,15 @@ import numpy as np
 
 from .curves import build_cover
 from .cycles import CycleSystem, GeometryError, build_cycles_robust
-from .quadrature import (adaptive_line, first_rung, jacobi_moments,
-                         spine_integral)
+from .quadrature import (SPINE_SIZES, adaptive_line, chebyshev_bounds,
+                         jacobi_moments, spine_integral)
+
+# the Bernstein parameters at which each spine's error bound is tried,
+# r = rho^f for these f (`PeriodEngine._rules`): the best r for an
+# n-point rule lies near rho^(1 - 1/(4n log rho)), and consecutive f
+# halve 1 - f, so one of them is within a factor two of it from a dozen
+# points to a few thousand
+BOUND_EXPONENTS = 1.0 - 0.5 ** np.arange(1.0, 11.0)
 
 
 def affine_shift(a, b, n):
@@ -161,7 +170,6 @@ class PeriodEngine:
         self.ev = cycles.evaluator
         self.tol = tol
         self._scale = max(abs(b) for b in self.curve.branch_points) + 1.0
-        self.first_rungs = first_rung(cycles.spine_rhos(), tol).tolist()
         self._points = np.asarray(self.curve.branch_points, dtype=complex)
         self._degree = 2 * self.curve.genus
         # loops are the cuts, then the gaps
@@ -181,13 +189,17 @@ class PeriodEngine:
         # z's powers, highest first, in every loop's u
         self._shifts = shifts[::-1, :, :-1]
         self._frame_shift = np.ascontiguousarray(shifts[..., -1])
-        self._splits = {}
+        # every point in every loop's u: [loop, point]
+        self._beta = ((self._points - self._mids[:, None])
+                      / self._halves[:, None])
+        close = self._closeness()
+        self._splits = [(np.flatnonzero(c), np.flatnonzero(~c))
+                        for c in close]
+        self._sizes, self._far_fits, self._bounds = self._rules(close)
         self._tables = {}
         self._failed = set()
         # per loop, the powers block its column of P reads
         self._powers = {}
-        self._defects = {}
-        self._settled = {}
         self._norm = None
         self._power_map = None
         self._pole_map = None
@@ -207,20 +219,77 @@ class PeriodEngine:
     def loop_split(self, loop_idx):
         """(close, far) index arrays of the branch points a form reduces
         on the loop and those it keeps explicit on the table's far-pole
-        block: close are the points nearer its spine than half their
-        nearest-neighbour distance (the spine's ends, and foreign points
-        crowding it).  Reducing a pole divides by its distances to the
-        other points, so a pole reduced on every loop would bring
-        coefficients ~1/d^2 near a pinching cut of length d, whose
-        roundoff swamps far loops."""
-        if loop_idx not in self._splits:
-            geo = self.loop_geometry(loop_idx)
-            u = (self._points - geo.mid) / geo.half
-            close = (np.abs(geo.half * (u - np.clip(u.real, -1, 1)))
-                     < 0.5 * nearest_distances(self._points))
-            self._splits[loop_idx] = (np.flatnonzero(close),
-                                      np.flatnonzero(~close))
+        block (`_closeness`)."""
         return self._splits[loop_idx]
+
+    def _closeness(self):
+        """[loop, point]: whether the point is nearer the loop's spine
+        than half its nearest-neighbour distance (the spine's ends, and
+        foreign points crowding it), every loop in one broadcast.
+        Reducing a pole divides by its distances to the other points,
+        so a pole reduced on every loop would bring coefficients ~1/d^2
+        near a pinching cut of length d, whose roundoff swamps far
+        loops."""
+        beta = self._beta
+        return (np.abs(self._halves[:, None]
+                       * (beta - np.clip(beta.real, -1, 1)))
+                < 0.5 * nearest_distances(self._points))
+
+    def _rules(self, close):
+        """(sizes, far_fits, bounds), per loop: the size of the spine
+        rule of its table, None where no SPINE_SIZES entry meets the
+        powers block's bound; whether the far-pole block also meets its
+        bound at that size; and the larger bound of the blocks that do.
+        ``close`` is `_closeness`; the far-pole block holds the other
+        foreign points.
+
+        On a spine, u = (w + 1/w)/2, and a foreign point b is
+        mid + half (W + 1/W)/2 with |W| = rho_b, its Bernstein
+        parameter, so x - b = (half/2)(w - W)(1 - 1/(wW)).  The spine's
+        own ends cancel sqrt(1 - t^2), so the integrand's modulus is
+        |g| = prod over foreign b of |x - b|^(-1/2), analytic inside the
+        ellipse E_r for every r < rho, the least rho_b, where
+        |x - b| >= delta_b(r) = (|half|/2)(rho_b - r)(1 - 1/(r rho_b))
+        and |g| <= M(r) = prod delta_b(r)^(-1/2).  Each bound is relative
+        to S = prod (|mid - b| + |half|)^(-1/2), at most min |g| on the
+        spine.  The powers rows u^k, k <= 2g, are at most 1 on the spine
+        and ((r + 1/r)/2)^(2g) on E_r.  A far-pole row 1/(x - b)^j is at
+        least (|mid - b| + |half|)^-j on the spine and at most
+        delta_b(r)^-j on E_r, so its bound is relative to S times that
+        least value as well.  Every factor is a ratio of lengths, and no
+        size changes under x -> a x + b.  A loop takes the first size
+        whose bound (`chebyshev_bounds`, least over the r = rho^f,
+        f in BOUND_EXPONENTS) meets tol, the far-pole block's too where
+        one does, so both blocks share its nodes."""
+        rho_b = self.cycles.point_rhos
+        own = np.isinf(rho_b)
+        log_r = np.log(self.cycles.spine_rhos())[:, None] * BOUND_EXPONENTS
+        r = np.exp(log_r)[:, None, :]
+        rb = rho_b[:, :, None]
+        half = np.abs(self._halves)[:, None, None]
+        delta = 0.5 * half * (rb - r) * (1.0 - 1.0 / (r * rb))
+        reach = half * (np.abs(self._beta)[:, :, None] + 1.0)
+        # log(reach / delta), 0 at the loop's own ends: [loop, point, r]
+        log_q = np.log(np.where(own[:, :, None], 1.0, reach / delta))
+        far = ~close & ~own
+        # [block, loop, size]: the powers block's bounds, then the
+        # far-pole block's
+        bounds = chebyshev_bounds(0.5 * log_q.sum(axis=1) + np.stack(
+            [self._degree * np.log((r[:, 0] + 1.0 / r[:, 0]) / 2.0),
+             2.0 * np.where(far[:, :, None], log_q, 0.0).max(axis=1)]),
+            log_r)
+        fits = bounds <= self.tol
+        ok = fits[0].any(axis=1)
+        far_fits = ok & fits[1].any(axis=1) & far.any(axis=1)
+        k = np.where(far_fits, fits.argmax(axis=2).max(axis=0),
+                     fits[0].argmax(axis=1))
+        at = bounds[:, np.arange(len(k)), k]
+        bound = np.where(far_fits, at.max(axis=0), at[0])
+        return ([SPINE_SIZES[i] if fit else None
+                 for i, fit in zip(k.tolist(), ok.tolist())],
+                far_fits.tolist(),
+                [e if fit else None
+                 for e, fit in zip(bound.tolist(), ok.tolist())])
 
     def sigma(self, loop_idx: int) -> int:
         """Orientation factor: loop period = 2*sigma*spine integral.
@@ -267,144 +336,130 @@ class PeriodEngine:
     def loop_period(self, loop_idx: int):
         """The loop's column of the power map: its periods of
         z^k dx/yhat, k = 2g, ..., 0, the frame's powers shifted to u
-        times its powers block: the spine block its ladder settled on,
-        kept where a far-pole ladder's failure gave the loop its contour
-        table, else the contour's."""
+        times its powers block: the spine block, kept where a far-pole
+        block that fits no rule gave the loop its contour table, else
+        the contour's."""
         self.moment_table(loop_idx, self._degree + 1)
         return self._shifts[..., loop_idx] @ self._powers[loop_idx]
 
     @property
     def fallback_loops(self):
-        """Indices of the loops whose spine ladder failed, sorted."""
+        """Indices of the loops whose tables came from the contour,
+        sorted."""
         return sorted(self._failed)
 
     @property
-    def loop_defects(self):
-        """Per loop, the largest defect of its table's spine ladders
-        (the last two rungs' difference, in units of its periods); None
-        for a loop whose table came from the contour or is not built."""
-        return [None if i in self._failed else self._defects.get(i)
-                for i in range(len(self.cycles.loops))]
+    def rule_sizes(self):
+        """Per loop, the size of the spine rule of its table (`_rules`);
+        None for a loop whose table came from the contour, or whose
+        powers block no size fits."""
+        return [None if i in self._failed else n
+                for i, n in enumerate(self._sizes)]
 
     @property
-    def settled_rungs(self):
-        """Per loop, the SPINE_SIZES index each built block's ladder
-        settled on (the powers block, then the far-pole block); None as
-        in `loop_defects`."""
-        return [None if i in self._failed else self._settled.get(i)
-                for i in range(len(self.cycles.loops))]
+    def loop_bounds(self):
+        """Per loop, the error bound its spine rule meets (`_rules`), a
+        relative error like the tolerance it is held to: the larger of
+        its blocks', the far-pole block's where that fits; None as in
+        `rule_sizes`."""
+        return [None if i in self._failed else e
+                for i, e in enumerate(self._bounds)]
 
     def moment_table(self, loop_idx, rows):
         """The loop's moment table (module docstring), at least its
-        first ``rows`` rows: each block from its own spine ladder, the
-        far-pole block only when asked for; once a ladder fails, the
-        whole table from one stacked stadium contour, for good."""
+        first ``rows`` rows: each block from the loop's spine rule, the
+        far-pole block only when asked for; once a block's bound fits no
+        size, the whole table from one stacked stadium contour, for
+        good."""
         self._tabulate([loop_idx], poles=rows > self._degree + 1)
         return self._tables[loop_idx]
 
     def _tabulate(self, loops, poles=False):
         """Build the loops' tables through the powers block, or with
-        ``poles`` through the far-pole block: every block they lack in
-        one lockstep `_spine_blocks` call."""
+        ``poles`` through the far-pole block: every block they lack that
+        fits on its spine in one `spine_integral` call, then each loop
+        with a block that does not fit from its stadium contour."""
         rows = self._degree + 1
-        blocks = []
+        spine, contour = [], []
         for i in loops:
-            if i not in self._tables:
-                blocks.append((i, False))
-            if (poles and len(self._tables.get(i, ())) <= rows
-                    and len(self.loop_split(i)[1])):
-                blocks.append((i, True))
-        if blocks:
-            self._spine_blocks(blocks)
+            powers = i not in self._tables
+            far = (poles and len(self._tables.get(i, ())) <= rows
+                   and len(self.loop_split(i)[1]) > 0)
+            fits = far and self._far_fits[i]
+            if powers and self._sizes[i] is None or far and not fits:
+                contour.append(i)
+            if self._sizes[i] is not None and (powers or fits):
+                spine.append((i, powers, fits))
+        if spine:
+            self._spine_blocks(spine)
+        for i in contour:
+            self._failed.add(i)
+            self._tables[i] = self.contour_loop_period(self._table_rows(i), i)
+            self._powers.setdefault(i, self._tables[i][:rows])
 
     def _spine_blocks(self, blocks):
-        """Append each (loop, poles) block to its loop's table, in
-        order: the powers block, or with ``poles`` the far-pole block,
-        each twice its stacked spine integral, from the loop's first
-        rung, times sigma.  Every block is its own ladder, and all of
-        them climb in one lockstep `spine_integral`, whose integrand
-        forms each ladder's rule sums as products over its own nodes:
-        the sheet weights times the rule's moments for the powers
-        block, the rows of `pole_rows` times the rule-weighted sheet
-        weights for the far-pole block.  On a spine u = t, and a cut
-        loop's spine takes yhat's boundary value.  A loop where either
-        ladder fails takes its whole table from its stadium contour."""
+        """Append each (loop, powers, poles) entry's blocks to its
+        loop's table, in order: the powers block if ``powers``, then the
+        far-pole block if ``poles``, each twice its stacked spine
+        integral times sigma.  One `spine_integral` call takes every
+        loop's rule, and its integrand weighs all their nodes at once
+        (`_sheet_weights`), then forms each block's sums as products
+        over its loop's nodes: the sheet weights times the rule's
+        moments for the powers block, the rows of `pole_rows` times the
+        rule-weighted sheet weights for the far-pole block.  On a spine
+        u = t, and a cut loop's spine takes yhat's boundary value."""
         rows = self._degree + 1
-        far = {i: self._points[self.loop_split(i)[1]]
-               for i, poles in blocks if poles}
+        loops = np.array([i for i, _, _ in blocks])
+        sizes = [self._sizes[i] for i in loops.tolist()]
+        ends = np.cumsum(sizes).tolist()
 
         def g(nodes):
-            t, k = nodes["t"], nodes["ladder"]
-            edges = (np.flatnonzero(k[1:] != k[:-1]) + 1).tolist()
-            runs = list(zip([blocks[j] for j in k[[0] + edges].tolist()],
-                            [0] + edges, edges + [len(k)]))
-            # a loop's two ladders stand on one rung at every step they
-            # share, so each loop's nodes take one sheet weight
-            spans = {}
-            for (i, _), a, b in runs:
-                spans.setdefault(i, (a, b))
-            weights = dict(zip(spans, self._sheet_weights(
-                t, [(i, a, b) for i, (a, b) in spans.items()])))
+            t = nodes["t"]
+            s = self._sheet_weights(t, loops[nodes["rule"]])
             sums = []
-            for (i, poles), a, b in runs:
-                s = weights[i]
-                if not poles:
+            for (i, powers, poles), n, b in zip(blocks, sizes, ends):
+                a = b - n
+                out = []
+                if powers:
                     # the real moments against the weights' real and
                     # imaginary parts, with no complex copy of them
-                    m = jacobi_moments(b - a, -0.5, -0.5, rows)
-                    sums.append((m @ s.view(float).reshape(-1, 2))
-                                .view(complex).ravel())
-                    continue
-                ws = nodes["w"][a:b] * s
-                d = 1.0 / (self._mids[i] + t[a:b] * self._halves[i]
-                           - far[i][:, None])
-                first = d @ ws
-                # then 1/(x - b)^2, squared in place
-                sums.append(np.concatenate([first, np.square(d, out=d) @ ws]))
+                    m = jacobi_moments(n, -0.5, -0.5, rows)
+                    out.append((m @ s[a:b].view(float).reshape(-1, 2))
+                               .view(complex).ravel())
+                if poles:
+                    ws = nodes["w"][a:b] * s[a:b]
+                    far = self._points[self.loop_split(i)[1]]
+                    d = 1.0 / (self._mids[i] + t[a:b] * self._halves[i]
+                               - far[:, None])
+                    out.append(d @ ws)
+                    # then 1/(x - b)^2, squared in place
+                    out.append(np.square(d, out=d) @ ws)
+                sums.append(out)
             return sums
 
-        vals, defects, rungs = spine_integral(
-            g, -0.5, -0.5, tol=self.tol,
-            start=[self.first_rungs[i] for i, _ in blocks])
-        for (i, poles), val, defect, rung in zip(blocks, vals, defects,
-                                                 rungs):
-            if i in self._failed:
-                continue
-            if val is None:
-                self._failed.add(i)
-                self._tables[i] = self.contour_loop_period(
-                    self._table_rows(i), i)
-                self._powers.setdefault(i, self._tables[i][:rows])
-                continue
-            self._defects[i] = max(self._defects.get(i, 0.0),
-                                   2.0 * float(defect))
-            self._settled.setdefault(i, []).append(int(rung))
-            block = 2.0 * self.sigma(i) * val
-            if not poles:
-                self._powers[i] = block
+        for (i, powers, _), out in zip(blocks, spine_integral(
+                g, -0.5, -0.5, sizes)):
+            block = 2.0 * self.sigma(i) * np.concatenate(out)
+            if powers:
+                self._powers[i] = block[:rows]
             self._tables[i] = np.concatenate(
                 [self._tables.get(i, np.zeros(0, dtype=complex)), block])
 
-    def _sheet_weights(self, t, spans):
-        """half sqrt(1 - t^2) / yhat at the nodes t of each span
-        (loop, a, b), on the loop's spine: the sheet weight of the spine
-        rule, one array per span, from one `eval_sheet1` call on the gap
-        loops and one `eval_oncut` call on the cut loops."""
-        at = np.concatenate([np.arange(a, b) for _, a, b in spans])
-        on = np.repeat([i for i, _, _ in spans], [b - a for _, a, b in spans])
-        tt = t[at]
+    def _sheet_weights(self, t, on):
+        """half sqrt(1 - t^2) / yhat at the nodes t, node k on loop
+        on[k]'s spine: the sheet weights of the spine rules, from one
+        `eval_sheet1` call on the gap loops' nodes and one `eval_oncut`
+        call on the cut loops'."""
         cut = self._cut_of[on]
         oncut = cut >= 0
-        y = np.empty(len(at), dtype=complex)
+        y = np.empty(len(t), dtype=complex)
         if not oncut.all():
             gap = on[~oncut]
             y[~oncut] = self.ev.y(self._mids[gap]
-                                  + tt[~oncut] * self._halves[gap])
+                                  + t[~oncut] * self._halves[gap])
         if oncut.any():
-            y[oncut] = self.ev.y_oncut(cut[oncut], tt[oncut], +1)
-        w = self._halves[on] * np.sqrt((1.0 - tt) * (1.0 + tt)) / y
-        ends = np.cumsum([b - a for _, a, b in spans]).tolist()
-        return [w[end - (b - a):end] for (_, a, b), end in zip(spans, ends)]
+            y[oncut] = self.ev.y_oncut(cut[oncut], t[oncut], +1)
+        return self._halves[on] * np.sqrt((1.0 - t) * (1.0 + t)) / y
 
     def _table_rows(self, loop_idx):
         """fn(x, sheet): both blocks of the loop's table, the stacked
@@ -446,10 +501,8 @@ class PeriodEngine:
             loops = range(len(self.cycles.loops))
             splits = [self.loop_split(i) for i in loops]
             owner = np.repeat(loops, [len(close) for close, _ in splits])
-            beta = ((self._points - self._mids[:, None])
-                    / self._halves[:, None])
             red = pole_reductions(
-                beta[owner],
+                self._beta[owner],
                 np.concatenate([close for close, _ in splits]))[..., ::-1]
             rows = self._degree + 1
             self._tabulate(loops, poles=True)
@@ -512,7 +565,7 @@ class PeriodEngine:
         return n @ (d_b - d_a @ omega)
 
     # the loop's stadium contour, sheet by sheet: the moment table's
-    # route where a spine's ladder does not settle; fn(x, sheet) is the
+    # route where a block's bound fits no spine rule; fn(x, sheet) is the
     # full coefficient of dx, or a (k, npts) stack of k coefficients
     def contour_loop_period(self, fn, loop_idx: int, tol=None):
         lp = self.cycles.loops[loop_idx]

@@ -5,13 +5,12 @@ Two regimes:
 - integrals along a branch-cut spine, with inverse-square-root or
   square-root endpoint behavior: Gauss-Jacobi rules with half-integer
   exponents, which have closed-form Chebyshev-type nodes and weights
-  (no root-finding), escalated until two consecutive sizes agree (for
-  every component of a stacked integrand), from the rung the spine's
-  Bernstein parameter predicts (`first_rung`), up to 2,440 points.
-  Many ladders can climb in lockstep, each from its own rung and by its
-  own test, so one integrand call per step serves all of them; the
-  integrand returns each ladder's rule sums itself, so it can form them
-  as products (`jacobi_moments`) instead of tabulating values to sum;
+  (no root-finding), each sized before anything is evaluated from a
+  bound on the integrand over Bernstein ellipses (`chebyshev_bounds`),
+  up to 2,440 points.  Many rules go to the integrand in one call
+  (`spine_integral`), and the integrand returns each rule's sums
+  itself, so it can form them as products (`jacobi_moments`) instead
+  of tabulating values to sum;
 - integrals along contour pieces staying away from all singularities:
   24- and 48-point Gauss-Legendre panels compared on each panel and
   bisected where they disagree.  The panel tree is grown breadth-first:
@@ -26,15 +25,12 @@ Two regimes:
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
 
-# escalation ladder for the spine rules, each size about 1.618 times
-# the last.  The rungs above 576 serve spines crowded by a pinching
-# pair: at the engine's 1e-11 they settle every loop of the collision
-# families' rows down to rho = 1.0166, and not those at rho <= 1.0142
+# the spine rule sizes, each about 1.618 times the last.  The sizes
+# above 576 serve spines crowded by a pinching pair
 SPINE_SIZES = (12, 20, 32, 52, 84, 136, 220, 356, 576, 932, 1508, 2440)
 
 # contour panels per integrand call: 64 panels of 24 + 48 nodes are
@@ -44,7 +40,7 @@ PANELS_PER_CALL = 64
 
 
 class QuadratureError(RuntimeError):
-    """Raised when the escalation ladder ends without convergence.
+    """Raised when a contour panel does not converge.
 
     ``achieved`` carries the last defect estimate.
     """
@@ -81,38 +77,6 @@ def jacobi_rule(n: int, alpha: float, beta: float):
     raise ValueError(f"unsupported Jacobi exponents {key}")
 
 
-def first_rung(rho, tol: float):
-    """Index of the SPINE_SIZES rung a ladder starts from: the one
-    before the first size n with rho^(-2n) <= tol, since an n-point rule
-    errs like rho^(-2n) on a spine whose integrand is analytic inside
-    the Bernstein ellipse of parameter rho; the top two rungs when no
-    size meets tol.  rho (>= 1) may be an array, one rung per entry;
-    every size is tested at once against its least fitting rho
-    (`_fitting_rhos`)."""
-    fits = np.asarray(rho)[..., None] >= _fitting_rhos(tol)
-    k = np.where(fits.any(axis=-1), np.maximum(fits.argmax(axis=-1) - 1, 0),
-                 len(SPINE_SIZES) - 2)
-    return int(k) if k.ndim == 0 else k
-
-
-@lru_cache(maxsize=None)
-def _fitting_rhos(tol):
-    """Per SPINE_SIZES size n, the least float rho with
-    rho ** (-2n) <= tol in Python's pow, from tol^(-1/2n) by single
-    steps.  Past 1, the next float moves rho^(-2n) by at least 12 of
-    its units in the last place, so pow falls strictly and a rho fits
-    exactly when it is at least this one."""
-    out = []
-    for n in SPINE_SIZES:
-        r = tol ** (-0.5 / n)
-        while r ** (-2.0 * n) <= tol:
-            r = math.nextafter(r, 0.0)
-        while r ** (-2.0 * n) > tol:
-            r = math.nextafter(r, math.inf)
-        out.append(r)
-    return np.array(out)
-
-
 @lru_cache(maxsize=None)
 def jacobi_moments(n: int, alpha: float, beta: float, rows: int):
     """(rows, n): the n-point rule's weight times t^j at each node, for
@@ -122,81 +86,48 @@ def jacobi_moments(n: int, alpha: float, beta: float, rows: int):
     return w * np.vander(t, rows, True).T
 
 
-# the nodes a lockstep ladder hands its integrand: each node with its
-# rule weight and the index of the ladder it belongs to
-LADDER_NODES = np.dtype([("t", float), ("w", float), ("ladder", np.intp)])
+def chebyshev_bounds(log_m, log_r):
+    """(..., len(SPINE_SIZES)): for each size n, the least over the last
+    axis of 2 M / (r^(2n) - 1), where log_m and log_r hold log M and
+    log r along that axis.  For g analytic inside the Bernstein ellipse
+    of parameter r with |g| <= M on it, g's Chebyshev coefficients obey
+    |a_k| <= 2 M r^(-k) (Trefethen, Approximation Theory and
+    Approximation Practice, Theorem 8.1).  The n-point Gauss-Chebyshev
+    rule integrates T_k against 1/sqrt(1 - t^2) exactly for k < 2n and
+    sums T_2nm to pi (-1)^m, so it errs by at most
+    2 pi M / (r^(2n) - 1): pi times this bound."""
+    n = np.array(SPINE_SIZES, dtype=float)[:, None]
+    y = 2.0 * n * log_r[..., None, :]
+    # log(r^(2n) - 1), with no overflow at large n log r
+    log_b = log_m[..., None, :] - y - np.log(-np.expm1(-y))
+    return 2.0 * np.exp(log_b.min(axis=-1))
 
 
-def spine_integral(g, alpha: float, beta: float, tol: float = 1e-12,
-                   start=0):
-    """Escalating Gauss-Jacobi evaluation of
-    integral over [-1,1] of (1-t)^alpha (1+t)^beta g(t) dt.
+# the nodes a spine integrand receives: each node with its rule weight
+# and the index of the rule it belongs to
+RULE_NODES = np.dtype([("t", float), ("w", float), ("rule", np.intp)])
 
-    ``g`` receives a float array of interior nodes and must return
-    complex values (or a (k, npts) stack, whose k integrals come back
-    as an array); it is smooth whenever the caller extracted the
-    endpoint behavior correctly.  The ladder climbs SPINE_SIZES from
-    index ``start``, so a ladder that would have settled at rung
-    start + 1 or above returns the full ladder's value bit for bit.
-    Returns (value, defect-estimate).
 
-    ``start`` may instead be a sequence of first rungs, one per ladder.
-    The ladders then climb in lockstep, each from its own rung and by
-    its own acceptance test: every step hands ``g`` the nodes of every
-    ladder still climbing, each at its own rung, in one LADDER_NODES
-    array (node ``t``, rule weight ``w``, index ``ladder``; each
-    ladder's nodes in one run), and ``g`` returns one rule sum per run,
-    in run order: the sum over the run of w times the ladder's values,
-    a complex number or array of any shape the ladder keeps.  Computed
-    from its own run alone, a ladder's sums, and so its value, do not
-    depend on which ladders share its steps.  Returns (values, defects,
-    rungs): per ladder its value, the defect of its last comparison and
-    the index of the rung it settled on; a ladder that ends without
-    settling reads None and rung -1, and raises nothing.  A plain ``g``
-    is the one-ladder case whose rule sum is np.sum(w * g(t), axis=-1),
-    g's values taken as complex.
+def spine_integral(g, alpha: float, beta: float, sizes):
+    """Gauss-Jacobi sums for integrals over [-1,1] of
+    (1-t)^alpha (1+t)^beta g_k(t) dt, one rule per entry of ``sizes``,
+    all in one call of ``g``.
+
+    ``g`` receives every rule's nodes in one RULE_NODES array (node
+    ``t``, rule weight ``w``, index ``rule`` into ``sizes``; each rule's
+    nodes in one run, in order) and returns its sums, one per rule in
+    rule order: the sum over the run of w times the rule's values, a
+    complex number or array of any shape.  A rule's sums come from its
+    own run alone, so they do not depend on which rules share the call.
+    The caller picks each size (`chebyshev_bounds`); the value of
+    ``g``'s call is returned as it is.
     """
-    if np.ndim(start) == 0:
-        def sums(nodes):
-            vals = np.asarray(g(np.ascontiguousarray(nodes["t"])),
-                              dtype=complex)
-            return [np.sum(nodes["w"] * vals, axis=-1)]
-
-        values, defects, _ = spine_integral(sums, alpha, beta, tol, [start])
-        if values[0] is None:
-            raise QuadratureError("spine quadrature did not converge",
-                                  defects[0])
-        val = values[0]
-        return (complex(val) if val.ndim == 0 else val), float(defects[0])
-    starts = list(start)
-    values = [None] * len(starts)
-    defects = [np.inf] * len(starts)
-    rungs = [-1] * len(starts)
-    prev = [None] * len(starts)
-    climbing = [i for i, r in enumerate(starts) if r < len(SPINE_SIZES)]
-    step = 0
-    while climbing:
-        rule = [starts[i] + step for i in climbing]
-        rules = [jacobi_rule(SPINE_SIZES[r], alpha, beta) for r in rule]
-        nodes = np.empty(sum(len(t) for t, _ in rules), LADDER_NODES)
-        nodes["t"] = np.concatenate([t for t, _ in rules])
-        nodes["w"] = np.concatenate([w for _, w in rules])
-        nodes["ladder"] = np.repeat(climbing, [len(t) for t, _ in rules])
-        still = []
-        for i, r, val in zip(climbing, rule, g(nodes)):
-            val = np.asarray(val, dtype=complex)
-            if prev[i] is not None:
-                defect = np.abs(val - prev[i])
-                defects[i] = float(defect.max())
-                if (defect <= tol * np.maximum(1.0, np.abs(val))).all():
-                    values[i], rungs[i] = val, r
-                    continue
-            if r + 1 < len(SPINE_SIZES):
-                prev[i] = val
-                still.append(i)
-        climbing = still
-        step += 1
-    return values, np.array(defects), np.array(rungs)
+    rules = [jacobi_rule(n, alpha, beta) for n in sizes]
+    nodes = np.empty(sum(len(t) for t, _ in rules), RULE_NODES)
+    nodes["t"] = np.concatenate([t for t, _ in rules])
+    nodes["w"] = np.concatenate([w for _, w in rules])
+    nodes["rule"] = np.repeat(np.arange(len(rules)), [len(t) for t, _ in rules])
+    return g(nodes)
 
 
 @lru_cache(maxsize=None)

@@ -32,7 +32,7 @@ derivative a simple pole there.
 `build_connection` keeps the one connection it built last and returns
 it when asked again for the same configuration and pairing: the
 homogeneity and basis-change checks of one configuration share its
-cover, cycles, spine ladder, kernel evaluator and phi periods.  The
+cover, cycles, spine tables, kernel evaluator and phi periods.  The
 key is the exact bits of the zeros, poles, scale and tolerance (so
 0.0 and -0.0 differ) with the pairing; there is one entry, and a
 connection is read-only to every caller.
@@ -155,7 +155,7 @@ class TauConnection:
         self._be = bergman
         # phi's periods and v's velocities go through the pole map:
         # asked for first, it builds both blocks of every loop's table
-        # in one lockstep ladder
+        # in one spine_integral call
         engine.pole_map()
         self.alpha_mat = engine.cycles.alpha_mat if alpha_mat is None else alpha_mat
         self.beta_mat = engine.cycles.beta_mat if beta_mat is None else beta_mat

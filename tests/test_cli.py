@@ -2,7 +2,6 @@ import csv
 import hashlib
 import json
 
-import numpy as np
 import pytest
 
 from qdtau import checks, tau
@@ -10,8 +9,8 @@ from qdtau.cli import load_config, main
 from qdtau.curves import build_cover
 from qdtau.cycles import SPINE_RHO_MIN, build_cycles_robust
 from qdtau.periods import PeriodEngine
-from qdtau.quadrature import SPINE_SIZES, first_rung
-from test_periods import COLLINEAR, PerLoopEngine
+from qdtau.quadrature import SPINE_SIZES
+from test_periods import COLLINEAR, PerLoopEngine, oracle_rules
 
 REF_CONFIG = {
     "zeros": [[0.0, 0.0]],
@@ -164,47 +163,41 @@ def test_periods_report(ref_config_path, tmp_path):
     # a given pairing is built as it is, its caps at the one factor
     assert rep["diagnostics"]["rejected_pairings"] == []
     assert "cap_factor" not in rep["diagnostics"]
-    # every spine settles; each loop's first rule is a ladder size
+    # every spine fits a rule, each a spine rule size
     assert rep["diagnostics"]["fallback_loops"] == []
-    rungs = rep["diagnostics"]["first_rungs"]
-    assert len(rungs) == rep["diagnostics"]["loops"]
-    assert set(rungs) <= set(SPINE_SIZES)
-    assert_loop_defects_accepted(rep, load_config(ref_config_path))
+    sizes = rep["diagnostics"]["rule_sizes"]
+    assert len(sizes) == rep["diagnostics"]["loops"]
+    assert set(sizes) <= set(SPINE_SIZES)
+    assert_loop_bounds_accepted(rep, load_config(ref_config_path))
 
 
-def assert_loop_defects_accepted(rep, config):
-    """The report's loop defects and settled rungs are null exactly on
-    its fallback loops, and each other defect is within the acceptance
-    bound of its loop's ladders: every spine value v is accepted with a
-    defect of at most tol max(1, |v|), and a table entry is 2 v.  Each
-    other loop's one ladder (the powers block, the only one `periods`
-    asks for) settled on a ladder size past its first, the rung an
-    engine's own `moment_table` settles on."""
-    defects = rep["diagnostics"]["loop_defects"]
-    settled = rep["diagnostics"]["settled_rungs"]
-    assert ([i for i, e in enumerate(defects) if e is None]
-            == [i for i, r in enumerate(settled) if r is None]
-            == rep["diagnostics"]["fallback_loops"])
-    first = rep["diagnostics"]["first_rungs"]
-    assert all(r is None or len(r) == 1 and r[0] in SPINE_SIZES
-               and r[0] > f for r, f in zip(settled, first))
+def assert_loop_bounds_accepted(rep, config):
+    """The report's rule sizes and loop bounds are null exactly on its
+    fallback loops, and each other bound meets the configuration's
+    tolerance, in its units.  Each is the one an engine of the
+    configuration reads off its loop before it builds anything, and its
+    size the point-by-point oracle's (`oracle_rules`)."""
+    sizes = rep["diagnostics"]["rule_sizes"]
+    bounds = rep["diagnostics"]["loop_bounds"]
+    fallbacks = rep["diagnostics"]["fallback_loops"]
+    assert ([i for i, e in enumerate(bounds) if e is None]
+            == [i for i, n in enumerate(sizes) if n is None] == fallbacks)
     pe = PeriodEngine.for_config(config, config.tolerance)
-    for i, defect in enumerate(defects):
-        if defect is not None:
-            # the powers block, the only one `periods` asks for
-            table = pe.moment_table(i, 1)
-            assert 0.0 <= defect <= config.tolerance * max(
-                2.0, np.abs(table).max()), i
-            assert [SPINE_SIZES[k] for k in pe.settled_rungs[i]] == settled[i]
+    oracle = oracle_rules(pe)
+    for i, (size, bound) in enumerate(zip(sizes, bounds)):
+        if i not in fallbacks:
+            assert 0.0 < bound <= config.tolerance, i
+            assert (size, bound) == (pe.rule_sizes[i], pe.loop_bounds[i])
+            assert size == oracle[i][0], i
 
 
 def test_periods_report_names_fallback_loops(tmp_path):
-    # zero-zero at d = 4.9e-5, a row past the schedule's last: the gap
-    # loops past the pinching cut start where their rho predicts, and
-    # one of them fails its powers block's spine even on the top rung
-    # and takes the moment-table contour; the report says so, byte for
-    # byte the same on a second run.  (On the schedule's rows only the
-    # far-pole blocks, which `periods` never asks for, fall back.)
+    # zero-zero at d = 4.9e-5, a row past the schedule's last: of the
+    # gap loops past the pinching cut, loop 4 takes the top size and
+    # loop 5's powers block fits no size, so it takes the moment-table
+    # contour; the report says so, byte for byte the same on a second
+    # run.  (On the schedule's rows only a far-pole block, which
+    # `periods` never asks for, falls back.)
     fam = tau.zero_zero_family()
     cfg = fam.config(fam.schedule[-1] / 2.0)
     path = tmp_path / "pinch.json"
@@ -215,11 +208,8 @@ def test_periods_report_names_fallback_loops(tmp_path):
     code, rep = run(["periods", "--config", str(path)], tmp_path / "a.json")
     assert code == 0
     assert rep["diagnostics"]["fallback_loops"] == [5]
-    rhos = build_cycles_robust(build_cover(cfg),
-                               pairing=fam.pairing).spine_rhos()
-    assert rep["diagnostics"]["first_rungs"][4:6] == [
-        SPINE_SIZES[first_rung(rho, 1e-11)] for rho in rhos[4:6]]
-    assert_loop_defects_accepted(rep, load_config(str(path)))
+    assert rep["diagnostics"]["rule_sizes"][4:6] == [SPINE_SIZES[-1], None]
+    assert_loop_bounds_accepted(rep, load_config(str(path)))
     run(["periods", "--config", str(path)], tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
@@ -246,10 +236,13 @@ def test_periods_reports_the_cycle_ladder(tmp_path):
 
 
 def test_periods_reports_settled_rungs(tmp_path):
-    # a zero-zero row whose ladders climb from several first rungs:
-    # each loop's reported settled size is where its own per-loop
-    # ladder settles, past its first size, and byte for byte the same
-    # on a second run
+    # a zero-zero row whose loops take rules of several sizes: each
+    # reported size is within one size of where the per-loop rung
+    # ladder settles the loop's powers block (it settles a size past
+    # the first that meets the tolerance, as its defect is the lower
+    # rung's error; a loop here may take a larger rule for its far-pole
+    # block), each bound meets the tolerance, and the report is byte
+    # for byte the same on a second run
     fam = tau.zero_zero_family()
     cfg = fam.config(fam.schedule[4])
     path = tmp_path / "row.json"
@@ -262,13 +255,11 @@ def test_periods_reports_settled_rungs(tmp_path):
     oracle = PerLoopEngine(build_cycles_robust(build_cover(cfg),
                                                pairing=fam.pairing))
     oracle.power_map()
-    diag = rep["diagnostics"]
-    assert diag["settled_rungs"] == [[SPINE_SIZES[k] for k in r]
-                                     for r in oracle.settled_rungs]
-    climbs = {SPINE_SIZES.index(r[0]) - SPINE_SIZES.index(f)
-              for r, f in zip(diag["settled_rungs"], diag["first_rungs"])}
-    assert len(set(diag["first_rungs"])) > 1 and max(climbs) > 1
-    assert_loop_defects_accepted(rep, load_config(str(path)))
+    sizes = rep["diagnostics"]["rule_sizes"]
+    assert len(set(sizes)) > 2
+    assert all(abs(SPINE_SIZES.index(n) - r) <= 1
+               for n, (r,) in zip(sizes, oracle.settled_rungs))
+    assert_loop_bounds_accepted(rep, load_config(str(path)))
     run(["periods", "--config", str(path)], tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 

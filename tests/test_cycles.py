@@ -251,17 +251,23 @@ def oracle_symplectic_basis(inter, ncuts, g):
     return alpha_mat, beta_mat
 
 
-def oracle_rhos(curve, ends):
-    """Per spine (i, j) of ends, the worst Bernstein parameter
-    |u + sqrt(u-1) sqrt(u+1)| of a foreign branch point in its
-    coordinate u = (z - mid) / half, recomputed from the points."""
+def oracle_point_rhos(curve, ends):
+    """[spine, point]: per spine (i, j) of ends, each foreign branch
+    point's Bernstein parameter |u + sqrt(u-1) sqrt(u+1)| in its
+    coordinate u = (z - mid) / half, recomputed from the points; inf at
+    the spine's own ends."""
     pts = np.asarray(curve.branch_points)
     ends = np.array(ends)[:, :, None]
     a, b = pts[ends[:, 0]], pts[ends[:, 1]]
     u = (2.0 * pts - (a + b)) / (b - a)
     rho = np.abs(u + np.sqrt(u - 1.0) * np.sqrt(u + 1.0))
     own = (np.arange(len(pts)) == ends).any(axis=1)
-    return np.where(own, np.inf, np.maximum(rho, 1.0 / rho)).min(axis=1)
+    return np.where(own, np.inf, np.maximum(rho, 1.0 / rho))
+
+
+def oracle_rhos(curve, ends):
+    """Per spine (i, j) of ends, the worst of `oracle_point_rhos`."""
+    return oracle_point_rhos(curve, ends).min(axis=1)
 
 
 def oracle_build(curve, pairing, factor, intersections=pruned_intersections):
@@ -321,7 +327,7 @@ def oracle_build(curve, pairing, factor, intersections=pruned_intersections):
                        for lp in loops])
     return cycles.CycleSystem(curve, SheetedEval(pts, pairs), loops, alpha_mat,
                               beta_mat, pairs, gap_ends, sigmas,
-                              oracle_rhos(curve, pairs + gap_ends))
+                              oracle_point_rhos(curve, pairs + gap_ends))
 
 
 def candidate_pairings(curve):
@@ -781,6 +787,8 @@ def test_screened_ladder_matches_a_ladder_of_whole_builds():
                 assert np.array_equal(got.spine_rhos(), want.spine_rhos())
                 assert np.array_equal(got.spine_rhos(),
                                       oracle_rhos(curve, got.pairs + got.gap_ends))
+                assert np.array_equal(got.point_rhos, oracle_point_rhos(
+                    curve, got.pairs + got.gap_ends))
                 rejected.update(why.split()[0] if isinstance(why, str) else "rho"
                                 for _, why in got.rejected)
     assert {"rho", "spine", "gap"} <= rejected, rejected

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import pytest
 
+from functools import lru_cache
+
 from qdtau.cycles import SPINE_RHO_MIN
+from qdtau.periods import BOUND_EXPONENTS
 from qdtau.quadrature import (
     PANELS_PER_CALL,
     SPINE_SIZES,
     QuadratureError,
     adaptive_line,
-    first_rung,
+    chebyshev_bounds,
     jacobi_rule,
     legendre_rule,
     spine_integral,
@@ -74,7 +77,126 @@ def _bessel_i(nu, x, terms=25):
     return total
 
 
+# The spine rung ladder, kept here as the reference for the a priori
+# rule sizes: each ladder climbs SPINE_SIZES from the rung its spine's
+# Bernstein parameter predicts until two consecutive rules agree.
+
+def first_rung(rho, tol: float):
+    """Index of the SPINE_SIZES rung a ladder starts from: the one
+    before the first size n with rho^(-2n) <= tol, since an n-point rule
+    errs like rho^(-2n) on a spine whose integrand is analytic inside
+    the Bernstein ellipse of parameter rho; the top two rungs when no
+    size meets tol.  rho (>= 1) may be an array, one rung per entry;
+    every size is tested at once against its least fitting rho
+    (`_fitting_rhos`)."""
+    fits = np.asarray(rho)[..., None] >= _fitting_rhos(tol)
+    k = np.where(fits.any(axis=-1), np.maximum(fits.argmax(axis=-1) - 1, 0),
+                 len(SPINE_SIZES) - 2)
+    return int(k) if k.ndim == 0 else k
+
+
+@lru_cache(maxsize=None)
+def _fitting_rhos(tol):
+    """Per SPINE_SIZES size n, the least float rho with
+    rho ** (-2n) <= tol in Python's pow, from tol^(-1/2n) by single
+    steps.  Past 1, the next float moves rho^(-2n) by at least 12 of
+    its units in the last place, so pow falls strictly and a rho fits
+    exactly when it is at least this one."""
+    out = []
+    for n in SPINE_SIZES:
+        r = tol ** (-0.5 / n)
+        while r ** (-2.0 * n) <= tol:
+            r = math.nextafter(r, 0.0)
+        while r ** (-2.0 * n) > tol:
+            r = math.nextafter(r, math.inf)
+        out.append(r)
+    return np.array(out)
+
+
+# the nodes a lockstep ladder hands its integrand: each node with its
+# rule weight and the index of the ladder it belongs to
+LADDER_NODES = np.dtype([("t", float), ("w", float), ("ladder", np.intp)])
+
+
+def spine_ladder(g, alpha: float, beta: float, tol: float = 1e-12,
+                 start=0):
+    """Escalating Gauss-Jacobi evaluation of
+    integral over [-1,1] of (1-t)^alpha (1+t)^beta g(t) dt.
+
+    ``g`` receives a float array of interior nodes and returns complex
+    values (or a (k, npts) stack, whose k integrals come back as an
+    array).  The ladder climbs SPINE_SIZES from index ``start`` until
+    two consecutive rules agree to tol max(1, |value|) in every
+    component, so a ladder that would have settled at rung start + 1 or
+    above returns the full ladder's value bit for bit.  Returns
+    (value, defect-estimate), and raises QuadratureError at the top.
+
+    ``start`` may instead be a sequence of first rungs, one per ladder.
+    The ladders then climb in lockstep, each from its own rung and by
+    its own acceptance test: every step hands ``g`` the nodes of every
+    ladder still climbing, each at its own rung, in one LADDER_NODES
+    array (each ladder's nodes in one run), and ``g`` returns one rule
+    sum per run, in run order.  Returns (values, defects, rungs): per
+    ladder its value, the defect of its last comparison and the index
+    of the rung it settled on; a ladder that ends without settling
+    reads None and rung -1, and raises nothing.  A plain ``g`` is the
+    one-ladder case whose rule sum is np.sum(w * g(t), axis=-1), g's
+    values taken as complex.
+    """
+    if np.ndim(start) == 0:
+        def sums(nodes):
+            vals = np.asarray(g(np.ascontiguousarray(nodes["t"])),
+                              dtype=complex)
+            return [np.sum(nodes["w"] * vals, axis=-1)]
+
+        values, defects, _ = spine_ladder(sums, alpha, beta, tol, [start])
+        if values[0] is None:
+            raise QuadratureError("spine quadrature did not converge",
+                                  defects[0])
+        val = values[0]
+        return (complex(val) if val.ndim == 0 else val), float(defects[0])
+    starts = list(start)
+    values = [None] * len(starts)
+    defects = [np.inf] * len(starts)
+    rungs = [-1] * len(starts)
+    prev = [None] * len(starts)
+    climbing = [i for i, r in enumerate(starts) if r < len(SPINE_SIZES)]
+    step = 0
+    while climbing:
+        rule = [starts[i] + step for i in climbing]
+        rules = [jacobi_rule(SPINE_SIZES[r], alpha, beta) for r in rule]
+        nodes = np.empty(sum(len(t) for t, _ in rules), LADDER_NODES)
+        nodes["t"] = np.concatenate([t for t, _ in rules])
+        nodes["w"] = np.concatenate([w for _, w in rules])
+        nodes["ladder"] = np.repeat(climbing, [len(t) for t, _ in rules])
+        still = []
+        for i, r, val in zip(climbing, rule, g(nodes)):
+            val = np.asarray(val, dtype=complex)
+            if prev[i] is not None:
+                defect = np.abs(val - prev[i])
+                defects[i] = float(defect.max())
+                if (defect <= tol * np.maximum(1.0, np.abs(val))).all():
+                    values[i], rungs[i] = val, r
+                    continue
+            if r + 1 < len(SPINE_SIZES):
+                prev[i] = val
+                still.append(i)
+        climbing = still
+        step += 1
+    return values, np.array(defects), np.array(rungs)
+
+
+def _rule_sum(nodes, f):
+    """The rule sums of f, one per run of the nodes."""
+    k = nodes["rule"]
+    edges = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
+    return [np.sum(nodes["w"][a:b] * f(nodes["t"][a:b]), axis=-1)
+            for a, b in zip(edges, edges[1:])]
+
+
 def test_spine_integral_bessel_oracles():
+    # exp is entire: at 20 points each exponent pair's rule is within
+    # roundoff of its closed form
     i0 = _bessel_i(0, 1.0)
     i1 = _bessel_i(1, 1.0)
     cases = {
@@ -84,16 +206,93 @@ def test_spine_integral_bessel_oracles():
         (0.5, -0.5): math.pi * (i0 - i1),
     }
     for (alpha, beta), want in cases.items():
-        val, defect = spine_integral(np.exp, alpha, beta, tol=1e-13)
+        val, = spine_integral(lambda nodes: _rule_sum(nodes, np.exp),
+                              alpha, beta, [20])
+        assert abs(val - want) < 1e-13 * abs(want)
+        # the reference ladder settles on the same value
+        val, defect = spine_ladder(np.exp, alpha, beta, tol=1e-13)
         assert abs(val - want) < 1e-12 * abs(want)
         assert defect < 1e-12 * abs(want)
+
+
+def test_spine_integral_hands_every_rule_to_one_call():
+    # three rules of different sizes go to the integrand in one call,
+    # each rule's nodes and weights in one run, in order; the
+    # integrand's sums come back as they are, and each rule's sums are
+    # bit for bit those of the rule alone
+    fs = [np.exp, lambda t: np.stack([1.0 / (t - 1.1j), t * t]),
+          lambda t: np.cos(3 * t)]
+    calls = []
+
+    def g(nodes):
+        calls.append(nodes.copy())
+        k = nodes["rule"]
+        edges = [0, *(np.flatnonzero(k[1:] != k[:-1]) + 1).tolist(), len(k)]
+        return [fs[k[a]](nodes["t"][a:b]) @ nodes["w"][a:b]
+                for a, b in zip(edges, edges[1:])]
+
+    sizes = [52, 12, 20]
+    together = spine_integral(g, -0.5, -0.5, sizes)
+    assert len(calls) == 1
+    nodes = calls[0]
+    assert nodes["rule"].tolist() == [j for j, n in enumerate(sizes)
+                                      for _ in range(n)]
+    for j, n in enumerate(sizes):
+        t, w = jacobi_rule(n, -0.5, -0.5)
+        run = nodes[nodes["rule"] == j]
+        assert np.array_equal(run["t"], t) and np.array_equal(run["w"], w)
+        alone = spine_integral(lambda nd: [fs[j](nd["t"]) @ nd["w"]],
+                               -0.5, -0.5, [n])
+        assert np.array_equal(together[j], alone[0])
+
+
+def _pole_bounds(rho):
+    """chebyshev_bounds of 1/(t - z) with z on the Bernstein ellipse of
+    parameter rho, where |t - z| >= (rho - r)(1 - 1/(r rho))/2 on the
+    ellipse of parameter r < rho, as on a spine of half-length 1."""
+    log_r = math.log(rho) * BOUND_EXPONENTS
+    r = np.exp(log_r)
+    return chebyshev_bounds(-np.log(0.5 * (rho - r) * (1.0 - 1.0 / (r * rho))),
+                            log_r)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.2])
+def test_chebyshev_bounds_hold_on_a_pole(theta):
+    # the n-point rule's error on 1/(t - z) is at most pi times the
+    # bound at every size, up to roundoff (the closed form loses digits
+    # to z - 1 near the interval); the size the bound picks for 1e-11 is
+    # at most one size past the first whose error meets it
+    for rho in (3.0, 1.5, 1.1, 1.02, 1.005):
+        z = (rho * np.exp(1j * theta) + np.exp(-1j * theta) / rho) / 2.0
+        want = -math.pi / (np.sqrt(z - 1.0) * np.sqrt(z + 1.0))
+        bounds = _pole_bounds(rho)
+        errors = []
+        for n, bound in zip(SPINE_SIZES, bounds):
+            t, w = jacobi_rule(n, -0.5, -0.5)
+            mass = np.sum(w * np.abs(1.0 / (t - z)))
+            errors.append(abs(np.sum(w / (t - z)) - want))
+            assert errors[-1] <= math.pi * bound + 1e-13 * mass, (rho, n)
+        meets = np.array(errors) <= 1e-11 * math.pi
+        if (bounds <= 1e-11).any():
+            assert (bounds <= 1e-11).argmax() <= meets.argmax() + 1, rho
+        else:
+            assert rho == 1.005
+
+
+def test_chebyshev_bounds_take_any_rho_without_overflow():
+    # r^(2n) overflows a double at 2,440 points from r = 1.16 on; the
+    # bound stays finite and falls with n, for rho from 1 + 1e-9 to 1e6
+    for rho in (1.0 + 1e-9, 1.16, 10.0, 1e6):
+        bounds = _pole_bounds(rho)
+        assert np.isfinite(bounds).all()
+        assert (np.diff(bounds) <= 0).all()
 
 
 def test_spine_integral_escalates_near_singularity():
     # pole just outside the interval; needs the larger rule sizes
     a = 1.05
     want = -math.pi / math.sqrt(a * a - 1.0)
-    val, _ = spine_integral(lambda t: 1.0 / (t - a), -0.5, -0.5, tol=1e-12)
+    val, _ = spine_ladder(lambda t: 1.0 / (t - a), -0.5, -0.5, tol=1e-12)
     assert abs(val - want) < 1e-10 * abs(want)
 
 
@@ -116,10 +315,21 @@ def test_spine_rho_min_is_where_the_ladder_settles(theta):
 
 def test_spine_integral_agm_period():
     # complete elliptic period of y^2 = x(1-x)(2-x) over [0,1] via
-    # x = (1+t)/2, against the arithmetic-geometric mean
-    val, _ = spine_integral(
-        lambda t: math.sqrt(2.0) / np.sqrt(3.0 - t), -0.5, -0.5, tol=1e-13
-    )
+    # x = (1+t)/2, against the arithmetic-geometric mean: the integrand
+    # sqrt(2) (3 - t)^(-1/2) is analytic inside the Bernstein ellipse
+    # through t = 3, where |3 - t| >= delta(r) as on a spine, so its
+    # bound sizes the rule
+    rho = 3.0 + math.sqrt(8.0)
+    log_r = math.log(rho) * BOUND_EXPONENTS
+    r = np.exp(log_r)
+    delta = 0.5 * (rho - r) * (1.0 - 1.0 / (r * rho))
+    # relative to the integrand's least value on [-1, 1], sqrt(2) / 2
+    bounds = chebyshev_bounds(0.5 * np.log(4.0 / delta), log_r)
+    size = SPINE_SIZES[int((bounds <= 1e-13).argmax())]
+    assert size == 12
+    val, = spine_integral(
+        lambda nodes: _rule_sum(nodes, lambda t: math.sqrt(2.0)
+                                / np.sqrt(3.0 - t)), -0.5, -0.5, [size])
     a, b = math.sqrt(2.0), 1.0
     while abs(a - b) > 1e-16 * a:
         a, b = (a + b) / 2.0, math.sqrt(a * b)
@@ -136,7 +346,7 @@ def _ladder(f, start=0, tol=1e-12):
         sizes.append(len(t))
         return f(t)
 
-    val, defect = spine_integral(g, -0.5, -0.5, tol=tol, start=start)
+    val, defect = spine_ladder(g, -0.5, -0.5, tol=tol, start=start)
     assert sizes == list(SPINE_SIZES[start:start + len(sizes)])
     return val, defect, start + len(sizes) - 1
 
@@ -174,7 +384,7 @@ LADDERS = [
 
 
 def _lockstep(ladders):
-    """spine_integral over the ladders in lockstep, each ladder's rule
+    """spine_ladder over the ladders in lockstep, each ladder's rule
     sums its values times the rule weights, as one product per ladder;
     also records each ladder's node counts, step by step."""
     sizes = {j: [] for j in range(len(ladders))}
@@ -190,7 +400,7 @@ def _lockstep(ladders):
                         @ nodes["w"][a:b])
         return sums
 
-    out = spine_integral(g, -0.5, -0.5, tol=1e-12,
+    out = spine_ladder(g, -0.5, -0.5, tol=1e-12,
                          start=[r for _, r in ladders])
     return out, sizes
 
@@ -220,19 +430,19 @@ def test_lockstep_ladder_is_the_same_alone_or_in_company():
 
 
 def test_plain_integrand_is_the_one_ladder_lockstep():
-    # spine_integral(g, start=k) is the one-ladder lockstep route whose
+    # spine_ladder(g, start=k) is the one-ladder lockstep route whose
     # rule sum is np.sum(w * g(t), axis=-1) over g's values as complex,
     # bit for bit
     for f, start in LADDERS[:-1]:
-        vals, defects, rungs = spine_integral(
+        vals, defects, rungs = spine_ladder(
             lambda nodes: [np.sum(nodes["w"] * f(nodes["t"]).astype(complex),
                                   axis=-1)],
             -0.5, -0.5, tol=1e-12, start=[start])
-        val, defect = spine_integral(f, -0.5, -0.5, tol=1e-12, start=start)
+        val, defect = spine_ladder(f, -0.5, -0.5, tol=1e-12, start=start)
         assert np.array_equal(val, vals[0]) and defect == defects[0]
         assert rungs[0] == _ladder(f, start=start)[2]
     with pytest.raises(QuadratureError):
-        spine_integral(LADDERS[-1][0], -0.5, -0.5, start=LADDERS[-1][1])
+        spine_ladder(LADDERS[-1][0], -0.5, -0.5, start=LADDERS[-1][1])
 
 
 def test_first_rung_predicts_a_settling_rung():
@@ -288,7 +498,7 @@ def test_first_rung_over_an_array_is_the_scalar_calls():
 
 def test_spine_integral_raises_on_interior_pole():
     with pytest.raises(QuadratureError):
-        spine_integral(lambda t: 1.0 / (t - 0.3), -0.5, -0.5, tol=1e-12)
+        spine_ladder(lambda t: 1.0 / (t - 0.3), -0.5, -0.5, tol=1e-12)
 
 
 def test_legendre_rule_basics():

@@ -661,7 +661,8 @@ def test_pole_reductions_match_the_scalar_form():
 def test_reduction_map_matches_per_loop_route():
     # phi's periods through the engine's power and pole maps against the
     # per-loop route, on REF, every row of both full schedules (their
-    # fallback loops included) and the seeded generic configurations
+    # one fallback loop, zero-zero loop 5 at d = 9.8e-5, included) and
+    # the seeded generic configurations
     configs = [(ref_config(), REF_PAIRING),
                *((fam.config(d), fam.pairing)
                  for fam in (_ZP, _ZZ) for d in fam.schedule),
@@ -674,13 +675,14 @@ def test_reduction_map_matches_per_loop_route():
         want = per_loop_reduced_periods(conn.pe, fn)
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
         fallbacks += len(conn.pe.fallback_loops)
-    assert fallbacks == 3
+    assert fallbacks == 1
 
 
 def test_phi_periods_reuse_the_tables(monkeypatch):
     # a connection asks its engine for the pole map as it is built, and
-    # one lockstep ladder builds both blocks of every loop's table: on
-    # REF, phi's periods then run no ladder and evaluate yhat nowhere
+    # one spine_integral call builds both blocks of every loop's table:
+    # on REF, phi's periods then make no such call and evaluate yhat
+    # nowhere
     points, ladders = [], []
     for name, pos in (("eval_sheet1", 0), ("eval_oncut", 1)):
         def counted(*args, _kernel=getattr(kernels, name), _pos=pos):
@@ -702,20 +704,20 @@ def test_phi_periods_reuse_the_tables(monkeypatch):
     assert ladders == []
 
 
-# the loops that took the contour while the spine ladder stopped at 576
-# points: (family, schedule index, loops)
+# the loops that took the contour while the spine rung ladder stopped at
+# 576 points: (family, schedule index, loops)
 SETTLED_LOOPS = [(_ZP, 8, (3, 4)), (_ZP, 9, (3, 4)), (_ZP, 10, (3, 4)),
                  (_ZZ, 6, (5,)), (_ZZ, 7, (4, 5)), (_ZZ, 8, (4, 5)),
                  (_ZZ, 9, (4,))]
 
 
 def test_settled_loops_match_their_contour_tables():
-    # each of them now settles on the spine, and each block of its
-    # table, powers and far poles, is within 5e-11 of the block's
-    # largest entry of the table its stadium contour integrates (worst
-    # 3.2e-12 on the powers blocks, 3.0e-11 on the far-pole blocks,
-    # whose 1/(x - b)^2 rows reach 2.8e8 at zero-pole d = 9.8e-5, and
-    # the ladder accepts a defect of tol |val|)
+    # each of them now stays on the spine, and each block of its table,
+    # powers and far poles, is within 5e-11 of the block's largest entry
+    # of the table its stadium contour integrates (worst 3.2e-12 on the
+    # powers blocks, 3.0e-11 on the far-pole blocks, whose 1/(x - b)^2
+    # rows reach 2.8e8 at zero-pole d = 9.8e-5, with the rung ladder's
+    # tables, which accepted a defect of tol |val|)
     for fam, k, loops in SETTLED_LOOPS:
         pe = tau.build_connection(fam.config(fam.schedule[k]),
                                   pairing=fam.pairing).pe
@@ -732,8 +734,8 @@ def test_settled_loops_match_their_contour_tables():
 
 
 # kernel points of the benchmark's degeneration rows (every second row
-# of both schedules, down to d = 3.9e-4): 21,052, all on spines
-DEGENERATION_KERNEL_POINTS = 21_052
+# of both schedules, down to d = 3.9e-4): 11,492, all on spines
+DEGENERATION_KERNEL_POINTS = 11_492
 
 
 def test_degeneration_rows_run_no_contour(monkeypatch):
@@ -779,21 +781,21 @@ def test_degeneration_rows_run_no_contour(monkeypatch):
 
 # kernel points (eval_sheet1 and eval_oncut, contour fallbacks
 # included) of REF's scaling check and of each row of both full
-# schedules through degeneration_rows, as the per-block ladders read
-# them before both blocks shared one ladder
-REF_SCALING_KERNEL_POINTS = 160
+# schedules through degeneration_rows, at the a priori rule sizes
+REF_SCALING_KERNEL_POINTS = 76
 ROW_KERNEL_POINTS = {
-    "zero-pole": (472, 496, 768, 704, 1040, 1752, 2736, 2464, 3888, 6904,
-                  11072),
-    "zero-zero": (756, 704, 976, 1552, 1772, 2128, 3500, 5720, 5144, 25728,
-                  138040),
+    "zero-pole": (180, 244, 348, 348, 516, 788, 1228, 1940, 1940, 3092,
+                  4956),
+    "zero-zero": (260, 344, 480, 700, 836, 1056, 1632, 2564, 4072, 4072,
+                  96732),
 }
 
 
 def test_work_counts_hold_and_each_connection_climbs_once(monkeypatch):
     # deterministic work counters: the kernel points stay at the pinned
-    # counts, and each connection engine makes one spine ladder call
-    counts = {"points": 0, "ladders": 0, "connections": 0}
+    # counts, and each connection engine makes one spine_integral call,
+    # which calls its integrand once: the climb is a single step
+    counts = {"points": 0, "ladders": 0, "connections": 0, "integrands": 0}
     for name, pos in (("eval_sheet1", 0), ("eval_oncut", 1)):
         def counted(*args, _kernel=getattr(kernels, name), _pos=pos):
             counts["points"] += np.size(args[_pos])
@@ -805,11 +807,21 @@ def test_work_counts_hold_and_each_connection_climbs_once(monkeypatch):
             counts[_key] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, spy)
+    ladder = periods.spine_integral
+
+    def one_step(g, *args, **kwargs):
+        def step(nodes):
+            counts["integrands"] += 1
+            return g(nodes)
+        return ladder(step, *args, **kwargs)
+
+    monkeypatch.setattr(periods, "spine_integral", one_step)
 
     def measured(run):
-        counts.update(points=0, ladders=0, connections=0)
+        counts.update(points=0, ladders=0, connections=0, integrands=0)
         run()
-        assert counts["ladders"] == counts["connections"] == 1
+        assert (counts["ladders"] == counts["connections"]
+                == counts["integrands"] == 1)
         return counts["points"]
 
     assert measured(lambda: tau.scaling_check(ref_config(),
